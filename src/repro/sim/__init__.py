@@ -4,8 +4,9 @@ The simulator follows the paper's methodology (Sec. V): tensor blocks are
 lowered to blocked nonzero masks, weight (B) blocks are preprocessed into a
 compressed schedule, activation (A) zeros are skipped on the fly, and the
 number of cycles per block follows the borrowing strategy of the configured
-architecture, including stalls from output synchronization, SRAM bank
-conflicts, and ABUF/BBUF fullness.
+architecture, including stalls from output synchronization and SRAM bank
+conflicts (DRAM bandwidth optionally).  ABUF/BBUF fullness stalls are not
+modeled.
 """
 
 from repro.sim.compaction import CompactionResult, compact_schedule, compact_schedule_reference

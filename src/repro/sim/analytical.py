@@ -40,19 +40,6 @@ def _smooth_max(mu: float, floor: float, sigma: float) -> float:
     return floor + (mu - floor) * cdf + sigma * phi
 
 
-def _order_stat_max(values: np.ndarray, correlation: float = 0.25) -> float:
-    """Expected maximum of correlated per-slot drain rates.
-
-    Per-stream fronts leave slots loosely coupled through borrowing, so a
-    plain independent-max overestimates the tail.  We blend the empirical
-    max with the mean by ``correlation``.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    return correlation * float(values.mean()) + (1.0 - correlation) * float(values.max())
-
-
 def analytical_tile_cycles(
     t_steps: int,
     densities: np.ndarray,

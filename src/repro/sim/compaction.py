@@ -15,8 +15,8 @@ Execution semantics (Sec. 5 of DESIGN.md):
   cycle (the buffer refill rate), which caps the ideal speedup at ``1 + d1``
   exactly as the paper states for ``db1``.  Lanes inside a unit share the
   front (they drain one stream); different units drift within the
-  provisioned ABUF/BBUF -- residual overflow is charged separately by the
-  engine's buffer-fullness stall model.
+  provisioned ABUF/BBUF, whose overflow is not modeled (the engine charges
+  SRAM and DRAM stalls only).
 * Each output cycle every slot executes at most one remaining effectual op:
   first from its own stream (earliest first), otherwise from a donor stream
   at lane offset ``1..d2`` (wrapping inside the dot-product unit) and/or PE

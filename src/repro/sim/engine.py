@@ -3,15 +3,19 @@
 The engine follows the paper's methodology (Sec. V): every layer is lowered
 to GEMMs and blocked onto the core (Figure 1); weight blocks are
 preprocessed and activation blocks skipped on the fly per the configured
-borrowing distances; cycles per block include stalls from output
-synchronization, SRAM bank conflicts and buffer fullness; end-to-end latency
-sums the blocks.
+borrowing distances; cycles per block include the output-synchronization
+drain between passes, each GEMM is charged SRAM bank-conflict stalls (and,
+optionally, DRAM-bandwidth stalls), and end-to-end latency sums the GEMMs.
+ABUF/BBUF buffer-fullness stalls are not modeled.
 
 Because repeated passes of one GEMM are statistically identical, the engine
 samples a configurable number of passes per GEMM (including edge passes)
 and extrapolates -- the same block-sampling the paper's own
 PyTorch-fed simulator performs.  Everything is deterministic in the option
-seed, and layer results are memoized on the full simulation key.
+seed, and layer results are memoized on the full simulation key.  Sampled
+passes are memoized on the layer's sparsity rather than on the design, so
+every design and category that reads a GEMM's weights shares one draw of
+its weight factor field.
 
 Persistent caching is two-tiered: layer results store under
 :func:`simulation_key` (:data:`SIMULATION_KEY_VERSION`), and whole-network
@@ -26,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -50,6 +54,7 @@ from repro.workloads.models import (
 )
 from repro.workloads.sparsity import (
     SparsityProfile,
+    WeightFactorField,
     act_profile,
     activation_tile_mask,
     sample_act_field,
@@ -313,29 +318,72 @@ def _sampled_passes(
     geometry: "CoreGeometry",
     passes_per_gemm: int,
     max_t_steps: int,
-) -> tuple:
+) -> dict[tuple[bool, bool], tuple]:
     """Sampled ``(a_mask, b_mask)`` pass tiles for one GEMM, memoized.
 
-    The whole draw sequence -- factor fields, pass selection, tile masks
-    -- is a pure function of these arguments and crucially does *not*
-    depend on the scheduling config, so a design-space sweep redraws
-    byte-identical tiles for every design point.  Sampling the factor
-    fields (millions of gamma variates per GEMM) dominated sweep profiles
-    once scheduling was vectorized; memoizing turns every re-visit into a
-    lookup.  The rng is local, so a cache hit leaves no stream behind.
-    The cached masks are read-only by contract (every consumer copies
-    before mutating).
+    The memo is keyed on the layer's sparsity, not on the sides one
+    datapath skips: ``activations`` is the layer's activation profile
+    whether or not the requesting design uses it.  The result maps
+    ``(weights used, activations used)`` to every pass set that one draw
+    of the leading factor field serves:
+
+    * With ``weights``, the weight factor field is drawn once from
+      ``default_rng(seed)``.  The weight-only set continues that stream;
+      the dual-sparse set (activation field, pass choice, masks) replays
+      it from the generator state right after the field.  Each set is
+      bitwise what a fresh generator per set would draw, but the
+      ``delta[channels, N]`` gamma field -- millions of variates per GEMM
+      and the bulk of a cold run -- is drawn once, so a ``Sparse.AB``
+      design downgraded to the weight-only reach (Table III) and the
+      weight-only designs share it with the dual-sparse runs.
+    * Without, the activation-only set, whose field leads its own fresh
+      stream.
+
+    The draw sequence is a pure function of these arguments and does
+    *not* depend on the scheduling config, so a design-space sweep redraws
+    byte-identical tiles for every design point and memoizing turns every
+    re-visit into a lookup.  The rng is local, so a cache hit leaves no
+    stream behind.  Only masks are cached, never the factor fields; the
+    masks are read-only by contract (every consumer copies before
+    mutating).
     """
     rng = np.random.default_rng(seed)
-    grid = tile_grid(gemm, geometry)
+    draw = partial(
+        _draw_passes, rng, gemm=gemm, geometry=geometry,
+        passes_per_gemm=passes_per_gemm, max_t_steps=max_t_steps,
+    )
+    if weights is None:
+        return {(False, True): draw(None, None, activations)}
+    w_field = sample_weight_field(
+        rng, weights, gemm.k, gemm.n, gemm.k_channels, k0=geometry.k0
+    )
+    after_field = rng.bit_generator.state
+    sets = {(True, False): draw(weights, w_field, None)}
+    if activations is not None:
+        rng.bit_generator.state = after_field
+        sets[True, True] = draw(weights, w_field, activations)
+    return sets
 
-    w_field = None
-    if weights:
-        w_field = sample_weight_field(
-            rng, weights, gemm.k, gemm.n, gemm.k_channels, k0=geometry.k0
-        )
+
+def _draw_passes(
+    rng: np.random.Generator,
+    weights: SparsityProfile | None,
+    w_field: WeightFactorField | None,
+    activations: SparsityProfile | None,
+    *,
+    gemm: GemmShape,
+    geometry: "CoreGeometry",
+    passes_per_gemm: int,
+    max_t_steps: int,
+) -> tuple:
+    """Draw the activation field, pick the passes, and draw their tile masks.
+
+    Continues ``rng`` from wherever the caller left it (right after the
+    weight field, if any), in the order every pass set has always used.
+    """
+    grid = tile_grid(gemm, geometry)
     a_field = None
-    if activations:
+    if activations is not None:
         a_field = sample_act_field(
             rng, activations, gemm.k, gemm.m, gemm.k_channels, k0=geometry.k0
         )
@@ -388,19 +436,21 @@ def _simulate_gemm(
     sched_config = _scheduling_config(config, sparsity)
 
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
+    layer_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
+    sides = (sparsity.weights is not None, sparsity.activations is not None)
     if obs.ACTIVE.enabled:
         with obs.ACTIVE.span(
             "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"
         ):
             pairs = _sampled_passes(
-                seed, sparsity.weights, sparsity.activations, gemm, geometry,
+                seed, sparsity.weights, layer_acts, gemm, geometry,
                 options.passes_per_gemm, options.max_t_steps,
-            )
+            )[sides]
     else:
         pairs = _sampled_passes(
-            seed, sparsity.weights, sparsity.activations, gemm, geometry,
+            seed, sparsity.weights, layer_acts, gemm, geometry,
             options.passes_per_gemm, options.max_t_steps,
-        )
+        )[sides]
     samples = len(pairs)
     n_passes = grid.m_tiles * grid.n_tiles
     full_t = grid.t_steps

@@ -79,6 +79,15 @@ def _grid() -> list[tuple[str, str, ModelCategory]]:
             cases.append((info.name, "Sparse.A*", ModelCategory.A))
         if ModelCategory.AB in categories:
             cases.append((info.name, "Sparse.AB*", ModelCategory.AB))
+        # The cross-category runs Fig. 8 makes: a dual-sparse datapath on
+        # single-sparse data (the Table III downgrades) and a weight-only
+        # datapath on dual-sparse data.
+        if ModelCategory.B in categories:
+            cases.append((info.name, "Sparse.AB*", ModelCategory.B))
+        if ModelCategory.A in categories:
+            cases.append((info.name, "Sparse.AB*", ModelCategory.A))
+        if ModelCategory.AB in categories:
+            cases.append((info.name, "Sparse.B*", ModelCategory.AB))
     # One dense-datapath run (trivial scheduling path, stall model off-path).
     cases.append(("AlexNet", "Dense", ModelCategory.DENSE))
     return cases
