@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -44,17 +46,35 @@ def pareto_front(
     """
     items = list(items)
     scores = [tuple(obj(item) for obj in objectives) for item in items]
+    counts = _dominance_counts(np.array(scores, dtype=np.float64))
     front: list[T] = []
     seen_scores: set[tuple[float, ...]] = set()
-    for i, item in enumerate(items):
-        if any(dominates(other, scores[i]) for j, other in enumerate(scores) if j != i):
+    for item, vector, count in zip(items, scores, counts):
+        if count or (dedupe and vector in seen_scores):
             continue
-        if dedupe:
-            if scores[i] in seen_scores:
-                continue
-            seen_scores.add(scores[i])
+        seen_scores.add(vector)
         front.append(item)
     return front
+
+
+#: Rows of the dominance matrix built at a time, so that a 10k-vector grid
+#: needs a few 5 MB boolean planes, never the full ``n x n`` matrix.
+_BLOCK = 512
+
+
+def _dominance_counts(scores: np.ndarray, rows: np.ndarray | None = None):
+    """How many of the vectors ``scores[rows]`` (default: all) dominate each."""
+    rows = np.arange(len(scores)) if rows is None else rows
+    counts = np.zeros(len(scores), dtype=np.int64)
+    for start in range(0, len(rows), _BLOCK):
+        block = scores[rows[start:start + _BLOCK]]
+        at_least = np.ones((len(block), len(scores)), dtype=bool)
+        better = np.zeros_like(at_least)
+        for mine, theirs in zip(block.T, scores.T):
+            at_least &= mine[:, None] >= theirs
+            better |= mine[:, None] > theirs
+        counts += (at_least & better).sum(axis=0)
+    return counts
 
 
 def pareto_ranks(scores: Sequence[Sequence[float]]) -> list[int]:
@@ -63,22 +83,18 @@ def pareto_ranks(scores: Sequence[Sequence[float]]) -> list[int]:
     Rank ``r`` contains the vectors that become non-dominated once every
     vector of rank ``< r`` is removed -- the standard NSGA-style layering.
     Tied vectors always share a rank.  Returns one rank per input, in
-    input order.
+    input order.  Peeling a layer subtracts its members' dominance rows
+    from the dominator counts of the rest.
     """
-    scores = [tuple(s) for s in scores]
-    ranks = [-1] * len(scores)
-    remaining = list(range(len(scores)))
+    scores = np.array([tuple(s) for s in scores], dtype=np.float64)
+    ranks = np.full(len(scores), -1)
+    counts = _dominance_counts(scores)
     rank = 0
-    while remaining:
-        layer = [
-            i
-            for i in remaining
-            if not any(dominates(scores[j], scores[i]) for j in remaining if j != i)
-        ]
-        if not layer:  # pragma: no cover -- dominance is a strict partial order
+    while (ranks < 0).any():
+        layer = np.flatnonzero((ranks < 0) & (counts == 0))
+        if not len(layer):  # pragma: no cover -- dominance is a strict partial order
             raise RuntimeError("non-dominated sorting failed to peel a layer")
-        for i in layer:
-            ranks[i] = rank
-        remaining = [i for i in remaining if ranks[i] < 0]
+        ranks[layer] = rank
+        counts -= _dominance_counts(scores, layer)
         rank += 1
-    return ranks
+    return ranks.tolist()

@@ -20,9 +20,9 @@ Four strategies ship:
   starred points while evaluating a fraction of the grid;
 * :class:`SurrogateScreenedSearch` -- the multi-fidelity mode
   (``fidelity: "multi"`` in a search spec): the calibrated analytical
-  surrogate (:mod:`repro.surrogate`) scores *every* feasible config in
-  microseconds, and only the predicted Pareto shortlist is proposed to
-  the exact engine for confirmation.
+  surrogate (:mod:`repro.surrogate`) scores *every* feasible config at
+  about a millisecond each, and only the predicted Pareto shortlist is
+  proposed to the exact engine for confirmation.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from repro.sim.engine import SIMULATION_KEY_VERSION, SimulationOptions
 from repro.surrogate.model import (
     DEFAULT_ERROR_BUDGET,
     ERROR_BUDGET,
+    FEATURE_NAMES,
     GemmTerms,
     SurrogateModel,
     corrected_cycles,
@@ -215,9 +216,10 @@ def _solve_group(rows: Sequence[CorpusRow]) -> tuple[float, ...]:
 
 
 def _cell_errors(
-    rows: Iterable[CorpusRow], lookup
+    rows: Iterable[CorpusRow], families: Iterable[FamilyConstants]
 ) -> dict[tuple, tuple[float, float]]:
     """Per (regime, space, workload, config): (exact, predicted) totals."""
+    fitted = {(fam.regime, fam.family, fam.workload): fam for fam in families}
     cells: dict[tuple, tuple[float, float]] = {}
     for row in rows:
         key = (row.regime, row.space, row.workload, row.config)
@@ -225,7 +227,9 @@ def _cell_errors(
         if row.terms is None:
             prediction = row.exact  # dense GEMMs are predicted exactly
         else:
-            prediction = corrected_cycles(row.terms, lookup(row))
+            prediction = corrected_cycles(
+                row.terms, fitted[(row.regime, row.terms.family, row.fingerprint)]
+            )
         cells[key] = (exact + row.exact, predicted + prediction)
     return cells
 
@@ -256,20 +260,12 @@ def fit_constants(corpus: Corpus) -> SurrogateConstants:
             regime=regime,
             family=family,
             workload=workload,
-            feature_names=groups[(regime, family, workload)][0]
-            .terms.feature_names,
+            feature_names=FEATURE_NAMES[family],
             theta=_solve_group(groups[(regime, family, workload)]),
         )
         for regime, family, workload in sorted(groups)
     )
-    constants_index = {
-        (fam.regime, fam.family, fam.workload): fam for fam in families
-    }
-
-    def lookup(row: CorpusRow) -> FamilyConstants:
-        return constants_index[(row.regime, row.terms.family, row.fingerprint)]
-
-    cells = _cell_errors(rows, lookup)
+    cells = _cell_errors(rows, families)
     report = []
     for regime in sorted(corpus.regimes):
         for space in corpus.spaces:
@@ -389,13 +385,13 @@ def check_constants(
     for row in constants.report:
         options = regime_options[row["regime"]]
         category = ModelCategory(row["category"])
-        network = workloads[row["workload"]].network
+        workload = workloads[row["workload"]]
         ceiling = budget.get(row["regime"], DEFAULT_ERROR_BUDGET)
         worst = 0.0
         total = 0.0
         for notation, (exact, recorded) in row["cells"].items():
             predicted = model.predict_network(
-                network, parse_notation(notation), category, options
+                workload, parse_notation(notation), category, options
             ).cycles
             if abs(predicted - recorded) > REPORT_TOLERANCE * recorded:
                 failures.append(

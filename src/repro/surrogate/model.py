@@ -2,40 +2,30 @@
 
 The surrogate answers the question the exact engine answers -- end-to-end
 network cycles of a borrowing configuration on a model category -- in
-microseconds instead of seconds, so a search can *screen* a whole design
-space and spend the exact engine only on the predicted frontier
-(``fidelity: "multi"``, see ``docs/surrogate.md``).
+about a millisecond per config instead of seconds, so a search can
+*screen* a whole design space and spend the exact engine only on the
+predicted frontier (``fidelity: "multi"``, see ``docs/surrogate.md``).
 
 Per GEMM the prediction is ``base * exp(theta . phi)``, clamped to the
 same ``[min_cycles, dense_cycles]`` envelope the engine enforces:
 
 * the **base** term mirrors every deterministic piece of the engine's
-  :func:`~repro.sim.engine._simulate_gemm` arithmetic exactly -- effective
+  :func:`~repro.sim.engine._simulate_gemm` arithmetic exactly (effective
   sparsity, Sparse.AB downgrades, tile-segment scaling, pipeline drain,
-  the speedup floor/cap clamps, and the SRAM stall model -- and replaces
-  only the *sampled* mean tile cycles with a closed form: the expected
-  per-window maximum of the compacted occupancy, a rectified-Gaussian
-  smooth-max of the work bound over the window floor with a Gumbel-style
-  tail for the slot-max (the constant-density analogue of
-  :mod:`repro.sim.analytical`, with no RNG anywhere);
+  the floor/cap clamps, the stall models) and replaces only the *sampled*
+  mean tile cycles with a closed form: a rectified-Gaussian smooth-max of
+  the work bound over the window floor with a Gumbel-style slot-max tail
+  (the constant-density analogue of :mod:`repro.sim.analytical`);
 * the **correction** ``exp(theta . phi)`` absorbs what the closed form
-  abstracts away (factor-field imbalance, shuffle rebalancing, borrowing
+  abstracts away (factor-field imbalance, shuffle, borrowing
   interactions): a log-linear basis over borrowing distances x tensor
-  density x tile depth, with one fitted coefficient vector per sampling
-  regime x *effective* scheduling family x calibration workload.  The
-  family is the one the point actually schedules as (``b`` / ``a`` /
-  ``ab`` -- Sparse.AB points running single-sparse data downgrade per
-  Table III); the per-workload vectors absorb the config x layer-mix
-  interaction that a suite-global fit cannot (a pooled per-family
-  fallback covers workloads outside the calibration suite, at unrecorded
-  error).  The constants are fitted against the persistent cache's exact
-  results (:mod:`repro.surrogate.calibrate`) and committed as a golden
-  keyed by :data:`~repro.sim.engine.SIMULATION_KEY_VERSION`.
+  density x tile depth, fitted per regime x effective family x workload
+  (:class:`~repro.surrogate.store.FamilyConstants`) against the cache's
+  exact results (:mod:`repro.surrogate.calibrate`).
 
-Dense GEMMs (no exploitable sparsity) are predicted exactly -- the engine
-returns ``dense_cycles`` for them without sampling -- so the ``DNN.dense``
-category is exact by construction and calibration error concentrates where
-sampling actually happens.
+Both are array expressions over a workload's GEMM table (:func:`gemm_table`),
+one row per sparse GEMM; no RNG is involved.  Dense GEMMs are predicted
+exactly, as the engine returns ``dense_cycles`` for them without sampling.
 """
 
 from __future__ import annotations
@@ -43,8 +33,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.config import ArchConfig, ModelCategory
+import numpy as np
+
+from repro.config import ArchConfig, BorrowConfig, ModelCategory
 from repro.core.metrics import geometric_mean
 from repro.dse.evaluate import (
     DesignEvaluation,
@@ -62,18 +55,13 @@ from repro.sim.engine import (
     _scheduling_config,
 )
 from repro.surrogate.store import (
-    ANY_WORKLOAD,
     FamilyConstants,
     SurrogateConstants,
     load_constants,
 )
-from repro.workloads.models import Network, NetworkLayer, network_fingerprint
-from repro.workloads.registry import WorkloadLike, parse_workload
+from repro.workloads.models import NetworkLayer
+from repro.workloads.registry import Workload, WorkloadLike, parse_workload
 
-
-def options_key(options: SimulationOptions) -> str:
-    """Canonical identity of a sampling-options point (regime matching)."""
-    return json.dumps(options.to_dict(), sort_keys=True)
 
 #: Hard ceiling of the calibration error budget: worst-case per-workload
 #: relative network-cycles error across the Table IV workloads x the
@@ -90,19 +78,20 @@ ERROR_BUDGET: dict[str, float] = {"default": 0.05, "quick": 0.05}
 DEFAULT_ERROR_BUDGET = 0.05
 
 
-def smooth_max(mu: float, floor: float, sigma: float) -> float:
-    """E[max(X, floor)] for X ~ N(mu, sigma^2) (rectified-Gaussian mean)."""
-    if sigma <= 0.0:
-        return max(mu, floor)
+_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf; scipy is not a dependency
+
+
+def smooth_max(mu: np.ndarray, floor: float, sigma: np.ndarray) -> np.ndarray:
+    """E[max(X, floor)] for X ~ N(mu, sigma^2), elementwise (``sigma > 0``)."""
     z = (mu - floor) / sigma
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)).astype(np.float64))
     return floor + (mu - floor) * cdf + sigma * pdf
 
 
 def tile_cycle_estimate(
-    t_steps: float, density: float, d1: int, d2: int, d3: int, n_slots: int
-) -> float:
+    t_steps: np.ndarray, density: np.ndarray, side: BorrowConfig, n_slots: int
+) -> np.ndarray:
     """Expected compacted cycles of one tile side at constant density.
 
     ``t_steps`` windows of width ``w = 1 + d1`` advance at the per-window
@@ -112,18 +101,17 @@ def tile_cycle_estimate(
     work bound ``p`` plus a Gumbel-style tail for the slot max
     (``sqrt(2 v ln s_eff / (t g))``), smooth-maxed over the window floor
     ``1/w`` with the Gaussian width of the pooled window occupancy.
+    Elementwise over rows whose densities lie strictly inside (0, 1).
     """
-    if t_steps <= 0:
-        return 0.0
-    window = 1 + d1
-    group = (1 + d2) * (1 + d3)
+    window = 1 + side.d1
+    group = (1 + side.d2) * (1 + side.d3)
     floor = 1.0 / window
     eff_slots = max(n_slots / group, 2.0)
-    variance = max(density * (1.0 - density), 0.0)
-    tail = math.sqrt(2.0 * variance * math.log(eff_slots) / (t_steps * group))
-    sigma = math.sqrt(variance / max(window * group, 1))
+    variance = density * (1.0 - density)
+    tail = np.sqrt(2.0 * variance * math.log(eff_slots) / (t_steps * group))
+    sigma = np.sqrt(variance / max(window * group, 1))
     rate = smooth_max(density + tail, floor, sigma)
-    return t_steps * min(max(rate, floor), 1.0)
+    return t_steps * np.minimum(np.maximum(rate, floor), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,74 +119,162 @@ def tile_cycle_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _distance_basis(d1: int, d2: int, d3: int) -> list[tuple[str, float]]:
-    lw, l2, l3 = math.log1p(d1), math.log1p(d2), math.log1p(d3)
-    return [
-        ("lw", lw), ("lw2", lw * lw),
-        ("l2", l2), ("l3", l3), ("l22", l2 * l2), ("l32", l3 * l3),
-        ("lwl2", lw * l2), ("lwl3", lw * l3), ("l2l3", l2 * l3),
-    ]
+def _basis_names(density: tuple[str, ...], distance: tuple[str, ...]):
+    terms = density + tuple(f"{d}*{p}" for d in distance for p in density)
+    terms += ("lseg",)
+    return terms + tuple(f"sh:{name}" for name in terms)
 
 
-def _density_basis(tag: str, density: float) -> list[tuple[str, float]]:
-    lp = math.log(density)
-    return [("1", 1.0), (f"lp{tag}", lp), (f"lp{tag}2", lp * lp)]
+_DISTANCE_NAMES = ("lw", "lw2", "l2", "l3", "l22", "l32", "lwl2", "lwl3", "l2l3")
+
+#: The correction basis of each effective family, in feature-column order:
+#: a quadratic log-density basis, its tensor product with a quadratic
+#: log-distance basis, and the tile-depth term, all duplicated under a
+#: shuffle interaction (shuffle rebalances the factor-field lanes and
+#: changes every coefficient's meaning, so it gets its own copy).
+FEATURE_NAMES: dict[str, tuple[str, ...]] = {
+    "b": _basis_names(("1", "lpw", "lpw2"), _DISTANCE_NAMES),
+    "a": _basis_names(("1", "lpa", "lpa2"), _DISTANCE_NAMES),
+    "ab": _basis_names(
+        ("1", "lpw", "lpw2", "lpa", "lpa2"), _DISTANCE_NAMES + ("lwa",)
+    ),
+}
 
 
-def _family_features(
-    family: str,
-    sched: ArchConfig,
-    weight_density: float,
-    act_density: float,
-    seg_t: int,
-) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The (names, values) correction basis of one GEMM.
+def _distance_terms(family: str, sched: ArchConfig) -> np.ndarray:
+    side = sched.a if family == "a" else sched.b
+    lw, l2, l3 = math.log1p(side.d1), math.log1p(side.d2), math.log1p(side.d3)
+    terms = [lw, lw * lw, l2, l3, l2 * l2, l3 * l3, lw * l2, lw * l3, l2 * l3]
+    if family == "ab":
+        terms.append(math.log1p(sched.a.d1))
+    return np.array(terms)
 
-    The basis is a tensor product of a quadratic log-distance basis and a
-    quadratic log-density basis, plus the tile-depth term, all duplicated
-    under a shuffle interaction (shuffle rebalances the factor-field lanes
-    and changes every coefficient's meaning, so it gets its own copy).
+
+def _features(rows: GemmRows, sched: ArchConfig) -> np.ndarray:
+    """The correction basis Phi of every row, one column per feature name."""
+    dens = rows.density_basis
+    cross = dens[:, None, :] * _distance_terms(rows.family, sched)[:, None]
+    phi = np.hstack([dens, cross.reshape(len(dens), -1), rows.lseg[:, None]])
+    return np.hstack([phi, phi * (1.0 if sched.shuffle else 0.0)])
+
+
+class GemmRows:
+    """Column arrays of one effective family's sparse GEMMs.
+
+    Fixed by the workload, category, options, geometry and datapath
+    sparsity support -- not by the borrowing distances -- so one table
+    serves a whole design space.  The rows share ``sparsity``'s sides, so
+    it picks their scheduling config (the Sparse.AB downgrades).
     """
-    if family == "b":
-        dist = _distance_basis(sched.b.d1, sched.b.d2, sched.b.d3)
-        dens = _density_basis("w", weight_density)
-    elif family == "a":
-        dist = _distance_basis(sched.a.d1, sched.a.d2, sched.a.d3)
-        dens = _density_basis("a", act_density)
-    else:
-        dist = _distance_basis(sched.b.d1, sched.b.d2, sched.b.d3)
-        dist.append(("lwa", math.log1p(sched.a.d1)))
-        lpa = math.log(act_density)
-        dens = _density_basis("w", weight_density)
-        dens.extend([("lpa", lpa), ("lpa2", lpa * lpa)])
-    terms = list(dens)
-    terms.extend(
-        (f"{dn}*{pn}", dv * pv) for dn, dv in dist for pn, pv in dens
+
+    def __init__(
+        self, family: str, entries: list[tuple], options: SimulationOptions
+    ) -> None:
+        sparsities, grids, self.layers = zip(*entries)
+        self.family, self.sparsity = family, sparsities[0]
+        self.gemms = tuple(grid.shape for grid in grids)
+        weight = np.array([s.weights.density if s.weights else 1.0 for s in sparsities])
+        act = np.array(
+            [s.activations.density if s.activations else 1.0 for s in sparsities]
+        )
+        self.weight_density, self.act_density = weight, act
+        t_steps = np.array([grid.t_steps for grid in grids])
+        seg_t = np.minimum(t_steps, options.max_t_steps)
+        self.seg_t, self.scale_t = seg_t.astype(float), t_steps / seg_t
+        self.drain = np.minimum(options.pipeline_drain, seg_t // 4)
+        self.work = np.array([g.passes * g.shape.repeats for g in grids])
+        self.dense_cycles = np.array([grid.dense_cycles for grid in grids])
+        lpw, lpa = np.log(weight), np.log(act)
+        logs = {"b": [lpw, lpw * lpw], "a": [lpa, lpa * lpa]}.get(
+            family, [lpw, lpw * lpw, lpa, lpa * lpa]
+        )
+        self.density_basis = np.stack([np.ones_like(weight)] + logs, axis=1)
+        self.lseg = np.log(seg_t / 64.0)
+
+
+def gemm_table(
+    pairs: Iterable[tuple[NetworkLayer, GemmShape]], config: ArchConfig,
+    category: ModelCategory, options: SimulationOptions,
+) -> tuple[tuple[GemmRows, ...], int, int]:
+    """Sparse-GEMM rows by family, the dense GEMMs' cycles, all dense cycles
+    (``config`` contributes only its geometry and sparsity support)."""
+    families: dict[str, list[tuple]] = {}
+    exact = total = 0
+    for layer, gemm in pairs:
+        grid = tile_grid(gemm, config.geometry)
+        total += grid.dense_cycles
+        sparsity = _effective_sparsity(gemm, layer, config, category)
+        if not sparsity.any:
+            exact += grid.dense_cycles
+        else:
+            use_b = sparsity.weights is not None
+            use_a = sparsity.activations is not None
+            family = "ab" if use_b and use_a else ("b" if use_b else "a")
+            families.setdefault(family, []).append((sparsity, grid, layer))
+    groups = tuple(
+        GemmRows(family, entries, options)
+        for family, entries in sorted(families.items())
     )
-    terms.append(("lseg", math.log(seg_t / 64.0)))
-    shuffle = 1.0 if sched.shuffle else 0.0
-    terms.extend((f"sh:{name}", shuffle * value) for name, value in terms[:])
-    names = tuple(name for name, _ in terms)
-    values = tuple(value for _, value in terms)
-    return names, values
+    return groups, exact, total
+
+
+def base_cycles(
+    rows: GemmRows, config: ArchConfig, category: ModelCategory,
+    options: SimulationOptions,
+) -> tuple[ArchConfig, np.ndarray, np.ndarray]:
+    """Scheduling config, closed-form base cycles and floor of every row."""
+    sched = _scheduling_config(config, rows.sparsity)
+    k0, n0, m0 = config.geometry.k0, config.geometry.n0, config.geometry.m0
+    if rows.family == "a":
+        tile = tile_cycle_estimate(rows.seg_t, rows.act_density, sched.a, k0 * m0)
+    else:
+        tile = tile_cycle_estimate(rows.seg_t, rows.weight_density, sched.b, k0 * n0)
+        if rows.family == "ab":
+            # Dual-sparse runs the two compaction stages back to back: the
+            # B-side schedule sets the surviving depth the A side packs.
+            tile = tile_cycle_estimate(tile, rows.act_density, sched.a, k0 * m0)
+    cycles = (tile + rows.drain) * rows.scale_t * rows.work
+    floor = _min_cycles(rows, sched)  # the engine's floor, per row
+    cycles = np.minimum(np.maximum(cycles, floor), rows.dense_cycles)
+    if options.include_stalls:
+        for i in np.flatnonzero(cycles < rows.dense_cycles):
+            dense = int(rows.dense_cycles[i])
+            cycles[i] = min(_apply_stalls(
+                float(cycles[i]), rows.gemms[i], rows.layers[i], config,
+                category, dense, options,
+            ), float(dense))
+    return sched, cycles, floor
+
+
+def _correct(base, floor, dense, features: np.ndarray, theta: np.ndarray):
+    """``base * exp(Phi @ theta)`` clamped to ``[floor, dense]`` (an
+    exponent past float range clamps too: no error, warning or NaN)."""
+    with np.errstate(over="ignore", under="ignore"):
+        cycles = base * np.exp(features @ theta)
+    return np.minimum(np.maximum(cycles, floor), dense)
+
+
+def _checked_theta(family: str, constants: FamilyConstants) -> np.ndarray:
+    """A fitted vector as an array, refused if fitted on another basis."""
+    names = FEATURE_NAMES[family]
+    if constants.feature_names != names:
+        raise ValueError(
+            f"surrogate constants for family {family!r} were fitted on a "
+            f"different feature basis ({len(constants.feature_names)} features "
+            f"vs {len(names)} in this code); refit with 'repro surrogate fit'"
+        )
+    return np.array(constants.theta)
 
 
 @dataclass(frozen=True)
 class GemmTerms:
-    """Everything the surrogate knows about one sparse GEMM.
-
-    ``base`` is the full closed-form mirror of the engine's arithmetic
-    (clamps and stalls included); the fitted correction multiplies it and
-    the result is re-clamped to ``[min_cycles, dense_cycles]``.  ``None``
-    from :func:`gemm_terms` means the GEMM runs dense and is predicted
-    exactly as ``dense_cycles``.
-    """
+    """One sparse GEMM's table row evaluated for one config (a corpus row):
+    :func:`base_cycles` and the :data:`FEATURE_NAMES` basis, uncorrected."""
 
     family: str
     base: float
     min_cycles: float
     dense_cycles: int
-    feature_names: tuple[str, ...]
     features: tuple[float, ...]
 
 
@@ -210,79 +286,25 @@ def gemm_terms(
     options: SimulationOptions,
 ) -> GemmTerms | None:
     """Base prediction + correction features of one GEMM (``None`` = dense)."""
-    geometry = config.geometry
-    grid = tile_grid(gemm, geometry)
-    sparsity = _effective_sparsity(gemm, layer, config, category)
-    if not sparsity.any:
-        return None
-    sched = _scheduling_config(config, sparsity)
-    use_b = sparsity.weights is not None
-    use_a = sparsity.activations is not None
-    weight_density = sparsity.weights.density if use_b else 1.0
-    act_density = sparsity.activations.density if use_a else 1.0
-
-    seg_t = min(grid.t_steps, options.max_t_steps)
-    scale_t = grid.t_steps / seg_t
-    drain = min(options.pipeline_drain, max(0, seg_t // 4))
-    k0, n0, m0 = geometry.k0, geometry.n0, geometry.m0
-
-    if use_b and use_a:
-        family = "ab"
-        # Dual-sparse runs the two compaction stages back to back: the
-        # B-side schedule sets the surviving depth the A side then packs.
-        tile_b = tile_cycle_estimate(
-            seg_t, weight_density, sched.b.d1, sched.b.d2, sched.b.d3, k0 * n0
+    for rows in gemm_table([(layer, gemm)], config, category, options)[0]:
+        sched, base, floor = base_cycles(rows, config, category, options)
+        return GemmTerms(
+            family=rows.family,
+            base=float(base[0]),
+            min_cycles=float(floor[0]),
+            dense_cycles=int(rows.dense_cycles[0]),
+            features=tuple(_features(rows, sched)[0].tolist()),
         )
-        tile = tile_cycle_estimate(
-            tile_b, act_density, sched.a.d1, sched.a.d2, sched.a.d3, k0 * m0
-        )
-    elif use_b:
-        family = "b"
-        tile = tile_cycle_estimate(
-            seg_t, weight_density, sched.b.d1, sched.b.d2, sched.b.d3, k0 * n0
-        )
-    else:
-        family = "a"
-        tile = tile_cycle_estimate(
-            seg_t, act_density, sched.a.d1, sched.a.d2, sched.a.d3, k0 * m0
-        )
-
-    n_passes = grid.m_tiles * grid.n_tiles
-    cycles = (tile + drain) * scale_t * n_passes * gemm.repeats
-    floor = _min_cycles(grid, sched)
-    cycles = min(max(cycles, floor), float(grid.dense_cycles))
-    if options.include_stalls and cycles < grid.dense_cycles:
-        cycles = _apply_stalls(
-            cycles, gemm, layer, config, category, grid.dense_cycles, options
-        )
-        cycles = min(cycles, float(grid.dense_cycles))
-    names, values = _family_features(
-        family, sched, weight_density, act_density, seg_t
-    )
-    return GemmTerms(
-        family=family,
-        base=cycles,
-        min_cycles=floor,
-        dense_cycles=grid.dense_cycles,
-        feature_names=names,
-        features=values,
-    )
+    return None
 
 
 def corrected_cycles(terms: GemmTerms, constants: FamilyConstants) -> float:
     """Apply a fitted correction to a base prediction, re-clamped."""
-    if constants.feature_names != terms.feature_names:
-        raise ValueError(
-            f"surrogate constants for family {terms.family!r} were fitted "
-            f"on a different feature basis ({len(constants.feature_names)} "
-            f"features vs {len(terms.feature_names)} in this code); refit "
-            f"with 'repro surrogate fit'"
-        )
-    exponent = 0.0
-    for theta, phi in zip(constants.theta, terms.features):
-        exponent += theta * phi
-    cycles = terms.base * math.exp(exponent)
-    return min(max(cycles, terms.min_cycles), float(terms.dense_cycles))
+    theta = _checked_theta(terms.family, constants)
+    return float(_correct(
+        terms.base, terms.min_cycles, terms.dense_cycles,
+        np.array(terms.features), theta,
+    ))
 
 
 @dataclass(frozen=True)
@@ -303,17 +325,16 @@ class SurrogatePrediction:
 class SurrogateModel:
     """A calibrated surrogate: fitted constants + the closed form above.
 
-    The model is read-only and deterministic: predictions are pure float64
-    arithmetic over the config, the layer specs, and the fitted constants
-    -- no RNG, no sampling, no clock -- so screening decisions are bitwise
-    reproducible across runs and worker counts.  Layer predictions are
-    memoized per (layer content, config, category, options), mirroring the
-    engine's layer-level memoization.
+    Predictions are pure float64 arithmetic -- no RNG, no sampling, no
+    clock -- so screening decisions are bitwise reproducible.  The GEMM
+    table of each (workload fingerprint, category, options, geometry,
+    datapath sparsity support) is built once, with each family's checked
+    coefficient vector; a config is then a few array expressions over it.
     """
 
     def __init__(self, constants: SurrogateConstants) -> None:
         self.constants = constants
-        self._layer_memo: dict[tuple, tuple[float, int]] = {}
+        self._tables: dict[tuple, tuple] = {}
         regimes = dict(constants.corpus.get("regimes") or {})
         if not regimes:
             raise ValueError(
@@ -333,7 +354,7 @@ class SurrogateModel:
         prediction under options the corpus never measured would silently
         carry an unvalidated error.  Refusing is the honest failure mode.
         """
-        regime = self._regimes.get(options_key(options))
+        regime = self._regimes.get(json.dumps(options.to_dict(), sort_keys=True))
         if regime is None:
             raise ValueError(
                 f"surrogate is not calibrated for simulation options "
@@ -351,45 +372,30 @@ class SurrogateModel:
     def load_default(cls) -> "SurrogateModel":
         return cls.load(None)
 
-    def predict_layer(
-        self,
-        layer: NetworkLayer,
-        config: ArchConfig,
-        category: ModelCategory,
+    def _table(
+        self, workload: Workload, config: ArchConfig, category: ModelCategory,
         options: SimulationOptions,
-        regime: str,
-        workload: str = ANY_WORKLOAD,
-    ) -> tuple[float, int]:
-        """Predicted (cycles, dense_cycles) of one layer, memoized."""
+    ) -> tuple:
+        """((rows, theta) per family, dense cycles, exact dense part)."""
         key = (
-            tuple(layer.spec.gemms()),
-            layer.weight_density,
-            layer.act_density,
-            config,
-            category,
-            options,
-            regime,
-            workload,
+            workload.fingerprint, category, options, config.geometry,
+            config.supports_a_sparsity, config.supports_b_sparsity,
         )
-        hit = self._layer_memo.get(key)
-        if hit is not None:
-            return hit
-        cycles = 0.0
-        dense = 0
-        for gemm in layer.spec.gemms():
-            terms = gemm_terms(gemm, layer, config, category, options)
-            if terms is None:
-                grid = tile_grid(gemm, config.geometry)
-                cycles += float(grid.dense_cycles)
-                dense += grid.dense_cycles
-                continue
-            cycles += corrected_cycles(
-                terms,
-                self.constants.family(regime, terms.family, workload),
+        if key not in self._tables:
+            regime = self.regime_for(options)
+            pairs = (
+                (layer, gemm)
+                for layer in workload.network.layers for gemm in layer.spec.gemms()
             )
-            dense += terms.dense_cycles
-        self._layer_memo[key] = (cycles, dense)
-        return cycles, dense
+            groups, exact, total = gemm_table(pairs, config, category, options)
+            thetas = (
+                _checked_theta(rows.family, self.constants.family(
+                    regime, rows.family, workload.fingerprint
+                ))
+                for rows in groups
+            )
+            self._tables[key] = (tuple(zip(groups, thetas)), total, exact)
+        return self._tables[key]
 
     def predict_network(
         self,
@@ -399,24 +405,17 @@ class SurrogateModel:
         options: SimulationOptions | None = None,
     ) -> SurrogatePrediction:
         """Predicted end-to-end latency (mirrors ``simulate_network``)."""
-        net = (
-            network
-            if isinstance(network, Network)
-            else parse_workload(network).network
-        )
+        workload = parse_workload(network)
         options = options or SimulationOptions()
-        regime = self.regime_for(options)
-        workload = network_fingerprint(net)
-        cycles = 0.0
-        dense = 0
-        for layer in net.layers:
-            layer_cycles, layer_dense = self.predict_layer(
-                layer, config, category, options, regime, workload
-            )
-            cycles += layer_cycles
-            dense += layer_dense
+        groups, dense, exact = self._table(workload, config, category, options)
+        cycles = float(exact)
+        for rows, theta in groups:
+            sched, base, floor = base_cycles(rows, config, category, options)
+            cycles += float(_correct(
+                base, floor, rows.dense_cycles, _features(rows, sched), theta
+            ).sum())
         return SurrogatePrediction(
-            network=net.name,
+            network=workload.network.name,
             config=config.label,
             category=category,
             cycles=cycles,
@@ -432,7 +431,7 @@ class SurrogateModel:
         """Predicted geomean suite speedup (mirrors ``category_speedup``)."""
         speedups = [
             self.predict_network(
-                workload.network, config, category, settings.options
+                workload, config, category, settings.options
             ).speedup
             for workload in settings.suite(category)
         ]

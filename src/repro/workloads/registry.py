@@ -85,9 +85,9 @@ class Workload:
             return self.source
         return self.factory()
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Content fingerprint of the built network (layers + densities)."""
+        """Content fingerprint of the built network (memoized per instance)."""
         return network_fingerprint(self.network)
 
     def categories(self) -> tuple[ModelCategory, ...]:

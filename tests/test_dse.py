@@ -148,6 +148,41 @@ def test_pareto_properties(pts):
         assert any(q[0] >= p[0] and q[1] >= p[1] for q in front)
 
 
+def _peeled_ranks(scores):
+    """Reference layering: rescan the remaining vectors pairwise per layer."""
+    ranks = [-1] * len(scores)
+    remaining = list(range(len(scores)))
+    rank = 0
+    while remaining:
+        layer = [
+            i
+            for i in remaining
+            if not any(dominates(scores[j], scores[i]) for j in remaining if j != i)
+        ]
+        for i in layer:
+            ranks[i] = rank
+        remaining = [i for i in remaining if ranks[i] < 0]
+        rank += 1
+    return ranks
+
+
+@st.composite
+def _score_sets(draw):
+    """0-150 vectors of 1-3 objectives on a small grid (ties are common)."""
+    width = draw(st.integers(1, 3))
+    return draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 4)] * width), min_size=0, max_size=150
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scores=_score_sets())
+def test_pareto_ranks_match_the_pairwise_peel(scores):
+    assert pareto_ranks(scores) == _peeled_ranks(scores)
+
+
 def _eval(label, sparse_eff, dense_eff):
     # Build a DesignEvaluation with synthetic efficiencies via power choice.
     def pt(category, eff):

@@ -26,6 +26,7 @@ the calibration-corpus build (same options, same networks), so each
 
 import json
 import random
+import warnings
 
 import pytest
 
@@ -48,7 +49,7 @@ from repro.surrogate import (
     load_constants,
     save_constants,
 )
-from repro.surrogate.model import corrected_cycles, gemm_terms
+from repro.surrogate.model import FEATURE_NAMES, corrected_cycles, gemm_terms
 from repro.surrogate.store import FamilyConstants
 from repro.workloads.registry import parse_workload
 
@@ -238,34 +239,67 @@ class TestModelSemantics:
 
     def test_feature_basis_mismatch_is_refused(self):
         terms = _sparse_terms()
+        names = FEATURE_NAMES[terms.family]
         mismatched = FamilyConstants(
             regime="quick",
             family=terms.family,
             workload=ANY_WORKLOAD,
-            feature_names=terms.feature_names[:-1],
-            theta=(0.0,) * (len(terms.feature_names) - 1),
+            feature_names=names[:-1],
+            theta=(0.0,) * (len(names) - 1),
         )
         with pytest.raises(ValueError, match="different feature basis"):
             corrected_cycles(terms, mismatched)
 
+    def test_feature_basis_mismatch_is_refused_by_the_screen(self, golden):
+        renamed = SurrogateConstants(
+            simulation_key_version=golden.simulation_key_version,
+            families=tuple(
+                FamilyConstants(
+                    regime=fam.regime,
+                    family=fam.family,
+                    workload=fam.workload,
+                    feature_names=fam.feature_names[:-1] + ("renamed",),
+                    theta=fam.theta,
+                )
+                if fam.family == "b" else fam
+                for fam in golden.families
+            ),
+            corpus=golden.corpus,
+            report=golden.report,
+        )
+        model = SurrogateModel(renamed)
+        config = parse_notation("B(2,2,1,on)")
+        with pytest.raises(ValueError, match="different feature basis"):
+            model.predict_network("BERT", config, ModelCategory.B, CHEAP)
+        settings = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
+        with pytest.raises(ValueError, match="different feature basis"):
+            model.evaluate_design(config, (ModelCategory.B,), settings)
+        # Families the workload never schedules as are not consulted.
+        dense = model.predict_network("BERT", config, ModelCategory.DENSE, CHEAP)
+        assert dense.cycles == float(dense.dense_cycles)
+
     def test_correction_respects_the_engine_envelope(self):
         terms = _sparse_terms()
-        huge = FamilyConstants(
-            regime="quick",
-            family=terms.family,
-            workload=ANY_WORKLOAD,
-            feature_names=terms.feature_names,
-            theta=(50.0,) + (0.0,) * (len(terms.feature_names) - 1),
-        )
-        assert corrected_cycles(terms, huge) == float(terms.dense_cycles)
-        tiny = FamilyConstants(
-            regime="quick",
-            family=terms.family,
-            workload=ANY_WORKLOAD,
-            feature_names=terms.feature_names,
-            theta=(-50.0,) + (0.0,) * (len(terms.feature_names) - 1),
-        )
-        assert corrected_cycles(terms, tiny) == terms.min_cycles
+        names = FEATURE_NAMES[terms.family]
+
+        def constants(value):
+            return FamilyConstants(
+                regime="quick",
+                family=terms.family,
+                workload=ANY_WORKLOAD,
+                feature_names=names,
+                theta=(value,) + (0.0,) * (len(names) - 1),
+            )
+
+        # An exponent past float range (1e3) clamps like a large one (50):
+        # no OverflowError, no NaN, no floating-point warning.
+        for theta0 in (50.0, 1e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                huge = corrected_cycles(terms, constants(theta0))
+                tiny = corrected_cycles(terms, constants(-theta0))
+            assert huge == float(terms.dense_cycles)
+            assert tiny == terms.min_cycles
 
     def test_dense_category_is_predicted_exactly(self, model):
         prediction = model.predict_network(
