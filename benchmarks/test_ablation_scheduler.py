@@ -1,9 +1,10 @@
 """Ablation: scheduler semantics choices behind the performance model.
 
-Quantifies the modeling decisions DESIGN.md documents -- front-pointer
+Quantifies the modeling decisions behind the scheduler's execution
+semantics (the ``repro.sim.compaction`` module docstring) -- front-pointer
 granularity (per-stream vs per-unit vs tile-wide), lane-ring wrap, and the
-borrowing-priority structure -- on a fixed batch of tiles, so a reader can
-see how much each assumption is worth and how conservative the default is.
+borrowing window depth -- on a fixed batch of tiles, so a reader can see
+how much each assumption is worth and how conservative the default is.
 """
 
 import numpy as np

@@ -6,7 +6,8 @@ fastest and slowest front in a row must fit in the provisioned window.
 This module quantifies that: given a tile's per-unit schedule lengths it
 estimates the occupancy distribution and the residual stall fraction when
 drift exceeds the buffer -- the "ABUF/BBUF fullness" stall source the paper
-lists (Sec. V), which the engine charges alongside bank conflicts.
+lists (Sec. V).  The engine does not charge it: ``_apply_stalls`` charges
+SRAM bank conflicts and, optionally, DRAM bandwidth only.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def fullness_stall_fraction(
     re-fetched (or waited for) is the average drift beyond the provisioned
     depth, normalized by the tile length.  A random-walk model of the drift
     (variance grows linearly in T) gives the expected overflow in closed
-    form, so the engine can charge it without tracking every cycle.
+    form, without tracking every cycle.  The engine does not charge it.
     """
     unit_cycles = np.asarray(unit_cycles, dtype=float)
     if unit_cycles.size <= 1 or t_steps <= 0 or depth <= 0:

@@ -9,17 +9,9 @@ conflicts (DRAM bandwidth optionally).  ABUF/BBUF fullness stalls are not
 modeled.
 """
 
-from repro.sim.compaction import CompactionResult, compact_schedule, compact_schedule_reference
+from repro.sim.compaction import CompactionResult, compact_schedule
 from repro.sim.shuffle import rotation_shuffle
 from repro.sim.dual import dual_sparse_cycles
-from repro.sim.preprocess import CompressedWeights, expand, preprocess_weights
-from repro.sim.functional import (
-    FunctionalResult,
-    dense_reference,
-    execute_activation_sparse,
-    execute_dual_sparse,
-    execute_weight_sparse,
-)
 from repro.sim.engine import (
     LayerSimResult,
     NetworkSimResult,
@@ -34,17 +26,8 @@ from repro.sim.analytical import analytical_speedup, analytical_tile_cycles
 __all__ = [
     "CompactionResult",
     "compact_schedule",
-    "compact_schedule_reference",
     "rotation_shuffle",
     "dual_sparse_cycles",
-    "CompressedWeights",
-    "preprocess_weights",
-    "expand",
-    "FunctionalResult",
-    "dense_reference",
-    "execute_weight_sparse",
-    "execute_activation_sparse",
-    "execute_dual_sparse",
     "simulate_tile",
     "simulate_layer",
     "simulate_network",

@@ -7,7 +7,7 @@ operation at ``(t, l, c)`` may be *borrowed*: executed early by up to ``d1``
 time steps, by a slot up to ``d2`` lanes away, or by a PE up to ``d3``
 positions away (Definitions III.1 / III.2).
 
-Execution semantics (Sec. 5 of DESIGN.md):
+Execution semantics:
 
 * Each dot-product unit (one ``C1 x C2`` group of ``L`` lanes) follows its
   own compressed stream with a *front pointer*; the window of reachable
@@ -35,19 +35,20 @@ PE borrowing (``d3``) along ``C1``, and ``C2`` indexes independent slot
 groups with no borrowing between them (used by the dual-sparse second phase,
 where ``C1`` is the output-row axis and ``C2`` the output-column axis).
 
-Two scheduler implementations share these semantics exactly:
-:func:`compact_schedule_reference` iterates element by element (the test
-oracle), and :func:`compact_schedule` vectorizes over slots -- with a
-closed-form per-stream recurrence replacing the cycle loop entirely when no
-donor offsets exist (``d2 == d3 == 0``), and, when they do, exact
-idle-cycle skip-ahead plus donor-side claim resolution through the cached
-inverse offset maps (each offset is an injective coordinate shift, so a
-donor can have at most one claimant per round and no arbitration is ever
-needed).  :func:`compact_schedule_batch` runs that same cycle loop once
-over a whole batch of same-geometry tiles, sharing every per-cycle numpy
-dispatch across the batch.  All paths are identical cycle for cycle,
-locked by ``tests/test_compaction_properties.py`` and the golden fixtures
-in ``tests/test_engine_golden.py``.
+Three scheduler paths share these semantics exactly.  With no donor
+offsets (``d2 == d3 == 0``) the streams are independent and a closed-form
+per-stream recurrence replaces the cycle loop.  With donors, one
+vectorized cycle loop schedules a whole batch of same-geometry tiles as a
+single block-diagonal problem, with exact idle-cycle skip-ahead and
+donor-side claim resolution through the cached inverse offset maps (each
+offset is an injective coordinate shift, so a donor can have at most one
+claimant per round and no arbitration is ever needed);
+:func:`compact_schedule` is its batch of one, and it can record each
+tile's schedule.  The ``unit``/``tile`` front-granularity ablation modes
+take a loop of their own.  A pure-Python element-by-element oracle,
+``tests/compaction_oracle.py``, pins every path cycle for cycle and
+schedule for schedule (``tests/test_compaction_properties.py``), next to
+the golden fixtures in ``tests/test_engine_golden.py``.
 """
 
 from __future__ import annotations
@@ -141,134 +142,7 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
         mask = mask[:, :, :, np.newaxis]
     if mask.ndim != 4:
         raise ValueError(f"mask must be 3-D or 4-D [T, L, C1(, C2)], got shape {mask.shape}")
-    return mask.astype(bool)
-
-
-def compact_schedule_reference(
-    mask: np.ndarray,
-    d1: int = 0,
-    d2: int = 0,
-    d3: int = 0,
-    lane_wrap: bool = True,
-    return_schedule: bool = False,
-    front_mode: str = "stream",
-) -> CompactionResult:
-    """Obviously-correct pure-Python scheduler used as a test oracle.
-
-    Mirrors :func:`compact_schedule` exactly but iterates slots and donors
-    element by element -- including, with ``return_schedule``, the recorded
-    per-cycle schedule, so the property suite can assert the vectorized
-    kernel's schedule array bit for bit.  Use only on small tiles.
-    """
-    mask = _check_mask(mask)
-    t_steps, lanes, c1, c2 = mask.shape
-    window = 1 + d1
-    offsets = _offset_priority(d2, d3)
-    if front_mode == "stream":
-        def group_key(l: int, i: int, j: int) -> tuple:
-            return (l, i, j)
-    elif front_mode == "unit":
-        def group_key(l: int, i: int, j: int) -> tuple:
-            return (i, j)
-    elif front_mode == "tile":
-        def group_key(l: int, i: int, j: int) -> tuple:
-            return ()
-    else:
-        raise ValueError(f"unknown front_mode {front_mode!r}")
-    groups = sorted({group_key(l, i, j) for l in range(lanes) for i in range(c1) for j in range(c2)})
-
-    remaining = {
-        (t, l, i, j)
-        for t in range(t_steps)
-        for l in range(lanes)
-        for i in range(c1)
-        for j in range(c2)
-        if mask[t, l, i, j]
-    }
-
-    def group_earliest(g: tuple) -> int:
-        return min((t for (t, l, i, j) in remaining if group_key(l, i, j) == g), default=_INF)
-
-    def earliest_in_window(l: int, i: int, j: int, front: int) -> tuple | None:
-        for t in range(front, min(front + window, t_steps)):
-            if (t, l, i, j) in remaining:
-                return (t, l, i, j)
-        return None
-
-    def flat(l: int, i: int, j: int) -> int:
-        return l * c1 * c2 + i * c2 + j
-
-    n_slots = lanes * c1 * c2
-    fronts = {g: 0 for g in groups}
-    rows: list[list[int]] = []
-    cycles = 0
-    busy_cycles = 0
-    borrowed = 0
-    executed = 0
-    while True:
-        if not remaining:
-            tail = max(
-                int(np.ceil((t_steps - fronts[g]) / window)) if fronts[g] < t_steps else 0
-                for g in groups
-            )
-            cycles += tail
-            break
-        cycles += 1
-        cycle_busy = False
-        row = [-1] * n_slots
-        all_slots = [(l, i, j) for l in range(lanes) for i in range(c1) for j in range(c2)]
-
-        # Phase 1: every slot claims the earliest element of its own stream.
-        idle = []
-        for l, i, j in all_slots:
-            pick = earliest_in_window(l, i, j, fronts[group_key(l, i, j)])
-            if pick is not None:
-                remaining.discard(pick)
-                row[flat(l, i, j)] = pick[0] * n_slots + flat(l, i, j)
-                executed += 1
-                cycle_busy = True
-            else:
-                idle.append((l, i, j))
-
-        # Phase 2: offset rounds in priority order; one claim per donor per
-        # round, arbitrated in slot order.  Donor reach uses the donor's
-        # own front.
-        for dd2, dd3 in offsets:
-            claimed_donors: set[tuple[int, int, int]] = set()
-            still_idle = []
-            for l, i, j in idle:
-                donor_l = (l + dd2) % lanes if lane_wrap else l + dd2
-                donor_i = i + dd3
-                donor = (donor_l, donor_i, j)
-                pick = None
-                if donor_l < lanes and donor_i < c1 and donor not in claimed_donors:
-                    pick = earliest_in_window(donor_l, donor_i, j, fronts[group_key(donor_l, donor_i, j)])
-                if pick is not None:
-                    claimed_donors.add(donor)
-                    remaining.discard(pick)
-                    row[flat(l, i, j)] = pick[0] * n_slots + flat(*donor)
-                    executed += 1
-                    borrowed += 1
-                    cycle_busy = True
-                else:
-                    still_idle.append((l, i, j))
-            idle = still_idle
-        rows.append(row)
-        if cycle_busy:
-            busy_cycles += 1
-        for g in groups:
-            fronts[g] = min(group_earliest(g), fronts[g] + window)
-
-    schedule = None
-    if return_schedule:
-        schedule = np.array(rows, dtype=np.int64) if rows else np.array([], dtype=np.int64)
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=busy_cycles,
-        executed_ops=executed,
-        borrowed_ops=borrowed,
-        schedule=schedule,
-    )
+    return mask.astype(bool, copy=False)
 
 
 def _stream_positions(
@@ -373,10 +247,9 @@ def compact_schedule(
 ) -> CompactionResult:
     """Schedule a tile mask under borrowing distances ``(d1, d2, d3)``.
 
-    See the module docstring for the execution semantics.  Matches
-    :func:`compact_schedule_reference` cycle for cycle; vectorized over
-    slots (with a closed-form no-donor path and exact idle-cycle skip-ahead
-    on top) so tiles of practical size run in milliseconds.
+    See the module docstring for the execution semantics.  With the default
+    per-stream fronts this is :func:`compact_schedule_batch` over a batch of
+    one.
 
     Args:
         mask: boolean effectual-op mask, shape ``[T, L, C1]`` or
@@ -388,92 +261,162 @@ def compact_schedule(
             dot-product unit (the rotation shuffler implies a ring).
         return_schedule: also record which original op each slot executed
             each cycle (needed by the dual-sparse preprocessing phase).
+        front_mode: front-pointer granularity -- ``"stream"`` (the model),
+            or the ``"unit"``/``"tile"`` ablation modes.
 
     Returns:
         A :class:`CompactionResult`.
     """
     mask = _check_mask(mask)
     t_steps, lanes, c1, c2 = mask.shape
-    window = 1 + d1
     n_groups = c1 * c2
     n_slots = lanes * n_groups
 
     if t_steps == 0 or n_slots == 0:
         return CompactionResult(0, 0, 0, 0, schedule=np.empty((0, n_slots), np.int64))
-    if front_mode not in ("stream", "unit", "tile"):
-        raise ValueError(f"unknown front_mode {front_mode!r}")
-
-    flat = mask.reshape(t_steps, n_slots)
-    positions, counts, total_ops = _stream_positions(flat, n_slots)
-
-    # No donor offsets + per-stream fronts: the streams are independent and
-    # the whole cycle loop has a closed form.  This is the hot path for
-    # every schedule with d2 == d3 == 0 -- including the Sparse.AB
-    # dense-weight downgrade -- and for the dual-sparse B preprocessing
-    # whenever db2 == db3 == 0 (record mode is supported).
-    if d2 == 0 and d3 == 0 and front_mode == "stream":
-        return _schedule_no_borrowing(
-            positions, counts, total_ops, t_steps, n_slots, d1, return_schedule
-        )
-
-    donor_maps = _donor_maps(lanes, c1, c2, d2, d3, lane_wrap)
     if front_mode == "stream":
-        return _schedule_borrowing_stream(
-            positions, total_ops, t_steps, n_slots, d1, donor_maps, return_schedule
-        )
+        return compact_schedule_batch(
+            [mask], d1, d2, d3, lane_wrap=lane_wrap, return_schedule=return_schedule
+        )[0]
+    if front_mode not in ("unit", "tile"):
+        raise ValueError(f"unknown front_mode {front_mode!r}")
+    positions, _, total_ops = _stream_positions(mask.reshape(t_steps, n_slots), n_slots)
     return _schedule_borrowing_grouped(
         positions, total_ops, t_steps, n_slots, n_groups, d1,
-        donor_maps, front_mode, return_schedule,
+        _donor_maps(lanes, c1, c2, d2, d3, lane_wrap), front_mode, return_schedule,
     )
 
 
-def _schedule_borrowing_stream(
-    positions: np.ndarray,
-    total_ops: int,
-    t_steps: int,
+def compact_schedule_batch(
+    masks: "list[np.ndarray] | tuple[np.ndarray, ...]",
+    d1: int = 0,
+    d2: int = 0,
+    d3: int = 0,
+    lane_wrap: bool = True,
+    return_schedule: bool = False,
+) -> list[CompactionResult]:
+    """Schedule a batch of same-geometry tile masks with per-stream fronts.
+
+    Each result is exactly what the tile scheduled alone gives.  Masks must
+    agree on ``(L, C1, C2)``; time depths may differ (each tile keeps its
+    own drain horizon, cycle count and, with ``return_schedule``, a
+    schedule that stops at its own last executing cycle).  Without donor
+    offsets every tile takes the closed form; with them the whole batch
+    runs through one cycle loop, so a GEMM's sampled passes share every
+    per-cycle numpy dispatch instead of paying it per tile.
+    """
+    if not masks:
+        return []
+    checked = [_check_mask(m) for m in masks]
+    lanes, c1, c2 = checked[0].shape[1:]
+    for m in checked[1:]:
+        if m.shape[1:] != (lanes, c1, c2):
+            raise ValueError(
+                f"batched masks must agree on (L, C1, C2): "
+                f"{m.shape[1:]} vs {(lanes, c1, c2)}"
+            )
+    n_slots = lanes * c1 * c2
+    if n_slots == 0:
+        return [
+            CompactionResult(0, 0, 0, 0, schedule=np.empty((0, 0), np.int64))
+            for _ in checked
+        ]
+    if d2 == 0 and d3 == 0:
+        # The hot path for every schedule without lane/PE reach -- including
+        # the Sparse.AB dense-weight downgrade and the dual-sparse B
+        # preprocessing whenever db2 == db3 == 0.
+        return [
+            _schedule_no_borrowing(
+                *_stream_positions(m.reshape(m.shape[0], n_slots), n_slots),
+                m.shape[0], n_slots, d1, return_schedule,
+            )
+            for m in checked
+        ]
+    return _schedule_borrowing_batch(
+        checked, n_slots, d1, _donor_maps(lanes, c1, c2, d2, d3, lane_wrap),
+        return_schedule,
+    )
+
+
+def _schedule_borrowing_batch(
+    masks: list[np.ndarray],
     n_slots: int,
     d1: int,
     donor_maps: tuple,
     record: bool,
-) -> CompactionResult:
-    """Cycle loop for the default per-stream fronts with donors present.
+) -> list[CompactionResult]:
+    """The cycle loop for per-stream fronts with donors present.
 
-    Every per-cycle quantity is computed over all ``n_slots`` streams at
-    once (no boolean extraction), and donor claims are resolved on the
-    *donor* side through the cached inverse offset maps: a donor donates
-    exactly when it has a receiver, that receiver is idle, and the donor's
-    next op sits inside its own window -- the same test as its phase-1
-    condition, which is also why a cycle with no phase-1 work is fully idle
-    and whole runs of such cycles can be jumped in closed form (the
-    ``min(earliest, f + w)`` front advance is absorbing under composition).
+    The tiles sit side by side as one ``n_tiles * n_slots``-stream problem
+    with block-diagonal donor wiring (tiles never borrow across the batch).
+    Every per-cycle quantity is computed over all streams at once (no
+    boolean extraction), and donor claims are resolved on the *donor* side
+    through the inverse offset maps: a donor donates exactly when it has a
+    receiver, that receiver is idle, and the donor's next op sits inside
+    its own window -- the same test as its phase-1 condition.  So a tile
+    executes in a cycle only if it has phase-1 work there, and a cycle with
+    no phase-1 work anywhere is idle everywhere: whole runs of such cycles
+    are jumped in closed form (the ``min(earliest, f + w)`` front advance
+    is absorbing under composition).
+
+    The only per-tile bookkeeping in the loop is a copy of each busy
+    cycle's phase-1 mask.  A tile's last busy cycle is where it would stop
+    alone, its phase-1 counts give its borrowed ops, and once its work is
+    done its fronts advance exactly one window per cycle, so its drain tail
+    is recovered from the final fronts.
     """
+    n_tiles = len(masks)
     window = 1 + d1
-    stride = positions.shape[1]
-    pos_flat = positions.ravel()
-    slot_ids = np.arange(n_slots, dtype=np.int64)
-    # ``idx`` fuses stream base offset and per-stream pointer: every
-    # pointer advance is one in-place add, every stream lookup one flat
-    # gather.  Cycle-frequency intermediates live in preallocated buffers.
-    idx = slot_ids * stride
-    next_pos = pos_flat[idx]
-    fronts = np.zeros(n_slots, dtype=np.int64)
-    limit = np.empty(n_slots, dtype=np.int64)
-    own = np.empty(n_slots, dtype=bool)
-    recv_idle = np.empty(n_slots, dtype=bool)
-    scratch = np.empty(n_slots, dtype=bool)
-    scratch2 = np.empty(n_slots, dtype=bool)
+    t_arr = np.array([m.shape[0] for m in masks], dtype=np.int64)
+    total_slots = n_tiles * n_slots
+    flat = np.zeros((int(t_arr.max()), n_tiles, n_slots), dtype=bool)
+    for b, m in enumerate(masks):
+        flat[: m.shape[0], b] = m.reshape(m.shape[0], n_slots)
+    positions, counts, total_ops = _stream_positions(
+        flat.reshape(len(flat), total_slots), total_slots
+    )
+    if n_tiles > 1:
+        offs = np.repeat(np.arange(n_tiles, dtype=np.int64) * n_slots, n_slots)
+        donor_maps = [
+            (
+                np.tile(donor, n_tiles) + offs,
+                np.tile(valid, n_tiles),
+                np.tile(inv, n_tiles) + offs,
+                np.tile(inv_valid, n_tiles),
+            )
+            for donor, valid, inv, inv_valid in donor_maps
+        ]
     multi_round = len(donor_maps) > 1
 
-    schedule_chunks: list[np.ndarray] = []
+    stride = positions.shape[1]
+    pos_flat = positions.ravel()
+    # ``idx`` fuses stream base offset and per-stream pointer, so every
+    # pointer advance is one in-place add and every stream lookup is one
+    # flat gather.  All cycle-frequency intermediates live in preallocated
+    # buffers, and gathers call the array methods (not the ``np.take``
+    # wrapper): the loop is dispatch-bound before it is compute-bound.
+    idx = np.arange(total_slots, dtype=np.int64) * stride
+    next_pos = pos_flat[idx]
+    local = np.tile(np.arange(n_slots, dtype=np.int64), n_tiles)
+    fronts = np.zeros(total_slots, dtype=np.int64)
+    limit = np.empty(total_slots, dtype=np.int64)
+    own = np.empty(total_slots, dtype=bool)
+    recv_idle = np.empty(total_slots, dtype=bool)
+    received = np.empty(total_slots, dtype=bool)
+    scratch = np.empty(total_slots, dtype=bool)
+    scratch2 = np.empty(total_slots, dtype=bool)
+
+    own_log: list[np.ndarray] = []
+    busy_at: list[int] = []
+    rows: list[np.ndarray] = []
     cycles = 0
-    busy_cycles = 0
-    borrowed = 0
     executed = 0
     while executed < total_ops:
         np.add(fronts, d1, out=limit)
         np.less_equal(next_pos, limit, out=own)
-        n_own = int(own.sum())
+        n_own = np.count_nonzero(own)
         if n_own == 0:
+            # Jump to the next cycle any stream has window work.
             waiting = next_pos < _INF
             gap = (next_pos - d1 - fronts)[waiting]
             jump = int((-((-gap) // window)).min())
@@ -481,74 +424,87 @@ def _schedule_borrowing_stream(
             fronts += jump * window
             np.minimum(next_pos, fronts, out=fronts)
             if record:
-                schedule_chunks.append(np.full((jump, n_slots), -1, dtype=np.int64))
+                rows.append(np.full((jump, total_slots), -1, dtype=np.int64))
             continue
 
         # Phase 1: every slot claims the earliest remaining op of its own
-        # stream that lies inside its window.  The skip-ahead above
-        # guarantees at least one does, so the cycle is busy by definition.
+        # stream that lies inside its window.
         cycles += 1
-        busy_cycles += 1
+        own_log.append(own.copy())
+        busy_at.append(cycles)
         if record:
-            row = np.where(own, next_pos * n_slots + slot_ids, np.int64(-1))
+            row = np.where(own, next_pos * n_slots + local, np.int64(-1))
         executed += n_own
         idx += own
-        np.take(pos_flat, idx, out=next_pos)
+        pos_flat.take(idx, out=next_pos)
         np.logical_not(own, out=recv_idle)
 
         # Phase 2: one donor claim per offset round, judged against the
         # donor's own front and its post-phase-1 stream position.
         for donor, donor_valid, inv, inv_valid in donor_maps:
-            np.take(recv_idle, inv, out=scratch)
+            recv_idle.take(inv, out=scratch)
             scratch &= inv_valid
             np.less_equal(next_pos, limit, out=scratch2)
             scratch &= scratch2  # scratch = donates
-            n_d = int(scratch.sum())
+            n_d = np.count_nonzero(scratch)
             if n_d == 0:
                 continue
             if record or multi_round:
-                received = donor_valid & np.take(scratch, donor)
+                scratch.take(donor, out=received)
+                received &= donor_valid
             if record:
-                vals = next_pos * n_slots + slot_ids
-                row = np.where(received, np.take(vals, donor), row)
+                vals = (next_pos * n_slots + local).take(donor)
+                row = np.where(received, vals, row)
             executed += n_d
-            borrowed += n_d
             idx += scratch
-            np.take(pos_flat, idx, out=next_pos)
+            pos_flat.take(idx, out=next_pos)
             if multi_round:
-                recv_idle &= ~received
+                np.logical_not(received, out=scratch2)
+                recv_idle &= scratch2
                 if not recv_idle.any():
                     break
 
         if record:
-            schedule_chunks.append(row[np.newaxis, :])
+            rows.append(row[np.newaxis, :])
         # Per-stream front advance: up to the earliest unexecuted op,
         # capped at one window of refill per cycle (fronts + window is
         # exactly limit + 1).
         limit += 1
         np.minimum(next_pos, limit, out=fronts)
 
-    # Trailing drain: units behind T keep streaming zero slices at window
-    # rate; the tile ends when the slowest one crosses T.
-    behind = fronts < t_steps
-    if behind.any():
-        cycles += int((-((fronts[behind] - t_steps) // window)).max())
-
-    if record:
-        schedule = (
-            np.concatenate(schedule_chunks, axis=0)
-            if schedule_chunks
-            else np.array([], dtype=np.int64)
-        )
-    else:
-        schedule = None
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=busy_cycles,
-        executed_ops=executed,
-        borrowed_ops=borrowed,
-        schedule=schedule,
+    own_counts = np.array(own_log).reshape(-1, n_tiles, n_slots).sum(axis=2)
+    busy = own_counts > 0
+    last = np.max(
+        busy * np.array(busy_at, dtype=np.int64)[:, np.newaxis], axis=0, initial=0
     )
+    # Trailing drain: streams behind T keep streaming zero slices at window
+    # rate; a tile ends when its slowest stream crosses its own T.
+    slowest = fronts.reshape(n_tiles, n_slots).min(axis=1) - (cycles - last) * window
+    tail = np.maximum(-((slowest - t_arr) // window), 0)
+    per_tile = counts.reshape(n_tiles, n_slots).sum(axis=1)
+    busy_t = busy.sum(axis=0)
+    borrowed = per_tile - own_counts.sum(axis=0)
+    if record and rows:
+        schedules = np.concatenate(rows).reshape(cycles, n_tiles, n_slots)
+    results = []
+    for b in range(n_tiles):
+        schedule = None
+        if record:
+            schedule = (
+                schedules[: last[b], b].copy()
+                if last[b]
+                else np.array([], dtype=np.int64)
+            )
+        results.append(
+            CompactionResult(
+                cycles=int(last[b] + tail[b]),
+                busy_cycles=int(busy_t[b]),
+                executed_ops=int(per_tile[b]),
+                borrowed_ops=int(borrowed[b]),
+                schedule=schedule,
+            )
+        )
+    return results
 
 
 def _schedule_borrowing_grouped(
@@ -567,7 +523,7 @@ def _schedule_borrowing_grouped(
     Front pointers are shared per dot-product unit or tile-wide, so window
     limits gather through ``group_of`` and the front advance needs a
     scatter-reduction.  Only ablation studies exercise these modes; the
-    default per-stream mode takes :func:`_schedule_borrowing_stream`.
+    default per-stream mode takes :func:`_schedule_borrowing_batch`.
     """
     window = 1 + d1
     ptr = np.zeros(n_slots, dtype=np.int64)
@@ -676,170 +632,6 @@ def _schedule_borrowing_grouped(
         borrowed_ops=borrowed,
         schedule=schedule,
     )
-
-
-def compact_schedule_batch(
-    masks: "list[np.ndarray] | tuple[np.ndarray, ...]",
-    d1: int = 0,
-    d2: int = 0,
-    d3: int = 0,
-    lane_wrap: bool = True,
-) -> list[CompactionResult]:
-    """Schedule a batch of same-geometry tile masks in one cycle loop.
-
-    Semantically identical to calling :func:`compact_schedule` on each mask
-    (asserted bitwise by the property suite) but shares every per-cycle
-    numpy dispatch across the batch: the tiles are laid out as one
-    ``len(masks) * n_slots``-stream problem with block-diagonal donor
-    wiring, so a GEMM's sampled passes cost one loop instead of one per
-    tile.  Masks must agree on ``(L, C1, C2)``; time depths may differ
-    (each tile keeps its own drain horizon and cycle count).  Schedules are
-    not recorded -- use ``compact_schedule(..., return_schedule=True)``
-    for that.
-    """
-    if not masks:
-        return []
-    checked = [_check_mask(m) for m in masks]
-    lanes, c1, c2 = checked[0].shape[1:]
-    for m in checked[1:]:
-        if m.shape[1:] != (lanes, c1, c2):
-            raise ValueError(
-                f"batched masks must agree on (L, C1, C2): "
-                f"{m.shape[1:]} vs {(lanes, c1, c2)}"
-            )
-    n_slots = lanes * c1 * c2
-    if (d2 == 0 and d3 == 0) or n_slots == 0 or len(checked) == 1:
-        # Without donors the closed form is already one shot per tile;
-        # degenerate batches gain nothing from merging.
-        return [
-            compact_schedule(m, d1, d2, d3, lane_wrap=lane_wrap) for m in checked
-        ]
-
-    n_tiles = len(checked)
-    window = 1 + d1
-    t_arr = np.array([m.shape[0] for m in checked], dtype=np.int64)
-    t_max = int(t_arr.max())
-    total_slots = n_tiles * n_slots
-    flat = np.zeros((t_max, total_slots), dtype=bool)
-    for b, m in enumerate(checked):
-        flat[: m.shape[0], b * n_slots : (b + 1) * n_slots] = m.reshape(
-            m.shape[0], n_slots
-        )
-    positions, counts, _total = _stream_positions(flat, total_slots)
-    per_tile = counts.reshape(n_tiles, n_slots).sum(axis=1)
-
-    # Donor wiring, tiled block-diagonally: tiles never borrow across the
-    # batch.
-    offs = np.repeat(np.arange(n_tiles, dtype=np.int64) * n_slots, n_slots)
-    donor_maps = [
-        (
-            np.tile(donor, n_tiles) + offs,
-            np.tile(valid, n_tiles),
-            np.tile(inv, n_tiles) + offs,
-            np.tile(inv_valid, n_tiles),
-        )
-        for donor, valid, inv, inv_valid in _donor_maps(
-            lanes, c1, c2, d2, d3, lane_wrap
-        )
-    ]
-    multi_round = len(donor_maps) > 1
-
-    stride = positions.shape[1]
-    pos_flat = positions.ravel()
-    # ``idx`` fuses stream base offset and per-stream pointer, so every
-    # pointer advance is one in-place add and every stream lookup is one
-    # flat gather.  All cycle-frequency intermediates live in preallocated
-    # buffers: at batch width the loop is allocation-bound before it is
-    # compute-bound.
-    idx = np.arange(total_slots, dtype=np.int64) * stride
-    next_pos = pos_flat[idx]
-    fronts = np.zeros(total_slots, dtype=np.int64)
-    limit = np.empty(total_slots, dtype=np.int64)
-    own = np.empty(total_slots, dtype=bool)
-    recv_idle = np.empty(total_slots, dtype=bool)
-    scratch = np.empty(total_slots, dtype=bool)
-    scratch2 = np.empty(total_slots, dtype=bool)
-
-    cycles_t = np.zeros(n_tiles, dtype=np.int64)
-    busy_t = np.zeros(n_tiles, dtype=np.int64)
-    executed_t = np.zeros(n_tiles, dtype=np.int64)
-    borrowed_t = np.zeros(n_tiles, dtype=np.int64)
-    final_cycles = np.zeros(n_tiles, dtype=np.int64)
-    active = per_tile > 0
-
-    def finish(b: int) -> None:
-        # Same drain-tail snapshot the single-tile loop takes on exit,
-        # against this tile's own time horizon.
-        f = fronts[b * n_slots : (b + 1) * n_slots]
-        behind = f < t_arr[b]
-        tail = int((-((f[behind] - t_arr[b]) // window)).max()) if behind.any() else 0
-        final_cycles[b] = cycles_t[b] + tail
-
-    for b in np.nonzero(~active)[0]:
-        # All-zero tiles never enter the loop: pure drain.
-        final_cycles[b] = -((-int(t_arr[b])) // window)
-
-    n_active = int(active.sum())
-    while n_active:
-        np.add(fronts, d1, out=limit)
-        np.less_equal(next_pos, limit, out=own)
-        own_counts = own.reshape(n_tiles, n_slots).sum(axis=1)
-        if not own_counts.any():
-            # Every unfinished tile is idle this cycle (finished tiles sit
-            # at _INF): jump to the next cycle any stream has window work.
-            waiting = next_pos < _INF
-            gap = (next_pos - d1 - fronts)[waiting]
-            jump = int((-((-gap) // window)).min())
-            cycles_t += active * jump
-            fronts += jump * window
-            np.minimum(next_pos, fronts, out=fronts)
-            continue
-
-        cycles_t += active
-        busy_t += own_counts > 0
-        executed_t += own_counts
-        idx += own
-        np.take(pos_flat, idx, out=next_pos)
-        np.logical_not(own, out=recv_idle)
-
-        for donor, donor_valid, inv, inv_valid in donor_maps:
-            np.take(recv_idle, inv, out=scratch)
-            scratch &= inv_valid
-            np.less_equal(next_pos, limit, out=scratch2)
-            scratch &= scratch2  # scratch = donates
-            if not scratch.any():
-                continue
-            d_counts = scratch.reshape(n_tiles, n_slots).sum(axis=1)
-            executed_t += d_counts
-            borrowed_t += d_counts
-            idx += scratch
-            np.take(pos_flat, idx, out=next_pos)
-            if multi_round:
-                np.take(scratch, donor, out=scratch2)
-                scratch2 &= donor_valid
-                np.logical_not(scratch2, out=scratch2)
-                recv_idle &= scratch2
-                if not recv_idle.any():
-                    break
-
-        limit += 1
-        np.minimum(next_pos, limit, out=fronts)
-        newly = active & (executed_t >= per_tile)
-        if newly.any():
-            for b in np.nonzero(newly)[0]:
-                finish(int(b))
-            active &= ~newly
-            n_active = int(active.sum())
-
-    return [
-        CompactionResult(
-            cycles=int(final_cycles[b]),
-            busy_cycles=int(busy_t[b]),
-            executed_ops=int(per_tile[b]),
-            borrowed_ops=int(borrowed_t[b]),
-        )
-        for b in range(n_tiles)
-    ]
 
 
 def unpack_schedule(

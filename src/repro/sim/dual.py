@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ArchConfig
-from repro.sim.compaction import (
-    CompactionResult,
-    compact_schedule,
-    compact_schedule_batch,
-    unpack_schedule,
-)
+from repro.sim.compaction import compact_schedule_batch, unpack_schedule
 
 
 @dataclass(frozen=True)
@@ -41,57 +36,58 @@ class DualResult:
     borrowed_ops: int
 
 
-def filtered_pair_mask(
-    a_mask: np.ndarray, b_mask: np.ndarray, config: ArchConfig
-) -> tuple[np.ndarray, int]:
-    """Build the per-PE effectual-pair mask over B's compressed schedule.
+def filtered_pair_masks(
+    pairs: "list[tuple[np.ndarray, np.ndarray]]", config: ArchConfig
+) -> list[tuple[np.ndarray, int]]:
+    """Build each tile's per-PE effectual-pair mask over B's compressed schedule.
 
     Args:
-        a_mask: activation nonzero mask, shape ``[T, L, M]`` (identical for
-            every output column).
-        b_mask: weight nonzero mask, shape ``[T, L, N]`` (identical for
-            every output row).
+        pairs: ``(a_mask, b_mask)`` per tile: the activation nonzero mask
+            ``[T, L, M]`` (identical for every output column) and the weight
+            nonzero mask ``[T, L, N]`` (identical for every output row).
+            All tiles share ``(L, M, N)``; depths ``T`` may differ.
         config: architecture providing the ``db`` distances.
 
     Returns:
-        ``(pair_mask, schedule_len)`` where ``pair_mask`` has shape
-        ``[U, L, M, N]``: slot ``(l, m, n)`` at compressed step ``u`` is
-        effectual iff the B element scheduled there is paired with a nonzero
-        A element.
+        ``(pair_mask, schedule_len)`` per tile, where ``pair_mask`` has
+        shape ``[U, L, M, N]``: slot ``(l, m, n)`` at compressed step ``u``
+        is effectual iff the B element scheduled there is paired with a
+        nonzero A element.  All B schedules are recorded in one call to
+        the scheduler.
     """
-    t_steps, lanes, m_dim = a_mask.shape
-    if b_mask.shape[0] != t_steps or b_mask.shape[1] != lanes:
-        raise ValueError(
-            f"A {a_mask.shape} and B {b_mask.shape} masks disagree on (T, L)"
-        )
-    n_dim = b_mask.shape[2]
-    db1, db2, db3 = config.b.as_tuple()
-    b_result = compact_schedule(
-        b_mask[:, :, :, np.newaxis], db1, db2, db3, return_schedule=True
+    for a_mask, b_mask in pairs:
+        if b_mask.shape[:2] != a_mask.shape[:2]:
+            raise ValueError(
+                f"A {a_mask.shape} and B {b_mask.shape} masks disagree on (T, L)"
+            )
+    b_results = compact_schedule_batch(
+        [b_mask[:, :, :, np.newaxis] for _, b_mask in pairs],
+        *config.b.as_tuple(),
+        return_schedule=True,
     )
-    schedule = b_result.schedule
-    if schedule is None or len(schedule) == 0:
-        # Nothing scheduled (all-zero B): the drain still streams.
-        empty = np.zeros((b_result.cycles, lanes, m_dim, n_dim), dtype=bool)
-        return empty, b_result.cycles
-    t_orig, l_orig, n_orig, _ = unpack_schedule(
-        schedule.copy(), (t_steps, lanes, n_dim, 1)
-    )
-    u_steps = schedule.shape[0]
-    # Slot layout of the B schedule is (lane, n); look the paired A element
-    # up at B's original (t, lane) coordinates for every output row m.
-    occupied = t_orig >= 0
-    t_safe = np.where(occupied, t_orig, 0)
-    l_safe = np.where(occupied, l_orig, 0)
-    paired = a_mask[t_safe, l_safe]  # [U, L*N slots, M]
-    paired &= occupied[:, :, np.newaxis]
-    pair_mask = paired.reshape(u_steps, lanes, n_dim, m_dim).transpose(0, 1, 3, 2)
-    if b_result.cycles > u_steps:
+    filtered = []
+    for (a_mask, b_mask), b_result in zip(pairs, b_results):
+        t_steps, lanes, m_dim = a_mask.shape
+        n_dim = b_mask.shape[2]
+        schedule = b_result.schedule.reshape(-1, lanes * n_dim)
+        t_orig, l_orig, _, _ = unpack_schedule(schedule, (t_steps, lanes, n_dim, 1))
+        # Slot layout of the B schedule is (lane, n); look the paired A
+        # element up at B's original (t, lane) coordinates for every output
+        # row m.
+        occupied = t_orig >= 0
+        t_safe = np.where(occupied, t_orig, 0)
+        l_safe = np.where(occupied, l_orig, 0)
+        paired = a_mask[t_safe, l_safe]  # [U, L*N slots, M]
+        paired &= occupied[:, :, np.newaxis]
+        pair_mask = paired.reshape(-1, lanes, n_dim, m_dim).transpose(0, 1, 3, 2)
         # The B drain tail (trailing zero slices streaming at window rate)
-        # still occupies compressed steps with no work in them.
-        tail = np.zeros((b_result.cycles - u_steps,) + pair_mask.shape[1:], dtype=bool)
-        pair_mask = np.concatenate([pair_mask, tail], axis=0)
-    return pair_mask, b_result.cycles
+        # still occupies compressed steps with no work in them -- every
+        # step, for an all-zero B.
+        tail = np.zeros(
+            (b_result.cycles - len(pair_mask),) + pair_mask.shape[1:], dtype=bool
+        )
+        filtered.append((np.concatenate([pair_mask, tail]), b_result.cycles))
+    return filtered
 
 
 def dual_sparse_cycles(
@@ -102,34 +98,26 @@ def dual_sparse_cycles(
     The A-side compaction runs over the compressed time axis with the
     ``da`` distances: lane lookaside along ``L`` and neighbour borrowing
     along the output-row axis ``M`` (each output column ``n`` keeps its own
-    stream; there is no ``da``-borrowing across columns).
+    stream; there is no ``da``-borrowing across columns).  This is
+    :func:`dual_sparse_cycles_batch` over a batch of one.
     """
-    pair_mask, b_len = filtered_pair_mask(a_mask, b_mask, config)
-    da1, da2, da3 = config.a.as_tuple()
-    a_result = compact_schedule(pair_mask, da1, da2, da3)
-    return DualResult(
-        cycles=a_result.cycles,
-        b_schedule_len=b_len,
-        executed_pairs=a_result.executed_ops,
-        borrowed_ops=a_result.borrowed_ops,
-    )
+    return dual_sparse_cycles_batch([(a_mask, b_mask)], config)[0]
 
 
 def dual_sparse_cycles_batch(
     pairs: "list[tuple[np.ndarray, np.ndarray]]", config: ArchConfig
 ) -> list[DualResult]:
-    """Batched :func:`dual_sparse_cycles` over same-geometry tiles.
+    """:func:`dual_sparse_cycles` over a batch of same-geometry tiles.
 
-    The B preprocessing (which records a schedule) runs per tile; the
-    expensive on-the-fly A-side cycle loop over the ``[U, L, M, N]`` pair
-    masks runs once for the whole batch through
-    :func:`compact_schedule_batch` (the compressed depths ``U`` may differ
-    per tile).  Results are identical to mapping
-    :func:`dual_sparse_cycles` over ``pairs``.
+    Both scheduling phases run once for the whole batch: the B
+    preprocessing records every tile's schedule in one call, and the
+    on-the-fly A side schedules the ``[U, L, M, N]`` pair masks (whose
+    compressed depths ``U`` may differ per tile) in another.
     """
-    filtered = [filtered_pair_mask(a, b, config) for a, b in pairs]
-    da1, da2, da3 = config.a.as_tuple()
-    a_results = compact_schedule_batch([pm for pm, _ in filtered], da1, da2, da3)
+    filtered = filtered_pair_masks(pairs, config)
+    a_results = compact_schedule_batch(
+        [pair_mask for pair_mask, _ in filtered], *config.a.as_tuple()
+    )
     return [
         DualResult(
             cycles=res.cycles,

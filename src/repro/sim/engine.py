@@ -42,8 +42,8 @@ from repro.gemm.layers import GemmShape
 from repro.gemm.tiling import TileGrid, tile_grid
 from repro.memory.dram import dram_stall_factor, layer_traffic_bytes
 from repro.memory.sram import SramModel
-from repro.sim.compaction import compact_schedule, compact_schedule_batch
-from repro.sim.dual import dual_sparse_cycles, dual_sparse_cycles_batch
+from repro.sim.compaction import compact_schedule_batch
+from repro.sim.dual import dual_sparse_cycles_batch
 from repro.sim.shuffle import rotation_shuffle
 from repro.workloads.models import (
     Network,
@@ -189,44 +189,30 @@ def simulate_tile(
     Pass the activation mask ``[T, L, M]`` and/or weight mask ``[T, L, N]``
     for the sides the architecture should skip; a missing side is treated
     as dense.  With both masks the dual-sparse seven-step pipeline runs;
-    with one, the corresponding single-sparse compaction; with none, the
-    tile costs exactly ``T`` dense cycles.
+    with one, the corresponding single-sparse compaction (both through
+    :func:`_tile_cycles_batch`, as a batch of one); with none, the tile
+    costs exactly ``T`` dense cycles.
     """
-    if t_steps is None:
-        source = a_mask if a_mask is not None else b_mask
-        if source is None:
+    if a_mask is None and b_mask is None:
+        if t_steps is None:
             raise ValueError("t_steps is required when no mask is given")
-        t_steps = source.shape[0]
-
-    if config.shuffle:
-        if a_mask is not None:
-            a_mask = rotation_shuffle(a_mask)
-        if b_mask is not None:
-            b_mask = rotation_shuffle(b_mask)
-
-    if a_mask is not None and b_mask is not None:
-        dual = dual_sparse_cycles(a_mask, b_mask, config)
-        return TileResult(dual.cycles, t_steps, dual.executed_pairs, dual.borrowed_ops)
-    if b_mask is not None:
-        res = compact_schedule(b_mask, *config.b.as_tuple())
-        return TileResult(res.cycles, t_steps, res.executed_ops, res.borrowed_ops)
-    if a_mask is not None:
-        res = compact_schedule(a_mask, *config.a.as_tuple())
-        return TileResult(res.cycles, t_steps, res.executed_ops, res.borrowed_ops)
-    return TileResult(t_steps, t_steps, 0, 0)
+        return TileResult(t_steps, t_steps, 0, 0)
+    (tile,) = _tile_cycles_batch(config, [(a_mask, b_mask)])
+    return tile if t_steps is None else replace(tile, dense_cycles=t_steps)
 
 
 def _tile_cycles_batch(
     config: ArchConfig,
     pairs: "list[tuple[np.ndarray | None, np.ndarray | None]]",
-) -> list[int]:
-    """Cycles for a batch of sampled output tiles of one GEMM.
+) -> list[TileResult]:
+    """Schedule a batch of output tiles, one :class:`TileResult` each.
 
-    Matches ``simulate_tile(...).cycles`` per pair exactly, but schedules
-    the whole batch through one cycle loop (``compact_schedule_batch`` /
-    ``dual_sparse_cycles_batch``) so the sampled passes share each
-    per-cycle numpy dispatch.  Within one GEMM every pass has the same
-    sparse sides, so the first pair picks the pipeline.
+    Each result is what the tile scheduled alone gives, but the batch runs
+    through one cycle loop (``compact_schedule_batch`` /
+    ``dual_sparse_cycles_batch``) so the sampled passes of a GEMM share
+    each per-cycle numpy dispatch.  Every pair must have the same sparse
+    sides -- true of all passes of one GEMM -- so the first pair picks the
+    pipeline.  ``dense_cycles`` is each tile's depth ``T``.
     """
     if config.shuffle:
         pairs = [
@@ -238,16 +224,20 @@ def _tile_cycles_batch(
         ]
     first_a, first_b = pairs[0]
     if first_a is not None and first_b is not None:
-        return [r.cycles for r in dual_sparse_cycles_batch(pairs, config)]
+        return [
+            TileResult(r.cycles, a.shape[0], r.executed_pairs, r.borrowed_ops)
+            for r, (a, _) in zip(dual_sparse_cycles_batch(pairs, config), pairs)
+        ]
     if first_b is not None:
-        results = compact_schedule_batch(
-            [b for _, b in pairs], *config.b.as_tuple()
-        )
+        masks = [b for _, b in pairs]
+        results = compact_schedule_batch(masks, *config.b.as_tuple())
     else:
-        results = compact_schedule_batch(
-            [a for a, _ in pairs], *config.a.as_tuple()
-        )
-    return [r.cycles for r in results]
+        masks = [a for a, _ in pairs]
+        results = compact_schedule_batch(masks, *config.a.as_tuple())
+    return [
+        TileResult(r.cycles, m.shape[0], r.executed_ops, r.borrowed_ops)
+        for r, m in zip(results, masks)
+    ]
 
 
 def _layer_seed(*parts: object) -> int:
@@ -464,11 +454,11 @@ def _simulate_gemm(
     total_cycles = 0.0
     if obs.ACTIVE.enabled:
         with obs.ACTIVE.span("engine.tile_batch", passes=samples):
-            for tile_cycles in _tile_cycles_batch(sched_config, list(pairs)):
-                total_cycles += (tile_cycles + drain) * scale_t
+            for tile in _tile_cycles_batch(sched_config, list(pairs)):
+                total_cycles += (tile.cycles + drain) * scale_t
     else:
-        for tile_cycles in _tile_cycles_batch(sched_config, list(pairs)):
-            total_cycles += (tile_cycles + drain) * scale_t
+        for tile in _tile_cycles_batch(sched_config, list(pairs)):
+            total_cycles += (tile.cycles + drain) * scale_t
 
     mean_cycles = total_cycles / samples
     cycles = mean_cycles * n_passes * gemm.repeats

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.compaction import (
-    CompactionResult,
-    compact_schedule,
-    compact_schedule_reference,
-    unpack_schedule,
-)
+from compaction_oracle import compact_schedule_reference
+from repro.sim.compaction import CompactionResult, compact_schedule, unpack_schedule
 
 
 def random_mask(seed, t, l, c1, c2=1, density=0.3):

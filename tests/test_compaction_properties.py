@@ -11,7 +11,9 @@ These lock the scheduler's contract in for refactors:
   tolerance -- the greedy offset-priority arbiter can lose exactly one
   cycle to an unlucky donor claim, never more (verified over tens of
   thousands of schedules);
-* the vectorized kernel agrees with the pure-Python reference oracle.
+* the vectorized kernel -- single tiles and whole batches of tiles --
+  agrees with the pure-Python reference oracle, recorded schedules
+  included.
 
 Masks are drawn as (shape, density, seed) and expanded with a seeded
 generator, so examples are reproducible; with ``hypothesis`` installed the
@@ -26,11 +28,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim.compaction import (
-    compact_schedule,
-    compact_schedule_batch,
-    compact_schedule_reference,
-)
+from compaction_oracle import compact_schedule_reference
+from repro.sim.compaction import compact_schedule, compact_schedule_batch
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -86,6 +85,18 @@ def check_near_monotone(mask, base: tuple[int, int, int]) -> None:
             previous = cycles
 
 
+def assert_same_result(got, want) -> None:
+    assert got.cycles == want.cycles
+    assert got.busy_cycles == want.busy_cycles
+    assert got.executed_ops == want.executed_ops
+    assert got.borrowed_ops == want.borrowed_ops
+    # The recorded schedules must be bit-identical, not just cycle-equal:
+    # downstream dual-sparsity filtering replays them element by element.
+    assert got.schedule.shape == want.schedule.shape
+    assert got.schedule.dtype == want.schedule.dtype
+    assert np.array_equal(got.schedule, want.schedule)
+
+
 def check_matches_reference(
     mask, d1: int, d2: int, d3: int, front_mode: str = "stream"
 ) -> None:
@@ -95,30 +106,37 @@ def check_matches_reference(
     slow = compact_schedule_reference(
         mask, d1, d2, d3, return_schedule=True, front_mode=front_mode
     )
-    assert fast.cycles == slow.cycles
-    assert fast.busy_cycles == slow.busy_cycles
-    assert fast.executed_ops == slow.executed_ops
-    assert fast.borrowed_ops == slow.borrowed_ops
-    # The recorded schedules must be bit-identical, not just cycle-equal:
-    # downstream dual-sparsity filtering replays them element by element.
-    assert fast.schedule.shape == slow.schedule.shape
-    assert np.array_equal(fast.schedule, slow.schedule)
-    assert fast.schedule.dtype == slow.schedule.dtype
+    assert_same_result(fast, slow)
 
 
 def check_batch_matches_sequential(
     masks, d1: int, d2: int, d3: int, lane_wrap: bool = True
 ) -> None:
-    sequential = [
-        compact_schedule(m, d1, d2, d3, lane_wrap=lane_wrap) for m in masks
+    """The batch, and each tile as a batch of one, against the oracle run
+    tile by tile -- recorded schedules bit for bit, and without recording
+    the same counts and no schedule."""
+    oracle = [
+        compact_schedule_reference(
+            m, d1, d2, d3, lane_wrap=lane_wrap, return_schedule=True
+        )
+        for m in masks
     ]
-    batched = compact_schedule_batch(masks, d1, d2, d3, lane_wrap=lane_wrap)
-    assert len(batched) == len(sequential)
-    for seq, bat in zip(sequential, batched):
-        assert bat.cycles == seq.cycles
-        assert bat.busy_cycles == seq.busy_cycles
-        assert bat.executed_ops == seq.executed_ops
-        assert bat.borrowed_ops == seq.borrowed_ops
+    batched = compact_schedule_batch(
+        masks, d1, d2, d3, lane_wrap=lane_wrap, return_schedule=True
+    )
+    singles = [
+        compact_schedule(m, d1, d2, d3, lane_wrap=lane_wrap, return_schedule=True)
+        for m in masks
+    ]
+    unrecorded = compact_schedule_batch(masks, d1, d2, d3, lane_wrap=lane_wrap)
+    assert len(batched) == len(unrecorded) == len(oracle)
+    for want, bat, single, bare in zip(oracle, batched, singles, unrecorded):
+        assert_same_result(bat, want)
+        assert_same_result(single, want)
+        assert bare.schedule is None
+        assert (bare.cycles, bare.busy_cycles, bare.executed_ops, bare.borrowed_ops) == (
+            want.cycles, want.busy_cycles, want.executed_ops, want.borrowed_ops
+        )
 
 
 if HAVE_HYPOTHESIS:
@@ -246,15 +264,6 @@ class TestSeededRandomProperties:
                 float(rng.uniform(0.0, 1.0)), seed=trial,
             )
             check_matches_reference(mask, int(rng.integers(0, 4)), 0, 0)
-
-    def test_batch_of_one_matches_single(self):
-        mask = make_mask(9, 4, 3, 2, 0.4, seed=7)
-        single = compact_schedule(mask, 2, 1, 1)
-        (bat,) = compact_schedule_batch([mask], 2, 1, 1)
-        assert (bat.cycles, bat.busy_cycles, bat.executed_ops, bat.borrowed_ops) == (
-            single.cycles, single.busy_cycles, single.executed_ops,
-            single.borrowed_ops,
-        )
 
     def test_batch_empty_list(self):
         assert compact_schedule_batch([], 2, 1, 1) == []

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from compaction_oracle import compact_schedule_reference
 from repro.config import sparse_ab
 from repro.sim.compaction import compact_schedule
-from repro.sim.dual import dual_sparse_cycles, filtered_pair_mask
+from repro.sim.dual import (
+    dual_sparse_cycles,
+    dual_sparse_cycles_batch,
+    filtered_pair_masks,
+)
 
 
 def masks(seed, t=20, lanes=8, m=4, n=6, pa=0.5, pb=0.3):
@@ -19,7 +24,7 @@ class TestFilteredPairMask:
     def test_pair_count_matches_joint_mask(self):
         a, b = masks(0)
         cfg = sparse_ab(1, 0, 0, 2, 0, 0)
-        pair, _ = filtered_pair_mask(a, b, cfg)
+        pair, _ = filtered_pair_masks([(a, b)], cfg)[0]
         # Every effectual pair (A nz AND B nz) appears exactly once.
         joint = (a[:, :, :, None] & b[:, :, None, :]).sum()
         assert pair.sum() == joint
@@ -27,7 +32,7 @@ class TestFilteredPairMask:
     def test_schedule_length_covers_drain(self):
         a, b = masks(1)
         cfg = sparse_ab(1, 0, 0, 3, 0, 0)
-        pair, b_len = filtered_pair_mask(a, b, cfg)
+        pair, b_len = filtered_pair_masks([(a, b)], cfg)[0]
         assert pair.shape[0] == b_len
         ref = compact_schedule(b[:, :, :, None], 3, 0, 0, return_schedule=True)
         assert b_len == ref.cycles
@@ -37,14 +42,14 @@ class TestFilteredPairMask:
         rng = np.random.default_rng(2)
         b = rng.random((16, 4, 5)) < 0.4
         cfg = sparse_ab(2, 0, 0, 2, 0, 1)
-        pair, _ = filtered_pair_mask(a, b, cfg)
+        pair, _ = filtered_pair_masks([(a, b)], cfg)[0]
         assert pair.sum() == b.sum() * a.shape[2]
 
     def test_shape_mismatch_rejected(self):
         a = np.ones((10, 4, 2), dtype=bool)
         b = np.ones((11, 4, 3), dtype=bool)
         with pytest.raises(ValueError):
-            filtered_pair_mask(a, b, sparse_ab(1, 0, 0, 1, 0, 0))
+            filtered_pair_masks([(a, b)], sparse_ab(1, 0, 0, 1, 0, 0))[0]
 
 
 class TestDualCycles:
@@ -106,3 +111,40 @@ class TestDualCycles:
         dual = dual_sparse_cycles(a, b, cfg)
         assert dual.executed_pairs == 0
         assert dual.cycles >= 1
+
+
+def oracle_dual(a, b, cfg):
+    """The pipeline spelled out element by element on the oracle scheduler:
+    B's schedule, the pair mask it induces, then the A-side schedule."""
+    lanes, m_dim, n_dim = a.shape[1], a.shape[2], b.shape[2]
+    b_res = compact_schedule_reference(
+        b[:, :, :, None], *cfg.b.as_tuple(), return_schedule=True
+    )
+    pair = np.zeros((b_res.cycles, lanes, m_dim, n_dim), dtype=bool)
+    for u, row in enumerate(b_res.schedule.reshape(-1, lanes * n_dim)):
+        for slot, entry in enumerate(row):
+            if entry >= 0:
+                t, src = divmod(int(entry), lanes * n_dim)
+                lane, n = divmod(slot, n_dim)
+                pair[u, lane, :, n] = a[t, src // n_dim, :]
+    a_res = compact_schedule_reference(pair, *cfg.a.as_tuple())
+    return a_res.cycles, b_res.cycles, a_res.executed_ops, a_res.borrowed_ops
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [sparse_ab(1, 1, 1, 2, 1, 1), sparse_ab(2, 0, 1, 1, 2, 0), sparse_ab(1, 0, 0, 3, 0, 2)],
+    ids=lambda c: c.notation,
+)
+def test_batch_matches_oracle_pipeline(cfg):
+    """Pair by pair, over different depths and an all-zero B tile."""
+    rng = np.random.default_rng(12)
+    pairs = []
+    for t, pb in ((9, 0.3), (5, 0.6), (12, 0.0), (7, 0.45)):
+        a = rng.random((t, 4, 2)) < 0.4
+        pairs.append((a, rng.random((t, 4, 3)) < pb))
+    got = dual_sparse_cycles_batch(pairs, cfg)
+    assert len({r.b_schedule_len for r in got}) > 1
+    for res, (a, b) in zip(got, pairs):
+        want = oracle_dual(a, b, cfg)
+        assert (res.cycles, res.b_schedule_len, res.executed_pairs, res.borrowed_ops) == want

@@ -111,7 +111,9 @@ def scheduled(monkeypatch):
 
     def spy(config, pairs):
         seen.append(pairs)
-        return real(config, pairs)
+        tiles = real(config, pairs)
+        assert len(tiles) == len(pairs)
+        return tiles
 
     monkeypatch.setattr(engine, "_tile_cycles_batch", spy)
     with engine.persistent_cache(None):

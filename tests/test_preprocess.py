@@ -1,12 +1,90 @@
 """Tests for the offline weight-compression artifact (Fig. 3 step 1)."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import sparse_a, sparse_b
-from repro.sim.compaction import compact_schedule
-from repro.sim.preprocess import CompressedWeights, expand, preprocess_weights
+from repro.config import ArchConfig, sparse_a, sparse_b
+from repro.core.overhead import overhead_of
+from repro.sim.compaction import compact_schedule, unpack_schedule
+
+
+@dataclass(frozen=True)
+class CompressedWeights:
+    """The preprocessed form of one weight tile.
+
+    ``slots[u, l, n]`` holds the original time step of the element executed
+    by lane ``l`` of column ``n`` at compressed step ``u`` (-1 when idle);
+    ``lane_offset`` / ``col_offset`` are its borrowing displacements
+    (``delta2`` / ``delta3``).  ``metadata_bits`` is the per-element width
+    the overhead model assigns the architecture.
+    """
+
+    shape: tuple[int, int, int]  # original (T, L, N)
+    slots: np.ndarray
+    lane_offset: np.ndarray
+    col_offset: np.ndarray
+    metadata_bits: int
+
+    @property
+    def steps(self) -> int:
+        return self.slots.shape[0]
+
+    @property
+    def nonzeros(self) -> int:
+        return int((self.slots >= 0).sum())
+
+    @property
+    def tree_flag(self) -> np.ndarray:
+        """Ops executing in a neighbour PE's multiplier (Fig. 2(b))."""
+        return self.col_offset > 0
+
+    @property
+    def compression_ratio(self) -> float:
+        """Dense 8-bit storage over 8-bit values plus metadata per nonzero."""
+        t, l, n = self.shape
+        return t * l * n * 8 / (self.nonzeros * (8 + self.metadata_bits))
+
+
+def preprocess_weights(b_mask: np.ndarray, config: ArchConfig) -> CompressedWeights:
+    """Compress a weight tile mask ``[T, L, N]`` for a Sparse.B datapath.
+
+    Preprocessing is a static run of the runtime borrow scheduler,
+    re-expressed as the per-slot displacement metadata the hardware stores.
+    """
+    b_mask = np.asarray(b_mask, dtype=bool)
+    if b_mask.ndim != 3:
+        raise ValueError(f"weight mask must be [T, L, N], got shape {b_mask.shape}")
+    if not config.supports_b_sparsity:
+        raise ValueError(f"{config.label} does not preprocess weights")
+    t_steps, lanes, n_dim = b_mask.shape
+    res = compact_schedule(b_mask, *config.b.as_tuple(), return_schedule=True)
+    bits = overhead_of(config).metadata_bits
+    if not res.schedule.size:
+        idle = np.full((res.cycles, lanes, n_dim), -1, dtype=np.int64)
+        return CompressedWeights(b_mask.shape, idle, 0 * idle, 0 * idle, bits)
+    slots, src_lane, src_col, _ = (
+        c.reshape(-1, lanes, n_dim)
+        for c in unpack_schedule(res.schedule.copy(), b_mask.shape + (1,))
+    )
+    occupied = slots >= 0
+    lane_offset = np.where(occupied, (src_lane - np.arange(lanes)[:, None]) % lanes, 0)
+    col_offset = np.where(occupied, src_col - np.arange(n_dim), 0)
+    return CompressedWeights(b_mask.shape, slots, lane_offset, col_offset, bits)
+
+
+def expand(compressed: CompressedWeights) -> np.ndarray:
+    """The original nonzero mask, rebuilt from the compressed stream."""
+    t_steps, lanes, n_dim = compressed.shape
+    mask = np.zeros((t_steps, lanes, n_dim), dtype=bool)
+    occupied = compressed.slots >= 0
+    _, lane, col = np.indices(compressed.slots.shape)
+    src_lane = (lane + compressed.lane_offset) % lanes
+    src_col = col + compressed.col_offset
+    mask[compressed.slots[occupied], src_lane[occupied], src_col[occupied]] = True
+    return mask
 
 
 def mask(seed=0, t=24, lanes=8, n=6, density=0.25):
