@@ -79,8 +79,6 @@ from repro.sim.engine import (
     NetworkSimResult,
     SimulationOptions,
     network_key,
-    persistent_cache,
-    set_persistent_cache,
     simulate_layer,
     simulate_network,
     simulate_tile,
@@ -104,7 +102,7 @@ from repro.workloads.spec import (
     register_sparsity_profile,
 )
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ArchConfig",
@@ -162,8 +160,6 @@ __all__ = [
     "network_key",
     "SIMULATION_KEY_VERSION",
     "NETWORK_KEY_VERSION",
-    "persistent_cache",
-    "set_persistent_cache",
     "SimulationOptions",
     "NetworkSimResult",
     "CacheStats",

@@ -3,11 +3,10 @@
 :class:`Session` is the facade over the whole toolkit.  It owns the
 two-tier persistent result cache (whole networks, then layers -- see
 ``docs/caching.md``) and the parallel
-:class:`~repro.runtime.runner.SweepRunner`, replacing ad-hoc use of the
-mutable global ``set_persistent_cache`` with context-managed,
-session-scoped state: the cache is installed only for the duration of a
-session call (or a ``with session:`` block) and the previous state is
-always restored.  Any design -- a borrowing
+:class:`~repro.runtime.runner.SweepRunner`, and passes its store to the
+engine explicitly on every call: nothing is installed engine-wide, so two
+sessions in one process never see each other's store, and each call's
+cache counts are exactly its own.  Any design -- a borrowing
 :class:`~repro.config.ArchConfig`, the hybrid
 :class:`~repro.config.GriffinArch`, a calibrated
 :class:`~repro.baselines.registry.BaselineArch` row, or a name understood
@@ -58,10 +57,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.config import ModelCategory
 from repro.dse.evaluate import (
@@ -89,7 +87,6 @@ from repro.search.strategy import (
     SearchStrategy,
     SurrogateScreenedSearch,
 )
-from repro.sim import engine
 from repro.sim.engine import NetworkSimResult, SimulationOptions, simulate_network
 from repro.workloads.models import Network
 from repro.workloads.registry import (
@@ -98,11 +95,6 @@ from repro.workloads.registry import (
     anchor_workload_tokens,
     parse_workload,
 )
-
-#: ``use_cache`` mode for sessions that neither install nor remove the
-#: globally installed cache -- for embedding the session API inside an
-#: environment that already manages the engine-wide persistent cache.
-INHERIT = "inherit"
 
 #: Default sampling of declarative experiments (matches EvalSettings).
 _SPEC_DEFAULT_OPTIONS = SPEC_DEFAULT_OPTIONS
@@ -413,10 +405,7 @@ class Session:
             evaluates serially in-process (still through the cache).
         cache_dir: root of the two-tier persistent cache; ``None`` picks
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
-        use_cache: ``True`` for a session-owned persistent cache,
-            ``False`` for none, or :data:`INHERIT` to use whatever cache is
-            currently installed (serial only; for embedding inside an
-            environment that manages the engine-wide cache itself).
+        use_cache: ``False`` evaluates without a persistent cache.
         settings: default :class:`EvalSettings` for calls that omit them.
         chunk_size: design points per parallel task (defaults to
             :func:`repro.runtime.runner.default_chunk_size`).
@@ -429,30 +418,24 @@ class Session:
             :meth:`close` (or use the session as a context manager) to
             release the pool.
 
-    The session accumulates persistent-cache activity across all of its
-    calls in :attr:`stats` (unified across the network and layer tiers;
-    per-tier shares in ``stats.network_hits`` / ``stats.layer_hits`` and
-    friends).  Used as a context manager, it installs its cache
-    engine-wide for the duration of the block (so direct
-    ``simulate_network`` calls inside also hit it) and restores the
-    previous state on exit.
+    Every call opens its own :class:`PersistentLayerCache` handle on the
+    session's store and passes it to the engine, so the call's
+    ``cache_stats`` count exactly its own activity (unified across the
+    network and layer tiers; per-tier shares in ``network_hits`` /
+    ``layer_hits`` and friends).  :attr:`stats` is the sum over all of
+    the session's calls.
 
     A session is safe to share across threads (the ``repro serve``
-    deployment: one warm session answering many concurrent requests).
-    The engine-wide cache installation is reference-counted under a lock,
-    so overlapping serial evaluations keep the same session cache
-    installed until the last one finishes; note that per-call
-    ``cache_stats`` deltas then attribute concurrent activity to every
-    overlapping call, while :attr:`stats` totals stay exact -- each call
-    folds in only the cache's cumulative advance since the previous
-    fold, so overlapping windows are never double-counted.
+    deployment: one warm session answering many concurrent requests):
+    overlapping calls count into their own handles, and their sums fold
+    into :attr:`stats` under a lock.
     """
 
     def __init__(
         self,
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
-        use_cache: bool | str = True,
+        use_cache: bool = True,
         settings: EvalSettings | None = None,
         chunk_size: int | None = None,
         progress: ProgressFn | None = None,
@@ -460,83 +443,33 @@ class Session:
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if use_cache not in (True, False):
+            raise ValueError(f"use_cache must be True or False, got {use_cache!r}")
         self.workers = workers
         self.settings = settings or EvalSettings()
         self.chunk_size = chunk_size
         self.progress = progress
         self.keep_pool = keep_pool
-        self.stats = CacheStats()
-        self._inherit = False
-        if use_cache is True:
-            root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-            self._cache: PersistentLayerCache | None = PersistentLayerCache(root)
-            self.cache_dir: str | None = str(root)
-        elif use_cache is False:
-            self._cache = None
-            self.cache_dir = None
-        elif use_cache == INHERIT:
-            self._cache = None
-            self.cache_dir = None
-            self._inherit = True
-        else:
-            raise ValueError(
-                f"use_cache must be True, False or {INHERIT!r}, got {use_cache!r}"
-            )
-        self._state_lock = threading.RLock()
-        self._absorbed = CacheStats()  # cache counters at the last absorb
-        self._install_depth = 0
-        self._install_prev: object = None
+        self._stats = CacheStats()
+        self.cache_dir: str | None = (
+            str(cache_dir if cache_dir is not None else default_cache_dir())
+            if use_cache
+            else None
+        )
+        self._state_lock = threading.Lock()
         self._runner: SweepRunner | None = None
 
     @property
-    def cache(self) -> PersistentLayerCache | None:
-        """The session-owned persistent cache (``None`` without one)."""
-        return self._cache
-
-    # ------------------------------------------------------------------
-    # Context management: session-scoped cache installation.
-    # ------------------------------------------------------------------
-
-    def _install(self) -> None:
-        """Reference-counted engine-wide installation of the session cache.
-
-        The first concurrent caller installs, the last one restores --
-        so overlapping evaluations from different threads of one shared
-        session never clobber each other's view of the engine cache.
-        """
+    def stats(self) -> CacheStats:
+        """Cache activity summed over all of this session's calls (a copy)."""
         with self._state_lock:
-            if self._install_depth == 0:
-                self._install_prev = engine.set_persistent_cache(self._cache)
-            self._install_depth += 1
-
-    def _uninstall(self) -> None:
-        with self._state_lock:
-            self._install_depth -= 1
-            if self._install_depth == 0:
-                engine.set_persistent_cache(self._install_prev)  # type: ignore[arg-type]
-                self._install_prev = None
+            return self._stats.snapshot()
 
     def __enter__(self) -> "Session":
-        if not self._inherit:
-            self._install()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if not self._inherit:
-            self._uninstall()
         self.close()
-
-    @contextmanager
-    def _scoped(self) -> Iterator[None]:
-        """Install the session cache (or inherit) around one call."""
-        if self._inherit:
-            yield
-            return
-        self._install()
-        try:
-            yield
-        finally:
-            self._uninstall()
 
     def close(self, wait: bool = True) -> None:
         """Release the warm worker pool, if one is alive (idempotent).
@@ -552,30 +485,17 @@ class Session:
         if runner is not None:
             runner.close(wait=wait)
 
-    def _snapshot(self) -> CacheStats | None:
-        return self._cache.stats.snapshot() if self._cache is not None else None
+    def _open_cache(self) -> tuple[PersistentLayerCache | None, CacheStats]:
+        """A handle on the session's store for one call, and its counters."""
+        if self.cache_dir is None:
+            return None, CacheStats()
+        cache = PersistentLayerCache(self.cache_dir)
+        return cache, cache.stats
 
-    def _absorb(self, before: CacheStats | None) -> CacheStats:
-        """Fold new cache activity into the totals; return this call's delta.
-
-        Concurrent serial calls all read the one shared cache-stats
-        counter, so folding each call's own ``before``-to-now window into
-        :attr:`stats` would count overlapping activity once per
-        overlapping call.  Instead the session tracks the counter value
-        it last absorbed (under the state lock) and merges only the
-        cumulative advance since then -- every cache event lands in the
-        totals exactly once, whatever the interleaving.  The *returned*
-        per-call delta is still the plain window since ``before`` (it
-        attributes concurrent activity to every overlapping call, as
-        documented on the class).
-        """
-        if before is None:
-            return CacheStats()
+    def _record(self, stats: CacheStats) -> None:
+        """Fold one call's cache counts into the session totals."""
         with self._state_lock:
-            current = self._cache.stats.snapshot()
-            self.stats.merge(current.delta(self._absorbed))
-            self._absorbed = current
-        return current.delta(before)
+            self._stats.merge(stats)
 
     def _ensure_runner(self) -> SweepRunner:
         """The session's (lazily created, reusable) parallel runner."""
@@ -584,7 +504,7 @@ class Session:
                 self._runner = SweepRunner(
                     workers=self.workers,
                     cache_dir=self.cache_dir,
-                    use_cache=self._cache is not None,
+                    use_cache=self.cache_dir is not None,
                     chunk_size=self.chunk_size,
                     keep_pool=self.keep_pool,
                 )
@@ -635,16 +555,12 @@ class Session:
             categories=len(categories),
             workers=self.workers,
         ):
-            if self.workers <= 1 or self._inherit:
-                outcome = self._evaluate_serial(
-                    resolved, categories, settings, progress
-                )
-            else:
-                outcome = self._ensure_runner().run(
-                    resolved, categories, settings, progress=progress
-                )
-                with self._state_lock:
-                    self.stats.merge(outcome.cache_stats)
+            if self.workers <= 1:
+                return self._evaluate_serial(resolved, categories, settings, progress)
+            outcome = self._ensure_runner().run(
+                resolved, categories, settings, progress=progress
+            )
+            self._record(outcome.cache_stats)
         return outcome
 
     def _evaluate_serial(
@@ -654,22 +570,21 @@ class Session:
         settings: EvalSettings,
         progress: ProgressFn | None = None,
     ) -> SweepOutcome:
-        before = self._snapshot()
+        cache, stats = self._open_cache()
         evaluations = []
-        tracer = obs.ACTIVE
-        with self._scoped():
+        try:
             for done, design in enumerate(designs, start=1):
-                with tracer.span(
+                with obs.ACTIVE.span(
                     "evaluate.design", index=done - 1, design=design.label
                 ):
                     evaluations.append(
-                        evaluate_design(design, categories, settings)
+                        evaluate_design(design, categories, settings, cache=cache)
                     )
                 if progress is not None:
                     progress(done, len(designs))
-        return SweepOutcome(
-            tuple(evaluations), self._absorb(before), self.workers, 1
-        )
+        finally:
+            self._record(stats)
+        return SweepOutcome(tuple(evaluations), stats, self.workers, 1)
 
     def evaluate_one(
         self,
@@ -701,14 +616,14 @@ class Session:
         """
         net = network if isinstance(network, Network) else parse_workload(network).network
         config = as_design(design).config_for(category)
-        before = self._snapshot()
+        cache, stats = self._open_cache()
         with obs.ACTIVE.span(
             "session.simulate", network=net.name, category=category.value
         ):
-            with self._scoped():
-                result = simulate_network(net, config, category, options)
-        self._absorb(before)
-        return result
+            try:
+                return simulate_network(net, config, category, options, cache=cache)
+            finally:
+                self._record(stats)
 
     def cost(self, design: DesignLike) -> CostBreakdown:
         """The Table VII-style cost row of any design."""

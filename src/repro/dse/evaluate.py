@@ -52,7 +52,7 @@ from repro.hw.cost import (
     griffin_category_power_mw,
     griffin_cost,
 )
-from repro.sim.engine import SimulationOptions, simulate_network
+from repro.sim.engine import ResultCache, SimulationOptions, simulate_network
 from repro.workloads.registry import (
     BENCHMARKS,
     Workload,
@@ -106,11 +106,18 @@ def category_speedup(
     config: ArchConfig,
     category: ModelCategory,
     settings: EvalSettings | None = None,
+    cache: ResultCache | None = None,
 ) -> float:
-    """Geometric-mean end-to-end speedup of a config on one category."""
+    """Geometric-mean end-to-end speedup of a config on one category.
+
+    ``cache`` is the persistent store the simulations read and write
+    through (``None``: no persistent tier).
+    """
     settings = settings or EvalSettings()
     speedups = [
-        simulate_network(info.network, config, category, settings.options).speedup
+        simulate_network(
+            info.network, config, category, settings.options, cache=cache
+        ).speedup
         for info in settings.suite(category)
     ]
     return geometric_mean(speedups)
@@ -411,18 +418,20 @@ def evaluate_design(
     design: DesignLike,
     categories: Sequence[ModelCategory],
     settings: EvalSettings | None = None,
+    cache: ResultCache | None = None,
 ) -> DesignEvaluation:
     """Evaluate one design across model categories (the single code path).
 
-    This is the serial unit of work; the batched, parallel, cache-backed
-    entry point is :meth:`repro.api.Session.evaluate`.
+    This is the serial unit of work, against the persistent store
+    ``cache`` (``None``: none); the batched, parallel, cache-backed entry
+    point is :meth:`repro.api.Session.evaluate`.
     """
     design = as_design(design)
     settings = settings or EvalSettings()
     points = tuple(
         design.efficiency_point(
             category,
-            category_speedup(design.config_for(category), category, settings),
+            category_speedup(design.config_for(category), category, settings, cache),
         )
         for category in categories
     )

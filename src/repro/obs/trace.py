@@ -1,20 +1,17 @@
-"""Span tracing with a compiled-out-cheap disabled path.
+"""Span tracing with a cheap disabled path.
 
-A :class:`Tracer` records a tree of timed spans.  Instrumented code in
-the hot paths (engine, cache) is written as::
+A :class:`Tracer` records a tree of timed spans.  Instrumented code,
+hot paths (engine, cache) included, is written as::
 
     from repro.obs import trace as obs
     ...
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span("engine.tile_batch", passes=n):
-            work()
-    else:
+    with obs.ACTIVE.span("engine.tile_batch", passes=n) as span:
         work()
+        span.set(hit=True)
 
-so the disabled path costs one module-attribute load plus one attribute
-check.  Code off the hot path can skip the guard and call
-``obs.ACTIVE.span(...)`` unconditionally: the no-op tracer returns a
-shared no-op span whose context-manager protocol does nothing.
+With tracing off, the no-op tracer returns a shared no-op span whose
+context-manager protocol and ``set`` do nothing: under a microsecond
+per span, a few milliseconds over the ~8k spans of a cold Fig. 8 run.
 
 Determinism contract: spans are collected out-of-band and never feed
 simulation inputs or cache keys, so traced results are bitwise-identical

@@ -66,14 +66,14 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheStats:
-    """Counters of one cache's activity (or an aggregate over workers).
+    """Counters of one cache handle's activity (or an aggregate of them).
 
     ``hits`` / ``misses`` / ``puts`` / ``errors`` are **unified totals
     across both tiers**; the ``network_*`` fields record the network-tier
     share of each, so the layer-tier share is always the difference (also
     exposed as the ``layer_*`` properties).  Keeping one flat object makes
-    the tier breakdown survive every existing aggregation path -- worker
-    chunk deltas, session accumulation, sweep outcomes -- unchanged.
+    the tier breakdown survive every aggregation path -- worker chunks,
+    session totals, sweep outcomes -- unchanged.
     """
 
     hits: int = 0
@@ -117,6 +117,14 @@ class CacheStats:
     @property
     def network_lookups(self) -> int:
         return self.network_hits + self.network_misses
+
+    def count(self, event: str, tier: str = "layer") -> None:
+        """Count one ``event`` (``"hits"``, ``"misses"``, ``"puts"`` or
+        ``"errors"``) in the totals and, for the network tier, its share."""
+        setattr(self, event, getattr(self, event) + 1)
+        if tier == "network":
+            share = f"network_{event}"
+            setattr(self, share, getattr(self, share) + 1)
 
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
@@ -270,20 +278,30 @@ class _CorruptEntry(Exception):
 
 
 class PersistentLayerCache:
-    """Disk-backed two-tier result cache.
+    """Disk-backed two-tier result cache: a handle on the store at ``root``.
 
-    Implements both engine protocols: the
-    :class:`~repro.sim.engine.LayerResultCache` tier (``get`` / ``put``)
-    and the :class:`~repro.sim.engine.NetworkResultCache` tier
-    (``get_network`` / ``put_network``).  Both tiers share the root
-    directory, the atomic-write discipline, and one unified
-    :class:`CacheStats` object (tier shares in its ``network_*`` /
-    ``layer_*`` views).
+    Implements the engine's :class:`~repro.sim.engine.ResultCache`
+    protocol: the layer tier (``get`` / ``put``) and the network tier
+    (``get_network`` / ``put_network``) share the root directory and the
+    atomic-write discipline.  A handle is cheap -- a root and the
+    :class:`CacheStats` it records into (tier shares in its ``network_*``
+    / ``layer_*`` views) -- so each evaluation call opens its own handle
+    on the shared store and its ``stats`` are exactly its own activity,
+    however many calls overlap.  Handles on one root compare equal (the
+    engine's layer memo is keyed on them).
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PersistentLayerCache):
+            return NotImplemented
+        return self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash(self.root)
 
     @property
     def layers_dir(self) -> Path:
@@ -343,87 +361,40 @@ class PersistentLayerCache:
             return False
         return True
 
-    # ------------------------------------------------------------------
-    # Layer tier.
-    # ------------------------------------------------------------------
+    def _lookup(self, tier: str, key: str, path: Path, decode) -> object | None:
+        """Read one entry of ``tier`` under its span, counting the outcome."""
+        with obs.ACTIVE.span(f"cache.{tier}.get", key=key) as span:
+            try:
+                result = self._read(path, decode)
+            except _CorruptEntry:
+                result = None
+                self.stats.count("errors", tier)
+            self.stats.count("misses" if result is None else "hits", tier)
+            span.set(hit=result is not None)
+        return result
+
+    def _store(self, tier: str, key: str, path: Path, encode, result) -> None:
+        """Write one entry of ``tier`` under its span, counting the outcome."""
+        with obs.ACTIVE.span(f"cache.{tier}.put", key=key):
+            payload = json.dumps(encode(result), separators=(",", ":"))
+            written = self._write(path, payload, key)
+            self.stats.count("puts" if written else "errors", tier)
 
     def get(self, key: str) -> LayerSimResult | None:
-        if not obs.ACTIVE.enabled:
-            return self._get(key)
-        with obs.ACTIVE.span("cache.layer.get", key=key) as span:
-            result = self._get(key)
-            span.set(hit=result is not None)
-        return result
-
-    def _get(self, key: str) -> LayerSimResult | None:
-        try:
-            result = self._read(self.path_for(key), result_from_dict)
-        except _CorruptEntry:
-            self.stats.errors += 1
-            self.stats.misses += 1
-            return None
-        if result is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        return self._lookup("layer", key, self.path_for(key), result_from_dict)
 
     def put(self, key: str, result: LayerSimResult) -> None:
-        if not obs.ACTIVE.enabled:
-            return self._put(key, result)
-        with obs.ACTIVE.span("cache.layer.put", key=key):
-            self._put(key, result)
-
-    def _put(self, key: str, result: LayerSimResult) -> None:
-        payload = json.dumps(result_to_dict(result), separators=(",", ":"))
-        if self._write(self.path_for(key), payload, key):
-            self.stats.puts += 1
-        else:
-            self.stats.errors += 1
-
-    # ------------------------------------------------------------------
-    # Network tier.
-    # ------------------------------------------------------------------
+        self._store("layer", key, self.path_for(key), result_to_dict, result)
 
     def get_network(self, key: str) -> NetworkSimResult | None:
-        if not obs.ACTIVE.enabled:
-            return self._get_network(key)
-        with obs.ACTIVE.span("cache.network.get", key=key) as span:
-            result = self._get_network(key)
-            span.set(hit=result is not None)
-        return result
-
-    def _get_network(self, key: str) -> NetworkSimResult | None:
-        try:
-            result = self._read(self.network_path_for(key), network_result_from_dict)
-        except _CorruptEntry:
-            self.stats.errors += 1
-            self.stats.network_errors += 1
-            self.stats.misses += 1
-            self.stats.network_misses += 1
-            return None
-        if result is None:
-            self.stats.misses += 1
-            self.stats.network_misses += 1
-            return None
-        self.stats.hits += 1
-        self.stats.network_hits += 1
-        return result
+        return self._lookup(
+            "network", key, self.network_path_for(key), network_result_from_dict
+        )
 
     def put_network(self, key: str, result: NetworkSimResult) -> None:
-        if not obs.ACTIVE.enabled:
-            return self._put_network(key, result)
-        with obs.ACTIVE.span("cache.network.put", key=key):
-            self._put_network(key, result)
-
-    def _put_network(self, key: str, result: NetworkSimResult) -> None:
-        payload = json.dumps(network_result_to_dict(result), separators=(",", ":"))
-        if self._write(self.network_path_for(key), payload, key):
-            self.stats.puts += 1
-            self.stats.network_puts += 1
-        else:
-            self.stats.errors += 1
-            self.stats.network_errors += 1
+        self._store(
+            "network", key, self.network_path_for(key), network_result_to_dict, result
+        )
 
     # ------------------------------------------------------------------
     # Maintenance.

@@ -9,14 +9,18 @@ in input order, so the outcome is identical to the serial loop for any
 worker count -- every evaluation is an independent, seed-deterministic
 function of its design point.
 
-Each worker process installs a :class:`repro.runtime.cache.PersistentLayerCache`
-rooted at the runner's cache directory, so simulations computed by one
-worker (or a previous run) are read from disk instead of recomputed --
-whole networks from the network tier in a single read when the exact
-evaluation ran before, individual layers from the layer tier otherwise.
-The per-chunk cache-activity deltas (with their per-tier breakdown) are
-shipped back with the results and aggregated into
+Each chunk opens a :class:`repro.runtime.cache.PersistentLayerCache`
+handle on the cache directory named in its payload and passes it to the
+engine, so simulations computed by one worker (or a previous run) are
+read from disk instead of recomputed -- whole networks from the network
+tier in a single read when the exact evaluation ran before, individual
+layers from the layer tier otherwise.  Each chunk's handle counts only
+that chunk's cache activity (with its per-tier breakdown); the counts
+are shipped back with the results and summed into
 :attr:`SweepOutcome.cache_stats`.
+
+The runner is the process-pool path only: the in-process design loop is
+:meth:`repro.api.Session.evaluate` with ``workers <= 1``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.dse.evaluate import (
 )
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
-from repro.sim import engine
 
 #: Progress callback: (completed design points, total design points).
 ProgressFn = Callable[[int, int], None]
@@ -63,52 +66,32 @@ class SweepOutcome:
         return len(self.evaluations)
 
 
-def _worker_init(cache_dir: str | None) -> None:
-    # Install the runner's cache -- or explicitly none, so a fork-inherited
-    # global cache cannot leak into a use_cache=False run.
-    cache = PersistentLayerCache(cache_dir) if cache_dir is not None else None
-    engine.set_persistent_cache(cache)
-
-
 def _evaluate_chunk(
     payload: tuple[tuple[int, ...], tuple[Design, ...],
-                   tuple[ModelCategory, ...], EvalSettings, bool],
+                   tuple[ModelCategory, ...], EvalSettings, str | None, bool],
 ) -> tuple[tuple[int, ...], list[DesignEvaluation], dict[str, int], list[dict]]:
     """Evaluate one chunk of design points (runs inside a worker process).
 
+    The chunk evaluates against the store at the payload's ``cache_dir``
+    (``None``: no persistent tier) and returns its own cache counts.
     When ``traced``, the worker records spans into its own local tracer
     and ships them back as plain dicts; the parent re-parents them with
     :meth:`repro.obs.Tracer.absorb` in chunk order.  The flag never
     reaches the evaluation itself, so results are bitwise-identical
     either way.
     """
-    indices, designs, categories, settings, traced = payload
-    cache = engine.get_persistent_cache()
-    before = cache.stats.snapshot() if isinstance(cache, PersistentLayerCache) else None
-    spans: list[dict] = []
-    if traced:
-        tracer = obs.Tracer()
-        previous = obs.set_tracer(tracer)
-        try:
-            with tracer.span("runner.chunk", first=indices[0], points=len(indices)):
-                evaluations = []
-                for index, design in zip(indices, designs):
-                    with tracer.span("evaluate.design", index=index, design=design.label):
-                        evaluations.append(
-                            evaluate_design(design, categories, settings)
-                        )
-        finally:
-            obs.set_tracer(previous)
-        spans = tracer.export()
-    else:
-        evaluations = [
-            evaluate_design(design, categories, settings) for design in designs
-        ]
-    if before is not None:
-        stats = cache.stats.delta(before)
-    else:
-        stats = CacheStats()
-    return indices, evaluations, stats.as_dict(), spans
+    indices, designs, categories, settings, cache_dir, traced = payload
+    cache = PersistentLayerCache(cache_dir) if cache_dir is not None else None
+    stats = cache.stats if cache is not None else CacheStats()
+    with obs.tracing(obs.Tracer() if traced else None) as tracer:
+        with tracer.span("runner.chunk", first=indices[0], points=len(indices)):
+            evaluations = []
+            for index, design in zip(indices, designs):
+                with tracer.span("evaluate.design", index=index, design=design.label):
+                    evaluations.append(
+                        evaluate_design(design, categories, settings, cache=cache)
+                    )
+    return indices, evaluations, stats.as_dict(), tracer.export()
 
 
 def chunk_indices(n_items: int, chunk_size: int) -> list[tuple[int, ...]]:
@@ -133,8 +116,7 @@ class SweepRunner:
     """Run design-point evaluations in parallel with a persistent cache.
 
     Args:
-        workers: process count; ``0`` or ``1`` evaluates serially in-process
-            (still through the persistent cache).
+        workers: worker process count (``0`` runs one worker process).
         cache_dir: root of the two-tier persistent cache; ``None`` picks
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
         use_cache: disable the persistent cache entirely with ``False``.
@@ -162,7 +144,6 @@ class SweepRunner:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
-        self.use_cache = use_cache
         self.cache_dir = (
             str(cache_dir if cache_dir is not None else default_cache_dir())
             if use_cache
@@ -182,11 +163,7 @@ class SweepRunner:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=max(1, self.workers),
-                    initializer=_worker_init,
-                    initargs=(self.cache_dir,),
-                )
+                self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
             return self._pool
 
     def close(self, wait: bool = True) -> None:
@@ -248,46 +225,10 @@ class SweepRunner:
         """
         settings = settings or EvalSettings()
         progress = progress if progress is not None else self.progress
-        resolved = tuple(as_design(design) for design in designs)
+        designs = tuple(as_design(design) for design in designs)
         categories = tuple(categories)
-        if not resolved:
+        if not designs:
             return SweepOutcome((), CacheStats(), self.workers, 0)
-        if self.workers <= 1:
-            return self._run_serial(resolved, categories, settings, progress)
-        return self._run_parallel(resolved, categories, settings, progress)
-
-    def _run_serial(
-        self,
-        designs: tuple[Design, ...],
-        categories: tuple[ModelCategory, ...],
-        settings: EvalSettings,
-        progress: ProgressFn | None,
-    ) -> SweepOutcome:
-        cache = PersistentLayerCache(self.cache_dir) if self.cache_dir is not None else None
-        tracer = obs.ACTIVE
-        # Install the runner's cache -- or explicitly none, so a previously
-        # installed global cache cannot leak into a use_cache=False run.
-        with engine.persistent_cache(cache):
-            with tracer.span("runner.serial", points=len(designs)):
-                evaluations = []
-                for done, design in enumerate(designs, start=1):
-                    with tracer.span(
-                        "evaluate.design", index=done - 1, design=design.label
-                    ):
-                        evaluations.append(
-                            evaluate_design(design, categories, settings)
-                        )
-                    self._report(progress, done, len(designs))
-            stats = cache.stats.snapshot() if cache is not None else CacheStats()
-            return SweepOutcome(tuple(evaluations), stats, self.workers, 1)
-
-    def _run_parallel(
-        self,
-        designs: tuple[Design, ...],
-        categories: tuple[ModelCategory, ...],
-        settings: EvalSettings,
-        progress: ProgressFn | None,
-    ) -> SweepOutcome:
         size = self.chunk_size or default_chunk_size(len(designs), self.workers)
         chunks = chunk_indices(len(designs), size)
         results: list[DesignEvaluation | None] = [None] * len(designs)
@@ -296,11 +237,7 @@ class SweepRunner:
         if self.keep_pool:
             pool = self._ensure_pool()
         else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                initializer=_worker_init,
-                initargs=(self.cache_dir,),
-            )
+            pool = ProcessPoolExecutor(max_workers=max(1, min(self.workers, len(chunks))))
         tracer = obs.ACTIVE
         chunk_spans: dict[int, list[dict]] = {}
         try:
@@ -318,6 +255,7 @@ class SweepRunner:
                             tuple(designs[i] for i in chunk),
                             categories,
                             settings,
+                            self.cache_dir,
                             tracer.enabled,
                         ),
                     )
@@ -332,7 +270,8 @@ class SweepRunner:
                         stats.merge(CacheStats.from_dict(chunk_stats))
                         chunk_spans[indices[0]] = spans
                         done_points += len(indices)
-                        self._report(progress, done_points, len(designs))
+                        if progress is not None:
+                            progress(done_points, len(designs))
                 if tracer.enabled:
                     # Absorb worker spans in chunk order -- not completion
                     # order -- so two traced runs yield structurally
@@ -344,8 +283,3 @@ class SweepRunner:
                 pool.shutdown(wait=True)
         assert all(r is not None for r in results)
         return SweepOutcome(tuple(results), stats, self.workers, len(chunks))
-
-    @staticmethod
-    def _report(progress: ProgressFn | None, done: int, total: int) -> None:
-        if progress is not None:
-            progress(done, total)

@@ -1,7 +1,7 @@
 """Always-on evaluation service with fingerprint-keyed request coalescing.
 
 ``repro serve`` keeps one warm :class:`~repro.api.Session` -- persistent
-two-tier cache installed, worker pool alive -- behind a small stdlib
+two-tier cache open, worker pool alive -- behind a small stdlib
 HTTP+JSON server, so the marginal cost of an evaluation request drops
 from a cold CLI process to a cache lookup.  Identical in-flight requests
 are coalesced by content fingerprint (design x workload x options) into a

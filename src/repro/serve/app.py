@@ -366,12 +366,12 @@ class ServeApp:
             elif method == "GET" and path == "/stats":
                 self._send_json(
                     writer, 200,
-                    self.telemetry.as_dict(self.session.stats.snapshot()),
+                    self.telemetry.as_dict(self.session.stats),
                 )
             elif method == "GET" and path == "/metrics":
                 self._send_text(
                     writer, 200,
-                    self.telemetry.render_prometheus(self.session.stats.snapshot()),
+                    self.telemetry.render_prometheus(self.session.stats),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             elif method == "POST" and path == "/shutdown":

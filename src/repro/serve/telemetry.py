@@ -155,7 +155,8 @@ class ServeTelemetry:
         ``session_cache`` (the shared session's lifetime totals) is
         preferred for the ``cache`` block when given; the telemetry's own
         per-computation merge is the fallback for embedders without a
-        session handle.  The two agree on a quiet server.
+        session handle.  Each computation's counts are exactly its own,
+        so the two agree whenever no computation is in flight.
         """
         with self._cache_lock:
             cache = (

@@ -236,6 +236,17 @@ def _schedule_no_borrowing(
     )
 
 
+def _idle_result(record: bool) -> CompactionResult:
+    """A tile with no slots, so no cycles to run.
+
+    A recorded schedule with no executing cycle is the 1-D empty array,
+    as for every other tile that never executes.
+    """
+    return CompactionResult(
+        0, 0, 0, 0, schedule=np.array([], dtype=np.int64) if record else None
+    )
+
+
 def compact_schedule(
     mask: np.ndarray,
     d1: int = 0,
@@ -267,19 +278,18 @@ def compact_schedule(
     Returns:
         A :class:`CompactionResult`.
     """
-    mask = _check_mask(mask)
-    t_steps, lanes, c1, c2 = mask.shape
-    n_groups = c1 * c2
-    n_slots = lanes * n_groups
-
-    if t_steps == 0 or n_slots == 0:
-        return CompactionResult(0, 0, 0, 0, schedule=np.empty((0, n_slots), np.int64))
     if front_mode == "stream":
         return compact_schedule_batch(
             [mask], d1, d2, d3, lane_wrap=lane_wrap, return_schedule=return_schedule
         )[0]
     if front_mode not in ("unit", "tile"):
         raise ValueError(f"unknown front_mode {front_mode!r}")
+    mask = _check_mask(mask)
+    t_steps, lanes, c1, c2 = mask.shape
+    n_groups = c1 * c2
+    n_slots = lanes * n_groups
+    if n_slots == 0:
+        return _idle_result(return_schedule)
     positions, _, total_ops = _stream_positions(mask.reshape(t_steps, n_slots), n_slots)
     return _schedule_borrowing_grouped(
         positions, total_ops, t_steps, n_slots, n_groups, d1,
@@ -317,10 +327,7 @@ def compact_schedule_batch(
             )
     n_slots = lanes * c1 * c2
     if n_slots == 0:
-        return [
-            CompactionResult(0, 0, 0, 0, schedule=np.empty((0, 0), np.int64))
-            for _ in checked
-        ]
+        return [_idle_result(return_schedule) for _ in checked]
     if d2 == 0 and d3 == 0:
         # The hot path for every schedule without lane/PE reach -- including
         # the Sparse.AB dense-weight downgrade and the dual-sparse B

@@ -20,18 +20,18 @@ its weight factor field.
 Persistent caching is two-tiered: layer results store under
 :func:`simulation_key` (:data:`SIMULATION_KEY_VERSION`), and whole-network
 results under :func:`network_key` (:data:`NETWORK_KEY_VERSION`), so a warm
-:func:`simulate_network` is a single read.  The engine only knows the
-:class:`LayerResultCache` / :class:`NetworkResultCache` protocols; the
-disk-backed implementation lives in :mod:`repro.runtime.cache`.
+:func:`simulate_network` is a single read.  The store is passed explicitly
+(``cache=``) to :func:`simulate_network` / :func:`simulate_layer`; the
+engine only knows the :class:`ResultCache` protocol, and the disk-backed
+implementation lives in :mod:`repro.runtime.cache`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -428,15 +428,7 @@ def _simulate_gemm(
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
     layer_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
     sides = (sparsity.weights is not None, sparsity.activations is not None)
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span(
-            "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"
-        ):
-            pairs = _sampled_passes(
-                seed, sparsity.weights, layer_acts, gemm, geometry,
-                options.passes_per_gemm, options.max_t_steps,
-            )[sides]
-    else:
+    with obs.ACTIVE.span("engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"):
         pairs = _sampled_passes(
             seed, sparsity.weights, layer_acts, gemm, geometry,
             options.passes_per_gemm, options.max_t_steps,
@@ -452,11 +444,7 @@ def _simulate_gemm(
     # paying it per tile.
     drain = min(options.pipeline_drain, max(0, seg_t // 4))
     total_cycles = 0.0
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span("engine.tile_batch", passes=samples):
-            for tile in _tile_cycles_batch(sched_config, list(pairs)):
-                total_cycles += (tile.cycles + drain) * scale_t
-    else:
+    with obs.ACTIVE.span("engine.tile_batch", passes=samples):
         for tile in _tile_cycles_batch(sched_config, list(pairs)):
             total_cycles += (tile.cycles + drain) * scale_t
 
@@ -500,39 +488,28 @@ def _apply_stalls(
     return cycles
 
 
-class LayerResultCache(Protocol):
-    """A persistent store for simulated layers, keyed by :func:`simulation_key`.
+class ResultCache(Protocol):
+    """A two-tier persistent result store, passed to the engine per call.
 
-    ``get`` returns ``None`` on a miss (including unreadable or corrupt
-    entries -- the engine then recomputes and overwrites).  Implementations
-    live outside the engine (see :mod:`repro.runtime.cache`); the engine only
-    knows this protocol so the dependency points runtime -> sim.
+    The layer tier (``get`` / ``put``) holds one :class:`LayerSimResult`
+    per :func:`simulation_key`; the network tier (``get_network`` /
+    ``put_network``) holds one :class:`NetworkSimResult` per
+    :func:`network_key`.  A ``get`` returns ``None`` on a miss (including
+    unreadable or corrupt entries -- the engine then recomputes and
+    overwrites).  Handles on one store must compare equal and hash alike:
+    the in-process layer memo is keyed on the handle, so it only answers
+    for the store it fronts.  Implementations live outside the engine (see
+    :mod:`repro.runtime.cache`) so the dependency points runtime -> sim.
     """
 
     def get(self, key: str) -> LayerSimResult | None: ...
 
     def put(self, key: str, result: LayerSimResult) -> None: ...
 
+    def get_network(self, key: str) -> NetworkSimResult | None: ...
 
-@runtime_checkable
-class NetworkResultCache(Protocol):
-    """The optional second cache tier: whole-network results.
+    def put_network(self, key: str, result: NetworkSimResult) -> None: ...
 
-    Keyed by :func:`network_key`, which hashes the per-layer simulation
-    keys together with the display names the stored result carries, so a
-    warm :func:`simulate_network` resolves in a single read instead of one
-    lookup (plus re-aggregation) per layer.  A persistent cache that also
-    implements this protocol (``get_network`` / ``put_network`` -- checked
-    structurally at runtime) gets the network tier for free; one that only
-    implements :class:`LayerResultCache` keeps working layer-by-layer.
-    """
-
-    def get_network(self, key: str) -> "NetworkSimResult | None": ...
-
-    def put_network(self, key: str, result: "NetworkSimResult") -> None: ...
-
-
-_persistent_cache: LayerResultCache | None = None
 
 #: Version tag of the simulation-key schema.  Bump whenever the simulation
 #: semantics change in a way that invalidates previously cached results.
@@ -625,39 +602,6 @@ def network_key(
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def set_persistent_cache(cache: LayerResultCache | None) -> LayerResultCache | None:
-    """Install (or remove, with ``None``) the persistent layer-result cache.
-
-    Returns the previously installed cache so callers can restore it.
-    """
-    global _persistent_cache
-    previous = _persistent_cache
-    _persistent_cache = cache
-    return previous
-
-
-def get_persistent_cache() -> LayerResultCache | None:
-    return _persistent_cache
-
-
-@contextmanager
-def persistent_cache(
-    cache: LayerResultCache | None,
-) -> Iterator[LayerResultCache | None]:
-    """Scoped installation of the persistent layer-result cache.
-
-    Installs ``cache`` (or explicitly none) for the duration of the block
-    and restores the previously installed cache afterwards, even on error.
-    This is how :class:`repro.api.Session` keeps its cache session-scoped
-    instead of mutating global state permanently.
-    """
-    previous = set_persistent_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_persistent_cache(previous)
-
-
 def clear_memo_cache() -> None:
     """Drop the in-process layer memoization (not the persistent cache)."""
     _simulate_layer_cached.cache_clear()
@@ -677,34 +621,22 @@ def _compute_layer(
         weight_density=weight_density,
         act_density=act_density,
     )
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
-            return _compute_layer_body(layer, gemms, config, category, options)
-    return _compute_layer_body(layer, gemms, config, category, options)
-
-
-def _compute_layer_body(
-    layer: NetworkLayer,
-    gemms: tuple[GemmShape, ...],
-    config: ArchConfig,
-    category: ModelCategory,
-    options: SimulationOptions,
-) -> LayerSimResult:
     results = []
     cycles = 0.0
     dense = 0
-    for gemm in gemms:
-        res = _simulate_gemm(gemm, layer, config, category, options)
-        gemm_cycles = res.cycles
-        if options.include_stalls and gemm_cycles < res.dense_cycles:
-            gemm_cycles = _apply_stalls(
-                gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
-            )
-            gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
-            res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
-        results.append(res)
-        cycles += res.cycles
-        dense += res.dense_cycles
+    with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
+        for gemm in gemms:
+            res = _simulate_gemm(gemm, layer, config, category, options)
+            gemm_cycles = res.cycles
+            if options.include_stalls and gemm_cycles < res.dense_cycles:
+                gemm_cycles = _apply_stalls(
+                    gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
+                )
+                gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
+                res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
+            results.append(res)
+            cycles += res.cycles
+            dense += res.dense_cycles
     return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=tuple(results))
 
 
@@ -716,17 +648,26 @@ def _simulate_layer_cached(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
+    cache: ResultCache | None,
 ) -> LayerSimResult:
-    cache = _persistent_cache
-    key = None
-    if cache is not None:
-        key = simulation_key(gemms, weight_density, act_density, config, category, options)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    """The in-process layer memo, above the persistent layer tier.
+
+    ``cache`` is part of the memo key (handles on one store compare
+    equal), so a memo entry answers only for the store that recorded it:
+    a call against another store -- or against none -- looks up, and
+    writes, its own.  On a memo miss the persistent get, simulation and
+    put run against the calling handle, so they count in its stats.  The
+    key keeps the first handle of each entry alive; a memo hit never
+    records into it again.
+    """
+    if cache is None:
+        return _compute_layer(gemms, weight_density, act_density, config, category, options)
+    key = simulation_key(gemms, weight_density, act_density, config, category, options)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     result = _compute_layer(gemms, weight_density, act_density, config, category, options)
-    if cache is not None and key is not None:
-        cache.put(key, result)
+    cache.put(key, result)
     return result
 
 
@@ -735,12 +676,15 @@ def simulate_layer(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions | None = None,
+    cache: ResultCache | None = None,
 ) -> LayerSimResult:
     """Simulate one layer; results are memoized on the full key.
 
     The cache key deliberately excludes the layer *name*, so topologically
     repeated blocks (ResNet stages, BERT encoders) simulate once; the
     returned result nevertheless carries the layer's real display name.
+    ``cache`` is the persistent store to read and write through (``None``:
+    no persistent tier).
     """
     options = options or SimulationOptions()
     result = _simulate_layer_cached(
@@ -750,17 +694,11 @@ def simulate_layer(
         config,
         category,
         options,
+        cache,
     )
     if result.name != layer.name:
         result = replace(result, name=layer.name)
     return result
-
-
-def _network_tier(cache: LayerResultCache | None) -> NetworkResultCache | None:
-    """The installed cache, if it also implements the network tier."""
-    if cache is not None and isinstance(cache, NetworkResultCache):
-        return cache
-    return None
 
 
 def simulate_network(
@@ -768,42 +706,35 @@ def simulate_network(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions | None = None,
+    cache: ResultCache | None = None,
 ) -> NetworkSimResult:
     """End-to-end latency of a network on an architecture configuration.
 
-    Resolution is tiered: if the installed persistent cache implements
-    :class:`NetworkResultCache`, the whole network is looked up under its
-    :func:`network_key` first -- a warm run answers in one read with zero
-    layer simulations.  On a miss (or with a layer-only cache) the layers
-    simulate individually through the layer tier, and the aggregated result
-    is written back to the network tier for the next run.
+    Resolution is tiered: with a persistent ``cache``, the whole network
+    is looked up under its :func:`network_key` first -- a warm run answers
+    in one read with zero layer simulations.  On a miss the layers
+    simulate individually through the layer tier, and the aggregated
+    result is written back to the network tier for the next run.  Without
+    one (``None``) every layer simulates, memoized in-process only.
     """
     options = options or SimulationOptions()
-    tier = _network_tier(_persistent_cache)
     key = None
-    if tier is not None:
+    if cache is not None:
         key = network_key(network, config, category, options)
-        hit = tier.get_network(key)
+        hit = cache.get_network(key)
         if hit is not None:
             return hit
     layer_results = []
     cycles = 0.0
     dense = 0
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span(
-            "engine.network_compute",
-            network=network.name,
-            config=config.label,
-            layers=len(network.layers),
-        ):
-            for layer in network.layers:
-                res = simulate_layer(layer, config, category, options)
-                layer_results.append(res)
-                cycles += res.cycles
-                dense += res.dense_cycles
-    else:
+    with obs.ACTIVE.span(
+        "engine.network_compute",
+        network=network.name,
+        config=config.label,
+        layers=len(network.layers),
+    ):
         for layer in network.layers:
-            res = simulate_layer(layer, config, category, options)
+            res = simulate_layer(layer, config, category, options, cache=cache)
             layer_results.append(res)
             cycles += res.cycles
             dense += res.dense_cycles
@@ -815,6 +746,6 @@ def simulate_network(
         dense_cycles=dense,
         layers=tuple(layer_results),
     )
-    if tier is not None and key is not None:
-        tier.put_network(key, result)
+    if cache is not None:
+        cache.put_network(key, result)
     return result

@@ -5,25 +5,28 @@ The load-bearing guarantees:
 * `parse_design` parses configs, Griffin, starred points, and baseline
   names uniformly (case-insensitive);
 * two sessions with different cache directories are fully isolated (no
-  bleed-through in either direction) and never leave state installed in
-  the engine after a call;
+  bleed-through in either direction), even in one process with a warm
+  in-process memo: each writes and counts its own store;
+* each call's `cache_stats` is exactly its own activity -- under forced
+  overlap on one shared session, and across worker processes -- and
+  `session.stats` is their sum;
 * `session.evaluate` is bitwise-identical between the serial and the
   parallel path for a mixed design list (config + Griffin + baseline);
-* `INHERIT` sessions use whatever cache is installed engine-wide (the
-  embedding mode) and never install or remove state themselves.
+* nothing is installed engine-wide: the store travels with each call.
 
 (The `evaluate_arch` / `evaluate_griffin` shims and their identity tests
 were removed in v2.0 at the end of their deprecation cycle.)
 """
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.api import INHERIT, ExperimentSpec, Session
+from repro.api import ExperimentSpec, Session
 from repro.baselines import baseline
 from repro.config import (
     GRIFFIN,
@@ -42,7 +45,7 @@ from repro.dse.evaluate import (
     evaluate_design,
     parse_design,
 )
-from repro.runtime.cache import PersistentLayerCache
+from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
 
@@ -53,12 +56,10 @@ CATS = (ModelCategory.B, ModelCategory.DENSE)
 
 @pytest.fixture
 def cold_engine():
-    """No inherited memoization or persistent cache; restore afterwards."""
-    previous = engine.set_persistent_cache(None)
+    """No inherited memoization before or after the test."""
     engine.clear_memo_cache()
     yield
     engine.clear_memo_cache()
-    engine.set_persistent_cache(previous)
 
 
 class TestParseDesign:
@@ -156,8 +157,119 @@ class TestSessionEvaluate:
         assert warm.cache_stats.hit_rate == 1.0
         assert two.stats.hits == warm.cache_stats.hits
 
-        # Session calls never leave state installed in the engine.
-        assert engine.get_persistent_cache() is None
+    def test_second_session_writes_and_counts_its_own_store(
+        self, cold_engine, tmp_path
+    ):
+        """No memo clearing between the sessions: the in-process layer memo
+        is scoped to the store it fronts, so the second session's store
+        gets every layer entry the first one got, and its own lookups."""
+        config = sparse_b(2, 0, 1)
+        first = Session(cache_dir=tmp_path / "one").evaluate(
+            [config], (ModelCategory.B,), SETTINGS
+        )
+        second = Session(cache_dir=tmp_path / "two").evaluate(
+            [config], (ModelCategory.B,), SETTINGS
+        )
+        assert second.evaluations == first.evaluations
+        assert second.cache_stats.layer_lookups > 0
+        assert second.cache_stats == first.cache_stats
+        one = PersistentLayerCache(tmp_path / "one")
+        two = PersistentLayerCache(tmp_path / "two")
+        assert len(two) == len(one)
+        assert sorted(p.name for p in two.layers_dir.glob("*/*.json")) == sorted(
+            p.name for p in one.layers_dir.glob("*/*.json")
+        )
+
+    def test_overlapping_calls_count_exactly_their_own_activity(
+        self, cold_engine, tmp_path, monkeypatch
+    ):
+        """Two threads on one shared session, each held at a barrier inside
+        its first layer simulation until the other is in flight too: each
+        call's cache_stats equal the same call run alone, and the session
+        totals are their sum."""
+        designs = [sparse_b(2, 0, 0), sparse_b(4, 0, 1)]
+        alone = []
+        for index, design in enumerate(designs):
+            engine.clear_memo_cache()
+            outcome = Session(cache_dir=tmp_path / f"alone{index}").evaluate(
+                [design], (ModelCategory.B,), SETTINGS
+            )
+            alone.append(outcome.cache_stats)
+
+        engine.clear_memo_cache()
+        barrier = threading.Barrier(2, timeout=30.0)
+        held_threads = set()
+        simulate_layer = engine.simulate_layer
+
+        def held(*args, **kwargs):
+            if threading.get_ident() not in held_threads:
+                held_threads.add(threading.get_ident())
+                barrier.wait()
+            return simulate_layer(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate_layer", held)
+        session = Session(cache_dir=tmp_path / "shared")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(session.evaluate, [design], (ModelCategory.B,), SETTINGS)
+                for design in designs
+            ]
+            overlapped = [future.result(timeout=120).cache_stats for future in futures]
+        assert len(held_threads) == 2
+        assert overlapped == alone
+        total = CacheStats()
+        for stats in overlapped:
+            total.merge(stats)
+        assert session.stats == total
+
+    def test_session_totals_lose_no_update_under_thread_stress(
+        self, cold_engine, tmp_path
+    ):
+        """Many threads (more than cores) fold warm network-tier hits into
+        one session's totals with a short switch interval: the totals are
+        exactly the sum of the per-call counts."""
+        session = Session(cache_dir=tmp_path)
+        designs = [sparse_b(2, 0, 0), sparse_b(4, 0, 1)]
+        session.evaluate(designs, (ModelCategory.B,), SETTINGS)  # warm the store
+        before = session.stats
+        calls_per_thread = 12
+
+        def hammer(index):
+            design = designs[index % len(designs)]
+            return [
+                session.evaluate([design], (ModelCategory.B,), SETTINGS).cache_stats
+                for _ in range(calls_per_thread)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(hammer, index) for index in range(8)]
+                per_call = [s for f in futures for s in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(per_call) == 8 * calls_per_thread
+        assert all(s == CacheStats(hits=1, network_hits=1) for s in per_call)
+        total = before
+        for stats in per_call:
+            total.merge(stats)
+        assert session.stats == total
+
+    def test_parallel_call_stats_equal_serial(self, cold_engine, tmp_path):
+        """Designs with disjoint layer keys: every worker chunk counts its
+        own handle, and the summed per-call stats match the serial loop."""
+        designs = [sparse_b(2, 0, 0), sparse_b(4, 0, 1), sparse_b(2, 1, 0)]
+        serial = Session(workers=0, cache_dir=tmp_path / "s").evaluate(
+            designs, (ModelCategory.B,), SETTINGS
+        )
+        engine.clear_memo_cache()
+        parallel = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
+            designs, (ModelCategory.B,), SETTINGS
+        )
+        assert parallel.evaluations == serial.evaluations
+        assert parallel.cache_stats.puts > 0
+        assert parallel.cache_stats == serial.cache_stats
 
     def test_session_stats_accumulate_across_calls(self, cold_engine, tmp_path):
         session = Session(cache_dir=tmp_path)
@@ -169,10 +281,10 @@ class TestSessionEvaluate:
     def test_overlapping_serial_calls_count_stats_exactly_once(
         self, cold_engine, tmp_path
     ):
-        """Concurrent serial evaluations share one cache-stats counter;
-        the session totals must equal it, not a per-call double count.
-        A barrier in the progress callbacks forces both calls to finish
-        evaluating before either absorbs, maximizing window overlap."""
+        """Concurrent serial evaluations on one session: the session totals
+        are the sum of the calls' own counts, nothing counted twice.  A
+        barrier in the progress callbacks holds both calls until each has
+        finished evaluating."""
         session = Session(cache_dir=tmp_path)
         barrier = threading.Barrier(2, timeout=30.0)
 
@@ -190,10 +302,11 @@ class TestSessionEvaluate:
             ]
             for future in futures:
                 future.result(timeout=120)
-        totals = session.cache.stats
+        total = CacheStats()
+        for future in futures:
+            total.merge(future.result().cache_stats)
         assert session.stats.puts > 0
-        assert (session.stats.hits, session.stats.misses,
-                session.stats.puts) == (totals.hits, totals.misses, totals.puts)
+        assert session.stats == total
 
     def test_simulate_through_cache(self, cold_engine, tmp_path):
         session = Session(cache_dir=tmp_path)
@@ -205,20 +318,20 @@ class TestSessionEvaluate:
         assert again == result
         assert session.stats.hits > 0
 
-    def test_use_cache_false_touches_nothing(self, cold_engine, tmp_path):
-        installed = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(installed)
-        outcome = Session(use_cache=False).evaluate(
-            [sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS
-        )
+    def test_use_cache_false_touches_nothing(self, cold_engine, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        session = Session(use_cache=False)
+        assert session.cache_dir is None
+        outcome = session.evaluate([sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS)
         assert outcome.cache_stats.lookups == 0
-        assert installed.stats.lookups == 0 and len(installed) == 0
-        assert engine.get_persistent_cache() is installed
+        assert len(PersistentLayerCache(tmp_path)) == 0
 
-    def test_context_manager_installs_and_restores(self, cold_engine, tmp_path):
-        with Session(cache_dir=tmp_path) as session:
-            assert engine.get_persistent_cache() is session.cache
-        assert engine.get_persistent_cache() is None
+    def test_context_manager_closes_the_pool(self, tmp_path):
+        with Session(workers=2, cache_dir=tmp_path, keep_pool=True) as session:
+            session._ensure_runner()._ensure_pool()
+            assert session._runner is not None
+        assert session._runner is None
 
     def test_rejects_negative_workers_and_bad_mode(self):
         with pytest.raises(ValueError):
@@ -228,17 +341,19 @@ class TestSessionEvaluate:
 
 
 class TestInheritMode:
-    def test_inherit_session_uses_installed_cache(self, cold_engine, tmp_path):
-        """An INHERIT session evaluates through whatever cache is installed
-        engine-wide, without installing or removing anything itself."""
-        installed = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(installed)
-        session = Session(use_cache=INHERIT)
-        assert session.cache is None and session.cache_dir is None
-        session.evaluate([sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS)
-        assert installed.stats.puts > 0
-        assert engine.get_persistent_cache() is installed
-        engine.set_persistent_cache(None)
+    def test_inherit_mode_is_gone(self):
+        """The v3.0 removal: with the store passed to the engine on every
+        call there is no engine-wide cache to install or inherit."""
+        import repro
+        import repro.api
+
+        with pytest.raises(ValueError):
+            Session(use_cache="inherit")
+        assert not hasattr(repro.api, "INHERIT")
+        for name in ("set_persistent_cache", "get_persistent_cache",
+                     "persistent_cache", "_persistent_cache"):
+            assert not hasattr(engine, name)
+            assert not hasattr(repro, name)
 
     def test_shims_are_gone(self):
         """The v2.0 removal: the deprecated per-family entry points no
@@ -320,16 +435,15 @@ class TestExperimentSpec:
         assert payload["experiment"] == "mini"
         assert payload["categories"] == ["DNN.B"]
 
-        # Identical result through the raw evaluation path, served from the
-        # session's cache (installed engine-wide by ``with session:``).
-        hits_before = session.cache.stats.hits
-        with session:
-            engine.clear_memo_cache()
-            direct = evaluate_design(
-                sparse_b(2, 0, 0), (ModelCategory.B,), spec.eval_settings()
-            )
+        # Identical result through the raw evaluation path, served from a
+        # handle on the session's store.
+        engine.clear_memo_cache()
+        store = PersistentLayerCache(session.cache_dir)
+        direct = evaluate_design(
+            sparse_b(2, 0, 0), (ModelCategory.B,), spec.eval_settings(), cache=store
+        )
         assert direct == result.evaluations[1]
-        assert session.cache.stats.hits > hits_before
+        assert store.stats.hits > 0 and store.stats.misses == 0
 
     def test_run_accepts_dict_and_path(self, cold_engine, tmp_path):
         path = tmp_path / "mini.json"

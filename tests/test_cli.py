@@ -181,10 +181,9 @@ class TestUnifiedDesignParsing:
         assert main(["cost", "--arch", "Sparse.B*"]) == 0
         assert "Sparse.B*" in capsys.readouterr().out
 
-    def test_simulate_griffin_morphs(self, capsys, tmp_path, monkeypatch):
+    def test_simulate_griffin_morphs(self, capsys, tmp_path):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         argv = [
             "simulate", "--arch", "griffin", "--network", "BERT",
@@ -203,10 +202,9 @@ class TestUnifiedDesignParsing:
         assert "0 misses" in warm and "100.0% hit rate" in warm
         assert warm.split("persistent cache")[0] == cold.split("persistent cache")[0]
 
-    def test_compare_accepts_baseline_names(self, capsys, tmp_path, monkeypatch):
+    def test_compare_accepts_baseline_names(self, capsys, tmp_path):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         code = main(
             ["compare", "--category", "DNN.B", "--arch", "Dense",
@@ -225,10 +223,9 @@ class TestUnifiedDesignParsing:
 
 
 class TestRunCommand:
-    def test_run_experiment_cold_then_warm(self, capsys, tmp_path, monkeypatch):
+    def test_run_experiment_cold_then_warm(self, capsys, tmp_path):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         spec_path = tmp_path / "mini.json"
         spec_path.write_text(json.dumps(MINI_SPEC))
@@ -265,10 +262,9 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--space", "c"])
 
-    def test_quick_sweep_cold_then_warm(self, capsys, tmp_path, monkeypatch):
+    def test_quick_sweep_cold_then_warm(self, capsys, tmp_path):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         argv = [
             "sweep", "--space", "b", "--quick", "--limit", "4",
@@ -293,10 +289,9 @@ class TestSweepCommand:
         assert payload["space"] == "b" and len(payload["rows"]) == 4
         assert payload["cache"]["hits"] > 0
 
-    def test_no_cache_flag(self, capsys, tmp_path, monkeypatch):
+    def test_no_cache_flag(self, capsys, tmp_path):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         code = main(
             ["sweep", "--space", "b", "--quick", "--limit", "2",
@@ -327,11 +322,10 @@ class TestSearchCommand:
         assert "budget" in capsys.readouterr().err
 
     def test_spec_search_with_checkpoint_resume_and_json(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path
     ):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
@@ -360,13 +354,11 @@ class TestSearchCommand:
         assert payload["optimal"]["label"] == \
             cold.split("optimal point")[1].splitlines()[0].split(": ")[1]
 
-    def test_strategy_override_keeps_spec_tuning(self, capsys, tmp_path,
-                                                 monkeypatch):
+    def test_strategy_override_keeps_spec_tuning(self, capsys, tmp_path):
         """--strategy random must inherit the spec's budget/seed, not
         reset them to flag defaults."""
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
@@ -400,11 +392,10 @@ class TestSearchCommand:
         assert "add --strategy" in capsys.readouterr().err
 
     def test_exhaustive_override_matches_sweep_selection(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path
     ):
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
@@ -420,13 +411,12 @@ class TestSearchCommand:
 
 class TestSurrogateCommand:
     def test_fit_check_and_multifidelity_search(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path
     ):
         """The full CLI loop: fit constants from this cache, verify the
         error budget offline, then spend them in a multi-fidelity search."""
         from repro.sim import engine
 
-        monkeypatch.setattr(engine, "_persistent_cache", None)
         engine.clear_memo_cache()
         cache = str(tmp_path / "cache")
         constants = tmp_path / "constants.json"

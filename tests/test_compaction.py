@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compaction_oracle import compact_schedule_reference
-from repro.sim.compaction import CompactionResult, compact_schedule, unpack_schedule
+from repro.sim.compaction import (
+    CompactionResult,
+    compact_schedule,
+    compact_schedule_batch,
+    unpack_schedule,
+)
 
 
 def random_mask(seed, t, l, c1, c2=1, density=0.3):
@@ -34,6 +39,24 @@ class TestBasicSemantics:
     def test_zero_time_steps(self):
         mask = np.zeros((0, 4, 2), dtype=bool)
         assert compact_schedule(mask, 2, 0, 0).cycles == 0
+
+    def test_empty_tiles_are_a_batch_of_one(self):
+        """``T == 0`` and zero-slot tiles: no schedule unless recording,
+        then the 1-D empty one -- alone, batched, and in every front mode."""
+        for shape in ((0, 4, 2), (0, 4, 2, 2), (5, 0, 2), (0, 0, 3)):
+            mask = np.zeros(shape, dtype=bool)
+            for d1, d2, d3 in ((0, 0, 0), (2, 0, 0), (1, 1, 1)):
+                (bare,) = compact_schedule_batch([mask], d1, d2, d3)
+                assert bare == CompactionResult(0, 0, 0, 0)
+                for mode in ("stream", "unit", "tile"):
+                    single = compact_schedule(mask, d1, d2, d3, front_mode=mode)
+                    assert single == bare
+                    recorded = compact_schedule(
+                        mask, d1, d2, d3, return_schedule=True, front_mode=mode
+                    )
+                    assert recorded.cycles == 0
+                    assert recorded.schedule.shape == (0,)
+                    assert recorded.schedule.dtype == np.int64
 
     def test_single_hot_stream_is_work_bound(self):
         mask = np.zeros((30, 4, 1), dtype=bool)

@@ -114,7 +114,12 @@ def check_batch_matches_sequential(
 ) -> None:
     """The batch, and each tile as a batch of one, against the oracle run
     tile by tile -- recorded schedules bit for bit, and without recording
-    the same counts and no schedule."""
+    the same counts and no schedule.  A ``T == 0`` tile of the same
+    geometry rides at both ends of every batch: alone or batched it runs
+    no cycle and, like every tile that never executes, records the 1-D
+    empty schedule."""
+    empty = np.zeros((0, *masks[0].shape[1:]), dtype=bool)
+    masks = [empty, *masks, empty]
     oracle = [
         compact_schedule_reference(
             m, d1, d2, d3, lane_wrap=lane_wrap, return_schedule=True
@@ -129,10 +134,16 @@ def check_batch_matches_sequential(
         for m in masks
     ]
     unrecorded = compact_schedule_batch(masks, d1, d2, d3, lane_wrap=lane_wrap)
+    bare_singles = [
+        compact_schedule(m, d1, d2, d3, lane_wrap=lane_wrap) for m in masks
+    ]
     assert len(batched) == len(unrecorded) == len(oracle)
-    for want, bat, single, bare in zip(oracle, batched, singles, unrecorded):
+    for want, bat, single, bare, bare_single in zip(
+        oracle, batched, singles, unrecorded, bare_singles
+    ):
         assert_same_result(bat, want)
         assert_same_result(single, want)
+        assert bare_single == bare
         assert bare.schedule is None
         assert (bare.cycles, bare.busy_cycles, bare.executed_ops, bare.borrowed_ops) == (
             want.cycles, want.busy_cycles, want.executed_ops, want.borrowed_ops

@@ -116,8 +116,7 @@ def scheduled(monkeypatch):
         return tiles
 
     monkeypatch.setattr(engine, "_tile_cycles_batch", spy)
-    with engine.persistent_cache(None):
-        yield seen
+    yield seen
     engine.clear_memo_cache()
 
 
@@ -206,9 +205,8 @@ def test_clear_memo_cache_empties_every_engine_memo():
         if callable(getattr(value, "cache_info", None))
     }
     assert {"_sampled_passes", "_simulate_layer_cached"} <= set(memos)
-    with engine.persistent_cache(None):
-        for config, category, _, _ in REQUESTS.values():
-            simulate_layer(LAYER, config, category, OPTIONS)
+    for config, category, _, _ in REQUESTS.values():
+        simulate_layer(LAYER, config, category, OPTIONS)
     assert memos["_sampled_passes"].cache_info().currsize > 0
     assert memos["_simulate_layer_cached"].cache_info().currsize > 0
     engine.clear_memo_cache()

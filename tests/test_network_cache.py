@@ -40,12 +40,10 @@ NETWORK = benchmark("BERT").network
 
 @pytest.fixture
 def cold_engine():
-    """No inherited memoization or persistent cache; restore afterwards."""
-    previous = engine.set_persistent_cache(None)
+    """No inherited memoization before or after the test."""
     engine.clear_memo_cache()
     yield
     engine.clear_memo_cache()
-    engine.set_persistent_cache(previous)
 
 
 def key_of(network=NETWORK, config=CONFIG, category=ModelCategory.B,
@@ -91,8 +89,7 @@ class TestSerialization:
 class TestNetworkTierRoundTrip:
     def test_warm_run_is_one_read_zero_layer_lookups(self, cold_engine, tmp_path):
         writer = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(writer)
-        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=writer)
         # Cold: network miss, layer misses, both tiers written through.
         assert writer.stats.network_misses == 1
         assert writer.stats.network_puts == 1
@@ -101,47 +98,20 @@ class TestNetworkTierRoundTrip:
         # New process simulated by: cold memo + a fresh cache object.
         engine.clear_memo_cache()
         reader = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(reader)
-        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=reader)
         assert second == first  # floats survive the JSON round trip exactly
         assert reader.stats.network_hits == 1
         assert reader.stats.layer_lookups == 0, "whole network in one read"
         assert reader.stats.hits == 1 and reader.stats.misses == 0
 
-    def test_layer_only_cache_still_works(self, cold_engine, tmp_path):
-        """A cache object without the network tier keeps the old behavior."""
-
-        class LayerOnly:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def get(self, key):
-                return self.inner.get(key)
-
-            def put(self, key, result):
-                self.inner.put(key, result)
-
-        backing = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(LayerOnly(backing))
-        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
-        assert backing.stats.network_lookups == 0
-        assert backing.stats.layer_puts > 0
-
-        engine.clear_memo_cache()
-        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
-        assert second == first
-        assert backing.stats.network_lookups == 0
-
     def test_display_names_round_trip(self, cold_engine, tmp_path):
         named = sparse_b(4, 0, 1, shuffle=True, name="Sparse.B*")
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS)
+        first = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS, cache=cache)
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        second = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS)
+        second = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS, cache=fresh)
         assert fresh.stats.network_hits == 1
         assert second.config == "Sparse.B*"
         assert second.network == first.network == NETWORK.name
@@ -153,8 +123,7 @@ class TestCorruptionFallback:
         self, cold_engine, tmp_path
     ):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
         path = cache.network_path_for(key_of())
         assert path.is_file()
@@ -162,8 +131,7 @@ class TestCorruptionFallback:
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
         # The network tier erred and missed; the layer tier answered; the
         # repaired network entry went back to disk.
@@ -177,8 +145,7 @@ class TestCorruptionFallback:
         self, cold_engine, tmp_path
     ):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
         for entry in list(cache.networks_dir.glob("*/*.json")) + list(
             cache.layers_dir.glob("*/*.json")
@@ -187,8 +154,7 @@ class TestCorruptionFallback:
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
         assert fresh.stats.network_errors == 1
         assert fresh.stats.layer_errors > 0
@@ -196,8 +162,7 @@ class TestCorruptionFallback:
 
     def test_wrong_network_schema_version_is_a_miss(self, cold_engine, tmp_path):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         path = cache.network_path_for(key_of())
         stale = json.loads(path.read_text())
         stale["v"] = 999
@@ -205,18 +170,16 @@ class TestCorruptionFallback:
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
         assert fresh.stats.network_errors == 1
 
 
 class TestCrossTierStats:
     def test_tier_shares_sum_to_totals(self, cold_engine, tmp_path):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         engine.clear_memo_cache()
-        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
         s = cache.stats
         assert s.layer_hits + s.network_hits == s.hits
@@ -256,8 +219,7 @@ class TestCrossTierStats:
 
     def test_clear_and_len_cover_both_tiers(self, cold_engine, tmp_path):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         layer_entries = sum(1 for _ in cache.layers_dir.glob("*/*.json"))
         network_entries = sum(1 for _ in cache.networks_dir.glob("*/*.json"))
         assert network_entries == 1 and layer_entries > 0

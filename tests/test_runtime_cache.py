@@ -31,12 +31,10 @@ def small_layer(name: str = "block") -> NetworkLayer:
 
 @pytest.fixture
 def isolated_engine():
-    """Run with no persistent cache and a cold memo; restore afterwards."""
-    previous = engine.set_persistent_cache(None)
+    """No inherited memoization before or after the test."""
     engine.clear_memo_cache()
     yield
     engine.clear_memo_cache()
-    engine.set_persistent_cache(previous)
 
 
 def key_of(layer: NetworkLayer) -> str:
@@ -100,24 +98,21 @@ class TestPersistentRoundTrip:
     def test_recompute_from_disk_is_identical(self, isolated_engine, tmp_path):
         layer = small_layer()
         writer = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(writer)
-        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=writer)
         assert writer.stats.misses == 1 and writer.stats.puts == 1
         assert len(writer) == 1
 
         # New process simulated by: cold memo + a fresh cache object.
         engine.clear_memo_cache()
         reader = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(reader)
-        second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=reader)
         assert reader.stats == CacheStats(hits=1, misses=0, puts=0, errors=0)
         assert second == first  # bitwise: floats survive the JSON round trip
 
     def test_corrupt_entry_recomputes_gracefully(self, isolated_engine, tmp_path):
         layer = small_layer()
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
         path = cache.path_for(key_of(layer))
         assert path.is_file()
@@ -125,8 +120,7 @@ class TestPersistentRoundTrip:
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
         assert fresh.stats.errors == 1 and fresh.stats.misses == 1
         assert fresh.stats.puts == 1  # the repaired entry went back to disk
@@ -135,8 +129,7 @@ class TestPersistentRoundTrip:
     def test_wrong_schema_version_is_a_miss(self, isolated_engine, tmp_path):
         layer = small_layer()
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         path = cache.path_for(key_of(layer))
         stale = json.loads(path.read_text())
         stale["v"] = 999
@@ -144,14 +137,12 @@ class TestPersistentRoundTrip:
 
         engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(fresh)
-        assert simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
         assert fresh.stats.errors == 1
 
     def test_clear_removes_entries(self, isolated_engine, tmp_path):
         cache = PersistentLayerCache(tmp_path)
-        engine.set_persistent_cache(cache)
-        simulate_layer(small_layer(), CONFIG, ModelCategory.B, OPTIONS)
+        simulate_layer(small_layer(), CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0

@@ -7,8 +7,11 @@ The load-bearing guarantees:
   (same seeds -- every evaluation is an independent deterministic function
   of its design point);
 * a second invocation against the same cache directory is served almost
-  entirely from the persistent cache (>= 90% hit rate, the PR's
-  acceptance bar).
+  entirely from the persistent cache (>= 90% hit rate).
+
+The serial side of each comparison is the in-process loop of
+:meth:`repro.api.Session.evaluate` (``workers <= 1``); the runner itself
+is the process-pool path.
 
 The suite is restricted to BERT (the cheapest Table IV benchmark: two
 unique encoder layers) so the *full* 42-point configuration space stays
@@ -17,9 +20,11 @@ affordable; the invariants do not depend on which network is simulated.
 
 import pytest
 
+from repro.api import Session
 from repro.config import ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings
 from repro.dse.explorer import design_space, sparse_b_space
+from repro.runtime.cache import PersistentLayerCache
 from repro.runtime.runner import SweepRunner, chunk_indices, default_chunk_size
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
@@ -31,12 +36,10 @@ CATEGORIES = (ModelCategory.B, ModelCategory.DENSE)
 
 @pytest.fixture
 def cold_engine():
-    """No inherited memoization or persistent cache; restore afterwards."""
-    previous = engine.set_persistent_cache(None)
+    """No inherited memoization before or after the test."""
     engine.clear_memo_cache()
     yield
     engine.clear_memo_cache()
-    engine.set_persistent_cache(previous)
 
 
 class TestLifecycle:
@@ -78,11 +81,11 @@ class TestRunnerBasics:
 
     def test_progress_reported_serially(self, cold_engine, tmp_path):
         seen = []
-        runner = SweepRunner(
+        session = Session(
             workers=0, cache_dir=tmp_path, progress=lambda d, t: seen.append((d, t))
         )
         configs = sparse_b_space()[:3]
-        runner.run(configs, (ModelCategory.B,), SETTINGS)
+        session.evaluate(configs, (ModelCategory.B,), SETTINGS)
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
@@ -91,14 +94,12 @@ class TestParallelEqualsSerial:
 
     @pytest.fixture(scope="class")
     def serial_outcome(self):
-        previous = engine.set_persistent_cache(None)
         engine.clear_memo_cache()
         try:
-            runner = SweepRunner(workers=0, use_cache=False)
-            yield runner.run(design_space("b"), CATEGORIES, SETTINGS)
+            session = Session(workers=0, use_cache=False)
+            yield session.evaluate(design_space("b"), CATEGORIES, SETTINGS)
         finally:
             engine.clear_memo_cache()
-            engine.set_persistent_cache(previous)
 
     def test_full_space_is_covered(self, serial_outcome):
         configs = design_space("b")
@@ -141,7 +142,7 @@ class TestParallelEqualsSerial:
 
     def test_serial_with_cache_identical(self, serial_outcome, cold_engine, tmp_path):
         configs = design_space("b")
-        outcome = SweepRunner(workers=1, cache_dir=tmp_path).run(
+        outcome = Session(workers=1, cache_dir=tmp_path).evaluate(
             configs, CATEGORIES, SETTINGS
         )
         assert outcome.evaluations == serial_outcome.evaluations
@@ -150,50 +151,32 @@ class TestParallelEqualsSerial:
 
 
 class TestNoCache:
-    def test_use_cache_false_overrides_installed_global_cache(self, tmp_path):
-        """A use_cache=False run must neither read nor write a cache that
-        happens to be installed globally (e.g. by a previous runner)."""
-        from repro.runtime.cache import PersistentLayerCache
+    def test_use_cache_false_serial_writes_nothing(self, cold_engine, tmp_path,
+                                                   monkeypatch):
+        """A use_cache=False session neither reads nor writes any store,
+        not even the default one."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        outcome = Session(workers=0, use_cache=False).evaluate(
+            sparse_b_space()[:2], (ModelCategory.B,), SETTINGS
+        )
+        assert outcome.cache_stats.lookups == 0
+        assert len(PersistentLayerCache(tmp_path)) == 0, "nothing may be written"
 
-        installed = PersistentLayerCache(tmp_path)
-        previous = engine.set_persistent_cache(installed)
-        engine.clear_memo_cache()
-        try:
-            outcome = SweepRunner(workers=0, use_cache=False).run(
-                sparse_b_space()[:2], (ModelCategory.B,), SETTINGS
-            )
-            assert outcome.cache_stats.lookups == 0
-            assert installed.stats.lookups == 0 and installed.stats.puts == 0
-            assert len(installed) == 0, "nothing may be written to disk"
-            # The global cache survives the run untouched.
-            assert engine.get_persistent_cache() is installed
-        finally:
-            engine.clear_memo_cache()
-            engine.set_persistent_cache(previous)
-
-    def test_use_cache_false_parallel_workers_write_nothing(self, tmp_path):
-        from repro.runtime.cache import PersistentLayerCache
-
-        installed = PersistentLayerCache(tmp_path)
-        previous = engine.set_persistent_cache(installed)
-        engine.clear_memo_cache()
-        try:
-            # Forked workers inherit the installed cache; _worker_init must
-            # explicitly clear it for a no-cache run.
-            outcome = SweepRunner(workers=2, use_cache=False).run(
-                sparse_b_space()[:4], (ModelCategory.B,), SETTINGS
-            )
-            assert outcome.cache_stats.lookups == 0
-            assert len(installed) == 0, "workers must not write through the fork"
-        finally:
-            engine.clear_memo_cache()
-            engine.set_persistent_cache(previous)
+    def test_use_cache_false_parallel_workers_write_nothing(
+        self, cold_engine, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        outcome = SweepRunner(workers=2, use_cache=False).run(
+            sparse_b_space()[:4], (ModelCategory.B,), SETTINGS
+        )
+        assert outcome.cache_stats.lookups == 0
+        assert len(PersistentLayerCache(tmp_path)) == 0, "workers must write nothing"
 
 
 class TestCrossProcessReuse:
     def test_serial_then_parallel_reuses_serial_results(self, cold_engine, tmp_path):
         configs = sparse_b_space()[:6]
-        serial = SweepRunner(workers=0, cache_dir=tmp_path).run(
+        serial = Session(workers=0, cache_dir=tmp_path).evaluate(
             configs, (ModelCategory.B,), SETTINGS
         )
         assert serial.cache_stats.puts > 0

@@ -77,12 +77,10 @@ SPEC_DICT = {
 
 @pytest.fixture
 def cold_engine():
-    """No inherited memoization or persistent cache; restore afterwards."""
-    previous = engine.set_persistent_cache(None)
+    """No inherited memoization before or after the test."""
     engine.clear_memo_cache()
     yield
     engine.clear_memo_cache()
-    engine.set_persistent_cache(previous)
 
 
 # ----------------------------------------------------------------------
