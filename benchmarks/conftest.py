@@ -14,16 +14,12 @@ from disk by every later figure that needs it.  The cache directory is a
 pytest temp dir: benchmark runs never touch (or depend on) the user's
 ``~/.cache/repro``.
 
-Two environment hooks exist for ``tools/bench_report.py`` (the perf
-trajectory recorder): ``REPRO_BENCH_CACHE_DIR`` pins the session's cache
-directory (so per-module pytest invocations share one warm cache), and
-``REPRO_BENCH_STATS_JSON`` dumps the session's unified cache counters to
-the named file when the run ends.
+These modules are tier-1 correctness tests: each asserts the paper's
+claims, not a timing.  Performance is measured by ``perfbench/`` and
+gated by ``tools/bench_gate.py`` (see ``docs/benchmarks.md``).
 """
 
-import json
 import os
-import sys
 
 import pytest
 
@@ -49,34 +45,7 @@ def settings() -> EvalSettings:
 @pytest.fixture(scope="session")
 def session(tmp_path_factory) -> Session:
     """One session (and one persistent cache) for the whole benchmark run."""
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR") or tmp_path_factory.mktemp(
-        "repro-cache"
-    )
-    sess = Session(cache_dir=cache_dir)
-    yield sess
-    stats_path = os.environ.get("REPRO_BENCH_STATS_JSON")
-    if stats_path:
-        payload = sess.stats.as_dict()
-        rss_kb = _peak_rss_kb()
-        if rss_kb is not None:
-            payload["max_rss_kb"] = rss_kb
-        with open(stats_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-
-
-def _peak_rss_kb() -> int | None:
-    """This process's peak resident set size in KB (None where unsupported).
-
-    ``ru_maxrss`` is kilobytes on Linux but bytes on macOS.
-    """
-    try:
-        import resource
-    except ImportError:  # non-POSIX platform
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        peak //= 1024
-    return int(peak)
+    return Session(cache_dir=tmp_path_factory.mktemp("repro-cache"))
 
 
 def show(text: str) -> None:

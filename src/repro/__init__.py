@@ -35,7 +35,6 @@ from repro.api import (
     ExperimentSpec,
     SearchResult,
     Session,
-    run_experiment,
 )
 from repro.core.overhead import HardwareOverhead, overhead_of
 from repro.obs import (
@@ -102,7 +101,7 @@ from repro.workloads.spec import (
     register_sparsity_profile,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ArchConfig",
@@ -124,7 +123,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
     "SearchResult",
-    "run_experiment",
     "SearchSpace",
     "SearchSpec",
     "paper_space",

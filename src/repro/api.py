@@ -833,12 +833,3 @@ class Session:
         if save is not None and save is not False:
             save_constants(constants, None if save is True else save)
         return constants
-
-
-def run_experiment(
-    spec: "ExperimentSpec | Mapping | str | os.PathLike",
-    session: Session | None = None,
-    quick: bool | None = None,
-) -> ExperimentResult:
-    """Convenience wrapper: run a spec on ``session`` (or a fresh one)."""
-    return (session or Session()).run(spec, quick=quick)

@@ -7,7 +7,7 @@ from repro.core.metrics import (
     effective_tops_per_watt,
     geometric_mean,
 )
-from repro.core.griffin import GriffinEvaluation, MorphComparison, compare_morph_vs_downgrade
+from repro.core.griffin import MorphComparison, compare_morph_vs_downgrade
 
 __all__ = [
     "HardwareOverhead",
@@ -16,7 +16,6 @@ __all__ = [
     "effective_tops_per_watt",
     "effective_tops_per_mm2",
     "geometric_mean",
-    "GriffinEvaluation",
     "MorphComparison",
     "compare_morph_vs_downgrade",
 ]

@@ -102,21 +102,3 @@ def morph_fits_provisioned_hardware(griffin: GriffinArch) -> dict[str, bool]:
             and ovh.adder_trees <= base.adder_trees
         )
     return checks
-
-
-@dataclass(frozen=True)
-class GriffinEvaluation:
-    """Speedups of a Griffin instance across the four model categories."""
-
-    dense: float
-    a: float
-    b: float
-    ab: float
-
-    def speedup(self, category: ModelCategory) -> float:
-        return {
-            ModelCategory.DENSE: self.dense,
-            ModelCategory.A: self.a,
-            ModelCategory.B: self.b,
-            ModelCategory.AB: self.ab,
-        }[category]

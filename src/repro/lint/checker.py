@@ -23,7 +23,6 @@ from repro.lint.framework import (
     LINT_SCHEMA_VERSION,
     Finding,
     ModuleSource,
-    Rule,
     rules_for_codes,
 )
 
@@ -150,8 +149,3 @@ def run_lint(
             sorted({code for rule in rules for code in rule.codes})
         ),
     )
-
-
-def all_rules() -> list[Rule]:
-    """Every registered rule (import side effects guaranteed by this module)."""
-    return rules_for_codes(None)

@@ -25,8 +25,7 @@ mechanical gate:
 * for provably-bitwise-identical refactors (the PR 6 hot-path rewrite),
   ``repro lint refresh-manifest`` alone re-records the hash under the
   *unchanged* version -- the golden-result tests are the proof the
-  refresh is legitimate, exactly like ``tools/bench_gate.py snapshot``
-  refreshes (see ``docs/benchmarks.md``).
+  refresh is legitimate.
 """
 
 from __future__ import annotations

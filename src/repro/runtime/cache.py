@@ -143,19 +143,6 @@ class CacheStats:
             self.network_puts, self.network_errors,
         )
 
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        """Activity that happened after ``since`` was snapshotted."""
-        return CacheStats(
-            self.hits - since.hits,
-            self.misses - since.misses,
-            self.puts - since.puts,
-            self.errors - since.errors,
-            self.network_hits - since.network_hits,
-            self.network_misses - since.network_misses,
-            self.network_puts - since.network_puts,
-            self.network_errors - since.network_errors,
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "hits": self.hits,

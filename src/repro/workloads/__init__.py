@@ -9,7 +9,6 @@ into a fingerprinted :class:`Workload` (see ``docs/workloads.md``).
 
 from repro.workloads.sparsity import (
     SparsityProfile,
-    LayerSparsity,
     act_profile,
     activation_tile_mask,
     channel_factors,
@@ -59,7 +58,6 @@ from repro.workloads.spec import (
 
 __all__ = [
     "SparsityProfile",
-    "LayerSparsity",
     "act_profile",
     "weight_profile",
     "channel_factors",

@@ -104,7 +104,7 @@ class Workload:
 
     def describe(self) -> dict:
         """JSON-shaped summary record (what ``repro workloads list --json``
-        and ``tools/bench_report.py`` emit)."""
+        emits)."""
         network = self.network
         return {
             "name": self.name,

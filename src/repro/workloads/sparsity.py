@@ -99,14 +99,6 @@ def act_profile(density: float) -> SparsityProfile:
     )
 
 
-@dataclass(frozen=True)
-class LayerSparsity:
-    """The sparsity of one layer's GEMM operands."""
-
-    weights: SparsityProfile
-    activations: SparsityProfile
-
-
 def channel_factors(rng: np.random.Generator, count: int, cv: float) -> np.ndarray:
     """Per-channel density multipliers with unit mean and the given CV.
 

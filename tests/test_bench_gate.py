@@ -1,13 +1,12 @@
-"""Unit tests for ``tools/bench_gate.py`` on synthetic snapshot pairs.
+"""Unit tests for ``tools/bench_gate.py`` on synthetic ledgers.
 
-The gate's comparison logic must be trustworthy without ever executing a
-real benchmark: these tests build small in-memory reports/snapshots and
-exercise every verdict the gate can return -- pass, warn, fail, a module
-missing from the current run, a new module, a failed module, the
-absolute noise floor, and the machine-calibration scaling.  The last
-test is the tier-1 smoke over ``benchmarks/history/``: every committed
-snapshot must parse against the schema, so a malformed commit fails fast
-here instead of deep inside a CI gate run.
+The gate's judging must be trustworthy without running the benchmark:
+these tests build small in-memory ledgers and exercise every verdict --
+end-to-end bounds, counts, per-layer ratios to the rest of the traced
+wall, the floor share, the host rule, incorrect runs and missing
+workloads or metrics.  The last class is the tier-1 smoke over
+``benchmarks/history/``: the committed snapshot must validate and cover
+every workload and metric of ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -21,287 +20,261 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import bench_gate  # noqa: E402
 from bench_gate import (  # noqa: E402
-    ABS_FLOOR_S,
-    SNAPSHOT_SCHEMA,
-    GateResult,
-    cache_hit_rate,
+    BENCHMARK,
+    FLOOR_SHARE,
+    HISTORY_DIR,
+    LEDGER_SCHEMA,
     compare,
     history_snapshots,
-    latest_snapshot,
-    merge_min_of_n,
+    main,
     next_snapshot_path,
-    trend_table,
-    validate_report,
-    validate_snapshot,
+    report,
+    summarize,
+    validate,
 )
 
-HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
+HOST = {"cpu": "Synthetic CPU @ 2.0GHz", "nproc": 2, "python": "3.11.7", "numpy": "2.0.0"}
+WORKLOAD = "fig8-cold"
+BENCHMARK_UNITS = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
 
 
-def make_record(module: str, wall_s: float, passed: bool = True,
-                error: str | None = None) -> dict:
-    return {
-        "module": module,
-        "passed": passed,
-        "returncode": 0 if passed else 1,
-        "wall_s": wall_s,
-        "cache": {"hits": 0, "misses": 1},
-        "summary": "1 passed" if passed else "1 failed",
-        "error": error,
+def perfbench_out(**metrics: float) -> dict:
+    """One perfbench result line; ``a__b`` keyword arguments name metric ``a.b``."""
+    return {"correct": True, "metrics": {name.replace("__", "."): {"value": value}
+                                         for name, value in metrics.items()}}
+
+
+def ledger(**metrics: float) -> dict:
+    """A one-workload ledger of one run; keyword arguments override metrics."""
+    base = {
+        "setup_s": 0.5, "wall_s": 6.0, "peak_rss_mb": 370.0, "ok_ratio": 1.0,
+        "p50_ms": 14.0, "p95_ms": 40.0, "throughput_rps": 350.0,
+        "sim.sample_passes.self_s": 3.5, "sim.tile_batch.self_s": 3.0,
+        "sim.layer.self_s": 1.45, "cache.layer.get_s": 0.05, "sim.tile_batch.calls": 1084,
+        "cache.layer.puts": 1905, "cache.layer.hits": 127,
+        "trace.wall_s": 8.0, "trace.overhead_pct": 1.0, "startup.import_s": 0.26,
     }
+    base.update({name.replace("__", "."): value for name, value in metrics.items()})
+    return {"schema": LEDGER_SCHEMA, "seeds": 3, "host": dict(HOST),
+            "workloads": {WORKLOAD: summarize([perfbench_out(**base)])}}
 
 
-def make_report(records: list[dict]) -> dict:
-    return {
-        "total_wall_s": round(sum(r["wall_s"] for r in records), 3),
-        "modules_passed": sum(r["passed"] for r in records),
-        "modules_failed": sum(not r["passed"] for r in records),
-        "failed": sorted(r["module"] for r in records if not r["passed"]),
-        "python": "3.11.0",
-        "results": records,
-    }
+def verdicts(current: dict, baseline: dict | None = None) -> dict[str, str]:
+    result = compare(current, baseline or ledger())
+    return {row.metric: row.verdict for row in result.rows if row.workload == WORKLOAD}
 
 
-def make_snapshot(records: list[dict], calibration_s: float = 1.0) -> dict:
-    return {
-        "meta": {
-            "schema": SNAPSHOT_SCHEMA,
-            "label": "synthetic",
-            "created": "2026-01-01",
-            "commit": "0000000",
-            "repeats": 3,
-            "calibration_s": calibration_s,
-        },
-        "report": make_report(records),
-        "workloads": {"workloads": []},
-    }
-
-
-def statuses(result: GateResult) -> dict[str, str]:
-    return {row.module: row.status for row in result.rows}
-
-
-class TestValidation:
-    def test_valid_report_passes(self):
-        report = make_report([make_record("test_a", 2.0)])
-        assert validate_report(report) == []
-
-    def test_report_missing_keys(self):
-        errors = validate_report({"results": [{}]})
-        assert any("missing keys" in e for e in errors)
-
-    def test_report_not_a_dict(self):
-        assert validate_report([1, 2]) != []
-
-    def test_report_empty_results(self):
-        report = make_report([make_record("test_a", 1.0)])
-        report["results"] = []
-        assert any("non-empty" in e for e in validate_report(report))
-
-    def test_report_duplicate_module(self):
-        report = make_report([make_record("test_a", 1.0), make_record("test_a", 2.0)])
-        assert any("duplicate" in e for e in validate_report(report))
-
-    def test_report_negative_wall(self):
-        report = make_report([make_record("test_a", -1.0)])
-        assert any("wall_s" in e for e in validate_report(report))
-
-    def test_report_failed_list_disagrees(self):
-        report = make_report([make_record("test_a", 1.0, passed=False)])
-        report["failed"] = []  # lies about the per-module records
-        assert any("disagrees" in e for e in validate_report(report))
-
-    def test_valid_snapshot_passes(self):
-        snapshot = make_snapshot([make_record("test_a", 2.0)])
-        assert validate_snapshot(snapshot) == []
-
-    def test_snapshot_missing_meta(self):
-        snapshot = make_snapshot([make_record("test_a", 2.0)])
-        del snapshot["meta"]
-        assert any("meta" in e for e in validate_snapshot(snapshot))
-
-    def test_snapshot_bad_calibration(self):
-        snapshot = make_snapshot([make_record("test_a", 2.0)])
-        snapshot["meta"]["calibration_s"] = -3
-        assert any("calibration_s" in e for e in validate_snapshot(snapshot))
-
-    def test_snapshot_unknown_schema(self):
-        snapshot = make_snapshot([make_record("test_a", 2.0)])
-        snapshot["meta"]["schema"] = "bench-snapshot-v99"
-        assert any("schema" in e for e in validate_snapshot(snapshot))
-
-    def test_compare_rejects_malformed_snapshot(self):
-        current = make_report([make_record("test_a", 1.0)])
-        with pytest.raises(ValueError, match="malformed baseline"):
-            compare(current, {"meta": {}, "report": {}})
-
-
-class TestMergeMinOfN:
-    def test_min_wall_wins(self):
-        merged = merge_min_of_n([
-            make_report([make_record("test_a", 3.0)]),
-            make_report([make_record("test_a", 2.0)]),
-            make_report([make_record("test_a", 2.5)]),
-        ])
-        (record,) = merged["results"]
-        assert record["wall_s"] == 2.0
-        assert record["wall_all"] == [3.0, 2.0, 2.5]
-        assert merged["repeats"] == 3
-        assert merged["total_wall_s"] == 2.0
-
-    def test_any_failing_repeat_marks_failed(self):
-        merged = merge_min_of_n([
-            make_report([make_record("test_a", 2.0)]),
-            make_report([make_record("test_a", 9.0, passed=False, error="boom")]),
-            make_report([make_record("test_a", 1.0)]),
-        ])
-        (record,) = merged["results"]
-        assert not record["passed"]
-        assert record["error"] == "boom"
-        assert merged["failed"] == ["test_a"]
-
-    def test_module_order_preserved(self):
-        merged = merge_min_of_n([
-            make_report([make_record("test_b", 1.0), make_record("test_a", 1.0)]),
-        ])
-        assert [r["module"] for r in merged["results"]] == ["test_b", "test_a"]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            merge_min_of_n([])
+def failing(current: dict, baseline: dict | None = None) -> set[str]:
+    return {m for m, v in verdicts(current, baseline).items() if v == "FAIL"}
 
 
 class TestCompare:
-    BASE_WALL = 20.0
-
-    def snapshot(self) -> dict:
-        return make_snapshot([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", self.BASE_WALL),
-        ])
-
     def test_identical_passes(self):
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", self.BASE_WALL),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "pass"
-        assert statuses(result) == {"test_fast": "ok", "test_slow": "ok"}
+        result = compare(ledger(), ledger())
+        assert result.ok and result.host_matches
+        assert set(verdicts(ledger())) >= {"correct", "wall_s", "sim.tile_batch.self_s"}
+        assert set(verdicts(ledger()).values()) <= {"ok", "below floor", "info"}
 
     def test_improvement_passes(self):
-        current = make_report([
-            make_record("test_fast", 0.5),
-            make_record("test_slow", self.BASE_WALL / 3),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "pass"
+        assert failing(ledger(wall_s=3.0, throughput_rps=700.0,
+                              sim__tile_batch__calls=900)) == set()
 
-    def test_regression_between_10_and_20_pct_warns(self):
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", self.BASE_WALL * 1.15),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "warn"
-        assert statuses(result)["test_slow"] == "warn"
+    @pytest.mark.parametrize("metric, value, fails", [
+        pytest.param("wall_s", 6.0 * 1.3, True, id="wall_s-x1.3-fails"),
+        pytest.param("wall_s", 6.0 * 1.2, False, id="wall_s-x1.2-passes"),
+        pytest.param("throughput_rps", 350.0 * 0.7, True, id="throughput_rps-x0.7-fails"),
+        pytest.param("peak_rss_mb", 370.0 * 1.15, True, id="peak_rss_mb-x1.15-fails"),
+        pytest.param("ok_ratio", 0.98, True, id="ok_ratio-0.98-fails"),
+    ])
+    def test_end_to_end_metric_judged_against_its_bound(self, metric, value, fails):
+        assert failing(ledger(**{metric: value})) == ({metric} if fails else set())
 
-    def test_regression_over_20_pct_fails(self):
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", self.BASE_WALL * 1.5),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "fail"
-        assert statuses(result)["test_slow"] == "fail"
+    @pytest.mark.parametrize("metric, value, fails", [
+        pytest.param("sim.tile_batch.calls", 1085, True, id="calls-rise-fails"),
+        pytest.param("sim.tile_batch.calls", 1083, False, id="calls-fall-passes"),
+        pytest.param("cache.layer.hits", 126, True, id="hits-fall-fails"),
+        pytest.param("cache.layer.hits", 128, False, id="hits-rise-passes"),
+    ])
+    def test_count_fails_when_worse_at_all(self, metric, value, fails):
+        current = ledger(**{metric.replace(".", "__"): value})
+        assert failing(current) == ({metric} if fails else set())
 
-    def test_noise_floor_absorbs_small_absolute_regressions(self):
-        # +25% on a 2s module is only +0.5s -- under the absolute floor,
-        # so it must read as noise, not a regression.
-        assert 2.0 * 0.25 < ABS_FLOOR_S
-        current = make_report([
-            make_record("test_fast", 2.5),
-            make_record("test_slow", self.BASE_WALL),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "pass"
-        assert statuses(result)["test_fast"] == "ok"
+    def test_slower_layer_fails_on_its_row_only(self):
+        # tile_batch x1.3, the traced time longer by the same 0.9 s: its
+        # ratio to the rest of the traced time rises by exactly 30%.
+        current = ledger(sim__tile_batch__self_s=3.9, trace__wall_s=8.9)
+        assert failing(current) == {"sim.tile_batch.self_s"}
+        (row,) = [r for r in compare(current, ledger()).rows
+                  if r.metric == "sim.tile_batch.self_s"]
+        assert row.worse == pytest.approx(0.3)
+        # The same slowdown on a host 2x slower at everything still reads +30%.
+        slow_host = ledger(sim__sample_passes__self_s=7.0, sim__tile_batch__self_s=7.8,
+                           sim__layer__self_s=2.9, cache__layer__get_s=0.1,
+                           trace__wall_s=17.8)
+        assert "sim.tile_batch.self_s" in failing(slow_host)
 
-    def test_missing_module_fails(self):
-        current = make_report([make_record("test_fast", 2.0)])
-        result = compare(current, self.snapshot())
-        assert result.status == "fail"
-        assert statuses(result)["test_slow"] == "missing"
+    def test_layer_ratio_is_taken_within_each_run(self):
+        # Run 2 is the baseline run 1.5x slower at everything; run 3 alone
+        # has a slow tile_batch.  Per run, tile_batch / rest reads 0.5, 0.5
+        # and 0.7, so the median is the baseline's 0.5; the ratio of the
+        # metric medians (1.4 / 2.0 = 0.7) would mix runs and read +40%.
+        runs = [perfbench_out(sim__tile_batch__self_s=1.0, sim__sample_passes__self_s=2.0),
+                perfbench_out(sim__tile_batch__self_s=1.5, sim__sample_passes__self_s=3.0),
+                perfbench_out(sim__tile_batch__self_s=1.4, sim__sample_passes__self_s=2.0)]
+        entry = summarize(runs)
+        metrics = entry["metrics"]
+        assert metrics["sim.tile_batch.self_s"] / metrics["sim.sample_passes.self_s"] == 0.7
+        assert entry["ratios"]["sim.tile_batch.self_s"] == 0.5
+        baseline, current = ledger(), ledger()
+        baseline["workloads"][WORKLOAD] = summarize(runs[:1])
+        current["workloads"][WORKLOAD] = entry
+        assert compare(current, baseline).ok
 
-    def test_new_module_noted_but_passes(self):
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", self.BASE_WALL),
-            make_record("test_extra", 99.0),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "pass"
-        assert statuses(result)["test_extra"] == "new"
+    def test_failed_run_makes_the_workload_incorrect(self):
+        entry = summarize([perfbench_out(wall_s=6.0), None])
+        assert entry["correct"] is False and entry["metrics"] == {"wall_s": 6.0}
 
-    def test_failed_current_module_fails(self):
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", 1.0, passed=False, error="AssertionError: x"),
-        ])
-        result = compare(current, self.snapshot())
-        assert result.status == "fail"
-        assert statuses(result)["test_slow"] == "failed"
+    def test_layer_under_the_floor_is_shown_not_judged(self):
+        current = ledger(cache__layer__get_s=0.15, trace__wall_s=8.1)  # x3, 1.9%
+        assert 0.15 / 8.1 < FLOOR_SHARE
+        result = compare(current, ledger())
+        assert result.ok
+        assert verdicts(current)["cache.layer.get_s"] == "below floor"
+        assert "| cache.layer.get_s | 0.05 | 0.15 | 1.9% |" in report(result)
 
-    def test_failed_baseline_carries_no_budget(self):
-        snapshot = make_snapshot([make_record("test_flaky", 5.0, passed=False)])
-        current = make_report([make_record("test_flaky", 99.0)])
-        result = compare(current, snapshot)
-        assert result.status == "pass"
+    def test_layer_crossing_the_floor_is_judged(self):
+        current = ledger(cache__layer__get_s=0.6, trace__wall_s=8.55)
+        assert failing(current) == {"cache.layer.get_s"}
 
-    def test_calibration_scales_budgets(self):
-        # Current machine is 2x slower (probe 2.0 vs baseline 1.0): a wall
-        # that doubled is exactly on budget, not a regression.
-        current = make_report([
-            make_record("test_fast", 4.0),
-            make_record("test_slow", self.BASE_WALL * 2),
-        ])
-        result = compare(current, self.snapshot(), current_calibration_s=2.0)
-        assert result.scale == 2.0
-        assert result.status == "pass"
+    def test_other_host_judges_counts_and_correctness_only(self):
+        other = ledger(wall_s=12.0, sim__tile_batch__self_s=6.0, sim__tile_batch__calls=1085)
+        other["host"]["cpu"] = "Another CPU"
+        result = compare(other, ledger())
+        assert not result.host_matches
+        rows = {row.metric: row.verdict for row in result.rows}
+        assert rows["sim.tile_batch.calls"] == "FAIL"
+        assert rows["ok_ratio"] == rows["correct"] == "ok"
+        for metric, verdict in rows.items():
+            if BENCHMARK_UNITS.get(metric, "count") != "count" and metric != "ok_ratio":
+                assert verdict == "host differs", metric
+        assert "host differs" in report(result)
 
-    def test_calibration_scaling_still_catches_regressions(self):
-        current = make_report([
-            make_record("test_fast", 4.0),
-            make_record("test_slow", self.BASE_WALL * 3),
-        ])
-        result = compare(current, self.snapshot(), current_calibration_s=2.0)
-        assert result.status == "fail"
+    def test_incorrect_run_fails(self):
+        current = ledger()
+        current["workloads"][WORKLOAD]["correct"] = False
+        assert failing(current) == {"correct"}
+
+    def test_missing_workload_or_metric_fails(self):
+        baseline = ledger()
+        baseline["workloads"]["serve-warm"] = baseline["workloads"][WORKLOAD]
+        result = compare(ledger(), baseline)
+        assert [(r.workload, r.metric, r.verdict) for r in result.rows
+                if r.verdict == "FAIL"] == [("serve-warm", "workload", "FAIL")]
+        current = ledger()
+        del current["workloads"][WORKLOAD]["metrics"]["p95_ms"]
+        assert failing(current) == {"p95_ms"}
+
+    def test_new_metric_noted_but_passes(self):
+        current = ledger(serve__queue_s=1.0)
+        assert verdicts(current)["serve.queue_s"] == "new"
+        assert compare(current, ledger()).ok
+
+
+class TestValidation:
+    def test_valid_snapshot_passes(self):
+        assert validate(ledger()) == []
+
+    def test_snapshot_unknown_schema(self):
+        bad = dict(ledger(), schema="bench-snapshot-v1")
+        assert any("schema" in error for error in validate(bad))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("host"),
+        lambda d: d["host"].pop("cpu"),
+        lambda d: d["workloads"].clear(),
+        lambda d: d["workloads"][WORKLOAD].pop("correct"),
+        lambda d: d["workloads"][WORKLOAD]["metrics"].update(wall_s="slow"),
+        lambda d: d["workloads"][WORKLOAD].pop("ratios"),
+    ], ids=["no-host", "host-without-cpu", "no-workloads", "no-correct", "non-numeric-metric",
+            "no-ratios"])
+    def test_malformed_ledgers_are_named(self, mutate):
+        bad = ledger()
+        mutate(bad)
+        assert validate(bad)
+
+    def test_compare_rejects_malformed_snapshot(self):
+        with pytest.raises(ValueError, match="malformed baseline"):
+            compare(ledger(), {"schema": LEDGER_SCHEMA})
 
 
 class TestTrendTable:
-    def test_table_includes_every_row_and_verdict(self):
-        snapshot = make_snapshot([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", 20.0),
-        ])
-        current = make_report([
-            make_record("test_fast", 2.0),
-            make_record("test_slow", 30.0),
-        ])
-        table = trend_table(compare(current, snapshot))
+    def test_table_includes_every_row_and_verdict(self, tmp_path, capsys):
+        current = ledger(sim__tile_batch__self_s=3.9, trace__wall_s=8.9)
+        table = report(compare(current, ledger()))
         assert "**FAIL**" in table
-        assert "| test_fast |" in table
-        assert "| test_slow |" in table
-        assert "x1.50" in table
-        assert "over budget" in table
+        assert "### fig8-cold (worst judged change +30.0%, sim.tile_batch.self_s)" in table
+        for metric in ledger()["workloads"][WORKLOAD]["metrics"]:
+            assert f"| {metric} |" in table
+        assert "| sim.tile_batch.self_s | 3 | 3.9 | 43.8% | +30.0% | 25% | FAIL |" in table
+        paths = [tmp_path / "current.json", tmp_path / "baseline.json"]
+        for path, payload in zip(paths, (current, ledger())):
+            path.write_text(json.dumps(payload))
+        assert main(["check", str(paths[0]), str(paths[1])]) == 1
+        assert main(["check", str(paths[1]), str(paths[1])]) == 0
+        assert "**PASS**" in capsys.readouterr().out
 
     def test_table_renders_missing_as_dashes(self):
-        snapshot = make_snapshot([make_record("test_gone", 5.0)])
-        current = make_report([make_record("test_new", 1.0)])
-        table = trend_table(compare(current, snapshot))
-        assert "missing" in table
-        assert "new" in table
+        current = ledger()
+        del current["workloads"][WORKLOAD]["metrics"]["p50_ms"]
+        assert "| p50_ms | 14 | – |" in report(compare(current, ledger()))
+
+
+class TestRun:
+    def test_base_is_measured_alternately_and_judged_against(self, tmp_path, monkeypatch,
+                                                              capsys):
+        base_tree = tmp_path / "base"
+        (base_tree / "perfbench").mkdir(parents=True)
+        (base_tree / "perfbench" / "run.py").write_text("")
+        calls = []
+
+        def fake_perfbench(root, workload, seed, trace):
+            calls.append(root)
+            tile = 3.9 if root == bench_gate.REPO_ROOT else 3.0  # the change is slower
+            return perfbench_out(wall_s=6.0, sim__tile_batch__self_s=tile,
+                                 sim__sample_passes__self_s=5.0)
+
+        monkeypatch.setattr(bench_gate, "perfbench", fake_perfbench)
+        out = tmp_path / "ledger.json"
+        assert main(["run", "--base", str(base_tree), "--out", str(out)]) == 1
+        assert calls[:4] == [bench_gate.REPO_ROOT, base_tree, bench_gate.REPO_ROOT, base_tree]
+        assert len(calls) == 2 * 2 * bench_gate.SEEDS * len(BENCHMARK["workloads"])
+        base_ledger = json.loads((tmp_path / "ledger.base.json").read_text())
+        result = compare(json.loads(out.read_text()), base_ledger)
+        assert {row.metric for row in result.rows if row.verdict == "FAIL"} == {
+            "sim.tile_batch.self_s"}
+        assert "**FAIL**" in capsys.readouterr().out
+
+    def test_snapshot_takes_every_round_and_refuses_incorrect_runs(self, tmp_path,
+                                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench_gate, "HISTORY_DIR", tmp_path)
+        monkeypatch.setattr(bench_gate, "perfbench", lambda *args: calls.append(args)
+                            or perfbench_out(wall_s=6.0, sim__tile_batch__self_s=3.0))
+        assert main(["snapshot", "--label", "First"]) == 0
+        assert len(calls) == bench_gate.SNAPSHOT_ROUNDS * bench_gate.SEEDS * 2 * len(
+            BENCHMARK["workloads"])
+        (path,) = history_snapshots(tmp_path)
+        snapshot = json.loads(path.read_text())
+        assert path.name == "0001-first.json" and snapshot["label"] == "First"
+        assert validate(snapshot) == [] and snapshot["rounds"] == bench_gate.SNAPSHOT_ROUNDS
+        monkeypatch.setattr(bench_gate, "perfbench", lambda *args: None)
+        assert main(["snapshot", "--label", "broken"]) == 1
+        assert history_snapshots(tmp_path) == [path]
+
+    def test_base_without_perfbench_is_refused(self, tmp_path):
+        assert main(["run", "--base", str(tmp_path), "--out", str(tmp_path / "l.json")]) == 1
 
 
 class TestHistory:
@@ -313,87 +286,31 @@ class TestHistory:
         (tmp_path / "0007-newer.json").write_text("{}")
         (tmp_path / "README.md").write_text("not a snapshot")
         assert next_snapshot_path(tmp_path, "x").name == "0008-x.json"
-        assert latest_snapshot(tmp_path).name == "0007-newer.json"
+        assert history_snapshots(tmp_path)[-1].name == "0007-newer.json"
 
     def test_empty_history_has_no_latest(self, tmp_path):
-        assert latest_snapshot(tmp_path) is None
         assert history_snapshots(tmp_path) == []
 
 
-class TestCacheHitRate:
-    """The cache hit-rate trend column (serve PR satellite)."""
-
-    def test_rate_from_raw_cache_dict(self):
-        record = make_record("m", 1.0)
-        record["cache"] = {"hits": 3, "misses": 1}
-        assert cache_hit_rate(record) == pytest.approx(0.75)
-
-    def test_precomputed_field_wins(self):
-        record = make_record("m", 1.0)
-        record["cache_hit_rate"] = 0.5
-        record["cache"] = {"hits": 0, "misses": 100}
-        assert cache_hit_rate(record) == pytest.approx(0.5)
-
-    def test_no_cache_traffic_is_none_not_zero(self):
-        record = make_record("m", 1.0)
-        record["cache"] = {"hits": 0, "misses": 0}
-        assert cache_hit_rate(record) is None
-        record["cache"] = "garbage"
-        assert cache_hit_rate(record) is None
-
-    def test_merge_annotates_records_with_hit_rate(self):
-        record = make_record("m", 1.0)
-        record["cache"] = {"hits": 1, "misses": 3}
-        merged = merge_min_of_n([make_report([record])])
-        assert merged["results"][0]["cache_hit_rate"] == pytest.approx(0.25)
-
-    def test_compare_threads_rates_into_rows_and_table(self):
-        base = make_record("m", 10.0)
-        base["cache"] = {"hits": 1, "misses": 9}
-        cur = make_record("m", 10.0)
-        cur["cache_hit_rate"] = 0.9
-        result = compare(make_report([cur]), make_snapshot([base]), 1.0)
-        (row,) = result.rows
-        assert row.baseline_hit_rate == pytest.approx(0.1)
-        assert row.current_hit_rate == pytest.approx(0.9)
-        table = trend_table(result)
-        assert "cache hit" in table
-        assert "10% → 90%" in table
-
-    def test_old_snapshots_without_rate_render_dashes(self):
-        base = make_record("m", 10.0)
-        base["cache"] = {"hits": 0, "misses": 0}
-        cur = make_record("m", 10.0)
-        cur["cache"] = {"hits": 0, "misses": 0}
-        result = compare(make_report([cur]), make_snapshot([base]), 1.0)
-        assert "– → –" in trend_table(result)
-
-
 class TestCommittedSnapshots:
-    """Tier-1 smoke: everything committed under benchmarks/history/ parses."""
+    """Tier-1 smoke: the snapshot the gate judges against is sound."""
 
     def test_history_dir_has_snapshots(self):
-        assert HISTORY_DIR.is_dir(), "benchmarks/history/ must be committed"
         assert history_snapshots(HISTORY_DIR), (
-            "benchmarks/history/ holds no snapshots; commit one with "
+            "benchmarks/history/ holds no snapshots; bank one with "
             "'python tools/bench_gate.py snapshot --label <label>'"
         )
 
     def test_committed_snapshots_validate(self):
         for path in history_snapshots(HISTORY_DIR):
-            with open(path) as handle:
-                snapshot = json.load(handle)
-            errors = validate_snapshot(snapshot)
-            assert not errors, f"{path.name}: {errors}"
+            assert validate(json.loads(path.read_text())) == [], path.name
 
     def test_latest_committed_snapshot_is_self_consistent(self):
-        latest = latest_snapshot(HISTORY_DIR)
-        snapshot = json.loads(latest.read_text())
-        report = snapshot["report"]
-        # The snapshot gates future runs; its own bookkeeping must agree.
-        assert report["modules_failed"] == 0, (
-            f"{latest.name} recorded failed modules {report['failed']} -- "
-            "a broken baseline cannot gate anything"
-        )
-        total = round(sum(r["wall_s"] for r in report["results"]), 3)
-        assert abs(total - report["total_wall_s"]) < 0.01
+        latest = json.loads(history_snapshots(HISTORY_DIR)[-1].read_text())
+        names = [w["name"] for w in BENCHMARK["workloads"]]
+        assert sorted(latest["workloads"]) == sorted(names)
+        for name, entry in latest["workloads"].items():
+            assert entry["correct"], f"{name}: a broken baseline cannot gate anything"
+            assert set(entry["metrics"]) == set(BENCHMARK_UNITS), name
+            assert set(entry["ratios"]) == set(filter(bench_gate._is_layer_time, BENCHMARK_UNITS))
+        assert compare(latest, latest).ok

@@ -195,8 +195,9 @@ class TestCrossTierStats:
         snap = stats.snapshot()
         stats.merge(CacheStats(hits=3, misses=0, puts=0, errors=0,
                                network_hits=3))
-        delta = stats.delta(snap)
-        assert delta == CacheStats(hits=3, network_hits=3)
+        assert snap == CacheStats(hits=10, misses=2, puts=2, errors=1,
+                                  network_hits=4, network_misses=1,
+                                  network_puts=1, network_errors=1)
         assert CacheStats.from_dict(stats.as_dict()) == stats
         assert stats.layer_hits == 6 and stats.network_hits == 7
 

@@ -1,520 +1,275 @@
 #!/usr/bin/env python
-"""Perf-trajectory regression gate over committed BENCH snapshots.
+"""The perf gate: the repo benchmark's ledger, judged against a baseline ledger.
 
-``tools/bench_report.py`` measures where evaluation time goes; this tool
-turns those measurements into a *committed trajectory* and a CI gate:
+``run`` and ``snapshot`` execute ``perfbench/run.py`` for every workload of
+``BENCHMARK.json`` at seeds 1..SEEDS, untraced (the end-to-end metrics) and
+traced (the per-layer metrics), and reduce the runs to a *ledger*: per
+workload, whether every run was correct, each metric's median, and the
+median over traced runs of each layer's ratio to the rest of that run's
+traced time; plus the host.  ``run`` judges it against the latest snapshot
+under ``benchmarks/history/`` or, with ``--base DIR``, against the checkout
+at DIR measured alternately run by run (what CI does); ``snapshot`` banks it
+as the next snapshot; ``check`` judges two ledger files and runs nothing.
+``docs/benchmarks.md`` gives the judging rules and their reasons::
 
-* ``snapshot`` runs the benchmark suite ``--repeats`` times (min-of-N per
-  module, each repeat against a fresh cold cache), measures a
-  machine-speed calibration probe, and writes the next numbered snapshot
-  under ``benchmarks/history/`` (results + workload fingerprints + meta).
-  Committing that file is how a PR publishes its perf claim.
-* ``run`` performs the same measurement and compares it against the most
-  recent committed snapshot: per-module wall-time budgets **fail** the
-  gate on a >20% regression and **warn** on >10%, noise-floored by the
-  min-of-N repeats, an absolute-seconds slack, and the calibration-probe
-  ratio (so a slower CI runner does not fail the gate by being slower at
-  everything).  A module that failed, or that vanished from the current
-  run, fails the gate outright -- a broken benchmark must never read as a
-  fast one.  The comparison is emitted as a markdown trend table
-  (``BENCH_trend.md``) for the CI artifact.
-* ``check CURRENT BASELINE`` compares two already-written report/snapshot
-  files without executing anything (what the unit tests and docs drive).
+    python tools/bench_gate.py run --out BENCH_ledger.json
+    python tools/bench_gate.py run --base ../base-checkout
+    python tools/bench_gate.py snapshot --label my-change
+    python tools/bench_gate.py check BENCH_ledger.json benchmarks/history/0007-*.json
 
-A bitwise-identical hot-path rewrite refreshes *two* gates in one
-change: the perf snapshot here, and the lint key manifest
-(``repro lint refresh-manifest``) -- the rewrite drifts the
-AST-normalized hash of the simulation module set without a
-``SIMULATION_KEY_VERSION`` bump, which is exactly what the ``KEY001``
-lint rule exists to catch (see ``docs/lint.md``).
-
-Run from the repo root::
-
-    python tools/bench_gate.py snapshot --label my-change --repeats 3
-    python tools/bench_gate.py run --repeats 3
-    python tools/bench_gate.py check BENCH_results.json benchmarks/history/0001-*.json
-
-Exit status: 0 on pass/warn, 1 on fail (or on a malformed snapshot).
+Exit status: 0 when the gate passes, 1 when it fails or a ledger is malformed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
+import math
+import platform
 import re
+import statistics
 import subprocess
 import sys
-import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
-DEFAULT_TREND = REPO_ROOT / "BENCH_trend.md"
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(REPO_ROOT))
+from perfbench.harness import environment  # noqa: E402
 
-#: Gate thresholds: relative regression that warns / fails, and the
-#: absolute per-module slack (seconds, at snapshot machine speed) a
-#: regression must also exceed -- sub-second jitter on a 2 s module is
-#: noise, not a regression.
-WARN_PCT = 0.10
-FAIL_PCT = 0.20
-ABS_FLOOR_S = 1.0
+LEDGER_SCHEMA = "perf-ledger-v1"
+#: Seeds 1..SEEDS of every workload, each run untraced and traced.
+SEEDS = 3
+#: Rounds of the seeds in a snapshot: every later run is judged against it,
+#: so its medians are taken over a longer stretch of the host's drift.
+SNAPSHOT_ROUNDS = 3
+HOST_KEYS = ("cpu", "nproc", "python", "numpy")
+#: Smallest share of the traced time at which a layer's time is judged.
+FLOOR_SHARE = 0.05
+#: Per-layer times that are not one layer's own part of the traced time
+#: (walls, start-up, overhead, and serve.compute, which holds the other
+#: serve layers): shown, never judged.
+UNSHARED = {"trace.wall_s", "startup.import_s", "trace.overhead_pct", "serve.compute_s"}
 
-#: Snapshot schema version (the ``meta.schema`` field).
-SNAPSHOT_SCHEMA = "bench-snapshot-v1"
-
-_REQUIRED_RESULT_KEYS = {"module", "passed", "returncode", "wall_s", "cache", "summary"}
-_REQUIRED_REPORT_KEYS = {
-    "total_wall_s", "modules_passed", "modules_failed", "python", "results",
-}
-_REQUIRED_META_KEYS = {"schema", "label", "created", "repeats", "calibration_s"}
-
-
-# ---------------------------------------------------------------------------
-# Schema validation
-
-
-def validate_report(report: object) -> list[str]:
-    """Structural errors in a BENCH_results.json payload (empty = valid)."""
-    errors: list[str] = []
-    if not isinstance(report, dict):
-        return [f"report must be an object, got {type(report).__name__}"]
-    missing = _REQUIRED_REPORT_KEYS - set(report)
-    if missing:
-        errors.append(f"report is missing keys {sorted(missing)}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        errors.append("report.results must be a non-empty list")
-        return errors
-    seen: set[str] = set()
-    for index, record in enumerate(results):
-        if not isinstance(record, dict):
-            errors.append(f"results[{index}] must be an object")
-            continue
-        missing = _REQUIRED_RESULT_KEYS - set(record)
-        if missing:
-            errors.append(f"results[{index}] is missing keys {sorted(missing)}")
-            continue
-        module = record["module"]
-        if not isinstance(module, str) or not module:
-            errors.append(f"results[{index}].module must be a non-empty string")
-            continue
-        if module in seen:
-            errors.append(f"duplicate module record {module!r}")
-        seen.add(module)
-        if not isinstance(record["passed"], bool):
-            errors.append(f"{module}: passed must be a bool")
-        wall = record["wall_s"]
-        if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
-            errors.append(f"{module}: wall_s must be a non-negative number")
-    failed_list = report.get("failed")
-    if failed_list is not None:
-        actual = sorted(
-            r["module"] for r in results
-            if isinstance(r, dict) and not r.get("passed", False)
-        )
-        if sorted(failed_list) != actual:
-            errors.append(
-                f"report.failed {sorted(failed_list)} disagrees with the "
-                f"per-module records {actual}"
-            )
-    return errors
+_SPECS = {m["name"]: m for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+_END_TO_END = {m["name"] for m in BENCHMARK["end_to_end"]}
+_LAYER_BOUND = _SPECS["wall_s"]["bound"]
 
 
-def validate_snapshot(snapshot: object) -> list[str]:
-    """Structural errors in a committed history snapshot (empty = valid)."""
-    if not isinstance(snapshot, dict):
-        return [f"snapshot must be an object, got {type(snapshot).__name__}"]
-    errors: list[str] = []
-    meta = snapshot.get("meta")
-    if not isinstance(meta, dict):
-        errors.append("snapshot.meta must be an object")
-    else:
-        missing = _REQUIRED_META_KEYS - set(meta)
-        if missing:
-            errors.append(f"snapshot.meta is missing keys {sorted(missing)}")
-        if meta.get("schema") not in (None, SNAPSHOT_SCHEMA):
-            errors.append(
-                f"unknown snapshot schema {meta.get('schema')!r} "
-                f"(this tool reads {SNAPSHOT_SCHEMA})"
-            )
-        calibration = meta.get("calibration_s")
-        if calibration is not None and (
-            not isinstance(calibration, (int, float)) or calibration <= 0
-        ):
-            errors.append("snapshot.meta.calibration_s must be a positive number")
-    if "report" not in snapshot:
-        errors.append("snapshot.report is missing")
-    else:
-        errors.extend(validate_report(snapshot["report"]))
-    workloads = snapshot.get("workloads")
-    if workloads is not None and not isinstance(workloads, dict):
-        errors.append("snapshot.workloads must be an object when present")
-    return errors
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
 
 
-# ---------------------------------------------------------------------------
-# Measurement: min-of-N merged reports + the calibration probe
-
-
-def cache_hit_rate(record: dict) -> float | None:
-    """The module's persistent-cache hit rate, ``None`` when unknowable.
-
-    Prefers the precomputed ``cache_hit_rate`` field (written by
-    :func:`merge_min_of_n` since the serve PR) and falls back to deriving
-    it from the raw ``cache`` hits/misses dict, so snapshots committed
-    before the field existed still produce a trend column.  A module that
-    never touched the cache (zero lookups) reports ``None``, not 0% --
-    "no cache traffic" and "all misses" are different regressions.
-    """
-    rate = record.get("cache_hit_rate")
-    if isinstance(rate, (int, float)) and not isinstance(rate, bool):
-        return float(rate)
-    cache = record.get("cache")
-    if not isinstance(cache, dict):
+def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict | None:
+    """One ``perfbench/run.py`` process in checkout ``root``: its result, or None."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+            "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        print(proc.stderr[-2000:], file=sys.stderr)
         return None
-    hits = cache.get("hits", 0)
-    misses = cache.get("misses", 0)
-    if not isinstance(hits, (int, float)) or not isinstance(misses, (int, float)):
-        return None
-    lookups = hits + misses
-    if lookups <= 0:
-        return None
-    return float(hits) / float(lookups)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def peak_rss_mb(record: dict) -> float | None:
-    """The module subprocess's peak RSS in MB, ``None`` when unrecorded.
-
-    Optional exactly like ``cache_hit_rate``: snapshots committed before
-    the observability PR have no ``max_rss_mb`` field, and they must keep
-    validating -- the column is informational, never a gate input.
-    """
-    rss = record.get("max_rss_mb")
-    if isinstance(rss, (int, float)) and not isinstance(rss, bool):
-        return float(rss)
-    return None
+def _is_layer_time(metric: str) -> bool:
+    """A layer's own share of the traced time (the terms of ``T``)."""
+    return (metric not in _END_TO_END and metric not in UNSHARED
+            and _SPECS.get(metric, {}).get("unit") == "s")
 
 
-def merge_min_of_n(reports: list[dict]) -> dict:
-    """Merge repeated bench reports, keeping the minimum wall per module.
+def rest_ratios(metrics: dict) -> dict:
+    """Each layer's own time ``x`` of one traced run over the rest, ``x / (T - x)``."""
+    layers = {m: v for m, v in metrics.items() if _is_layer_time(m)}
+    total = sum(layers.values())
+    return {m: x / (total - x) if total > x else 0.0 for m, x in layers.items()}
 
-    The min-of-N is the noise floor: scheduler jitter and cache-cold disk
-    variance only ever make a run *slower*, so the fastest repeat is the
-    best estimate of the code's true cost.  A module must pass in every
-    repeat to count as passing; the failing repeat's record (and error)
-    wins otherwise.
-    """
-    if not reports:
-        raise ValueError("need at least one report to merge")
-    merged: dict[str, dict] = {}
-    order: list[str] = []
-    for report in reports:
-        for record in report["results"]:
-            module = record["module"]
-            if module not in merged:
-                merged[module] = dict(record)
-                merged[module]["wall_all"] = [record["wall_s"]]
-                order.append(module)
+
+def summarize(outs: list[dict | None]) -> dict:
+    """One workload's perfbench results (None = a failed run) as a ledger entry."""
+    values, ratios = {}, {}
+    for out in filter(None, outs):
+        metrics = {m: entry["value"] for m, entry in out["metrics"].items()}
+        for metric, value in metrics.items():
+            values.setdefault(metric, []).append(value)
+        for metric, ratio in rest_ratios(metrics).items():
+            ratios.setdefault(metric, []).append(ratio)
+    return {"correct": all(out is not None and out["correct"] for out in outs),
+            "metrics": {m: statistics.median(v) for m, v in sorted(values.items())},
+            "ratios": {m: statistics.median(v) for m, v in sorted(ratios.items())}}
+
+
+def measure(roots: list[Path], rounds: int = 1) -> list[dict]:
+    """One ledger per checkout of ``roots``, measured alternately run by run."""
+    host = {"cpu": cpu_model(), **environment()}
+    names = [spec["name"] for spec in BENCHMARK["workloads"]]
+    outs = [{name: [] for name in names} for _ in roots]
+    seeds = list(range(1, SEEDS + 1)) * rounds
+    for seed, name, trace in itertools.product(seeds, names, (0, 1)):
+        for root, tree in zip(roots, outs):
+            tree[name].append(out := perfbench(root, name, seed, trace))
+            print(f"{root.name} {name} seed {seed} trace {trace}: "
+                  f"{'ok' if out and out['correct'] else 'FAILED'}", file=sys.stderr, flush=True)
+    return [{"schema": LEDGER_SCHEMA, "seeds": SEEDS, "rounds": rounds,
+             "commit": _git_commit(root), "host": host,
+             "workloads": {name: summarize(runs) for name, runs in tree.items()}}
+            for root, tree in zip(roots, outs)]
+
+
+def validate(ledger: object) -> list[str]:
+    """Structural errors in a ledger or snapshot (empty = valid)."""
+    if not isinstance(ledger, dict):
+        return [f"ledger must be an object, got {type(ledger).__name__}"]
+    errors = []
+    if ledger.get("schema") != LEDGER_SCHEMA:
+        errors.append(f"unknown schema {ledger.get('schema')!r} (this tool reads {LEDGER_SCHEMA})")
+    host = ledger.get("host")
+    if not isinstance(host, dict) or set(host) != set(HOST_KEYS):
+        errors.append(f"host must be an object with keys {list(HOST_KEYS)}")
+    workloads = ledger.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
+        return errors + ["workloads must be a non-empty object"]
+    for name, entry in workloads.items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("correct"), bool):
+            errors.append(f"{name}: needs a boolean 'correct'")
+            continue
+        for part in ("metrics", "ratios"):
+            values = entry.get(part)
+            if not isinstance(values, dict):
+                errors.append(f"{name}: {part} must be an object")
                 continue
-            best = merged[module]
-            best["wall_all"].append(record["wall_s"])
-            if not record["passed"]:
-                failed = dict(record)
-                failed["wall_all"] = best["wall_all"]
-                merged[module] = failed
-            elif best["passed"] and record["wall_s"] < best["wall_s"]:
-                wall_all = best["wall_all"]
-                merged[module] = dict(record)
-                merged[module]["wall_all"] = wall_all
-    records = [merged[module] for module in order]
-    for record in records:
-        rate = cache_hit_rate(record)
-        if rate is not None:
-            record["cache_hit_rate"] = round(rate, 4)
-    base = dict(reports[0])
-    base.update(
-        total_wall_s=round(sum(r["wall_s"] for r in records), 3),
-        modules_passed=sum(r["passed"] for r in records),
-        modules_failed=sum(not r["passed"] for r in records),
-        failed=sorted(r["module"] for r in records if not r["passed"]),
-        repeats=len(reports),
-        results=records,
-    )
-    return base
-
-
-def calibration_probe(repeats: int = 3) -> float:
-    """Seconds for a fixed python+numpy workload on this machine.
-
-    The probe mirrors the simulator's execution profile -- a Python loop
-    dispatching small-array numpy kernels -- but is frozen here, so its
-    wall time tracks machine speed, never the code under test.  Budgets
-    scale by the probe ratio, letting a snapshot from one machine gate a
-    run on another.
-    """
-    import numpy as np
-
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        rng = np.random.default_rng(20220101)
-        acc = 0.0
-        for _ in range(40):
-            block = rng.random((48, 192))
-            acc += float(np.sort(block, axis=1)[:, -5:].sum())
-            ranks = np.argsort(block, axis=None)
-            acc += float(ranks[:64].sum())
-        total = 0
-        for i in range(150_000):
-            total += (i * i) % 97
-        acc += total
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure(repeats: int, modules: list[str], timeout: float) -> dict:
-    """Run bench_report ``repeats`` times (fresh cold cache each) and merge."""
-    from bench_report import main as bench_report_main  # same directory
-
-    reports = []
-    for repeat in range(repeats):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-gate-") as tmp:
-            output = Path(tmp) / "BENCH_results.json"
-            argv = ["--output", str(output), "--timeout", str(timeout)]
-            for token in modules:
-                argv += ["--module", token]
-            print(f"== bench repeat {repeat + 1}/{repeats} ==", flush=True)
-            bench_report_main(argv)
-            with open(output) as handle:
-                reports.append(json.load(handle))
-            workloads_path = output.parent / "BENCH_workloads.json"
-            workloads = None
-            if workloads_path.exists():
-                with open(workloads_path) as handle:
-                    workloads = json.load(handle)
-    merged = merge_min_of_n(reports)
-    merged["_workloads"] = workloads
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Comparison
+            for metric, value in values.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                        or not math.isfinite(value):
+                    errors.append(f"{name}: {part} {metric} must be a finite number")
+    return errors
 
 
 @dataclass(frozen=True)
-class ModuleTrend:
-    """One row of the trend table."""
-
-    module: str
-    status: str  # ok | warn | fail | failed | missing | new
-    baseline_s: float | None
-    current_s: float | None
-    note: str = ""
-    baseline_hit_rate: float | None = None
-    current_hit_rate: float | None = None
-    baseline_rss_mb: float | None = None
-    current_rss_mb: float | None = None
-
-    @property
-    def ratio(self) -> float | None:
-        if self.baseline_s and self.current_s is not None:
-            return self.current_s / self.baseline_s
-        return None
+class Row:
+    workload: str
+    metric: str
+    baseline: float | None
+    current: float | None
+    verdict: str  # ok | FAIL | host differs | below floor | info | new
+    share: float | None = None  # of the traced time, for per-layer times
+    worse: float | None = None  # relative change in the worse direction
+    bound: float | None = None
 
 
 @dataclass(frozen=True)
 class GateResult:
-    """Outcome of comparing a current report against a baseline snapshot."""
-
-    status: str  # pass | warn | fail
-    rows: tuple[ModuleTrend, ...]
+    rows: tuple[Row, ...]
+    host_matches: bool
     baseline_label: str
-    scale: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return all(row.verdict != "FAIL" for row in self.rows)
 
 
-def compare(
-    current: dict,
-    snapshot: dict,
-    current_calibration_s: float | None = None,
-    warn_pct: float = WARN_PCT,
-    fail_pct: float = FAIL_PCT,
-    abs_floor_s: float = ABS_FLOOR_S,
-) -> GateResult:
-    """Gate a current report against a committed baseline snapshot.
+def _worse(base: float, cur: float, better: str) -> float:
+    """Relative change of ``cur`` against ``base``, positive when worse."""
+    if base == cur:
+        return 0.0
+    if base == 0:
+        return math.inf if (cur > 0) == (better == "lower") else -math.inf
+    change = (cur - base) / abs(base)
+    return change if better == "lower" else -change
 
-    Budgets are per module: baseline wall time scaled by the calibration
-    ratio (current probe / snapshot probe).  A regression fails only when
-    it exceeds the relative threshold *and* the absolute floor -- min-of-N
-    noise on short modules must not flip the gate.
-    """
-    errors = validate_snapshot(snapshot)
-    if errors:
-        raise ValueError("malformed baseline snapshot: " + "; ".join(errors))
-    errors = validate_report(current)
-    if errors:
-        raise ValueError("malformed current report: " + "; ".join(errors))
 
-    meta = snapshot["meta"]
-    baseline = {r["module"]: r for r in snapshot["report"]["results"]}
-    measured = {r["module"]: r for r in current["results"]}
+def judge_metric(workload: str, metric: str, base: dict, cur: dict, host_matches: bool) -> Row:
+    """One metric of one workload; ``base``/``cur`` are its ledger entries."""
+    b, c = base["metrics"].get(metric), cur["metrics"].get(metric)
+    if c is None:
+        return Row(workload, metric, b, c, "FAIL")
+    if b is None:
+        return Row(workload, metric, b, c, "new")
+    spec = _SPECS.get(metric, {"unit": "count", "better": "lower"})
+    if spec["unit"] == "count":
+        worse = _worse(b, c, spec["better"])
+        return Row(workload, metric, b, c, "FAIL" if worse > 0 else "ok", worse=worse, bound=0.0)
+    if metric == "ok_ratio" or (metric in _END_TO_END and host_matches):
+        worse = _worse(b, c, spec["better"])
+        verdict = "FAIL" if worse > spec["bound"] else "ok"
+        return Row(workload, metric, b, c, verdict, worse=worse, bound=spec["bound"])
+    if not host_matches:
+        return Row(workload, metric, b, c, "host differs")
+    if not _is_layer_time(metric):
+        return Row(workload, metric, b, c, "info")
+    b_ratio, c_ratio = base["ratios"].get(metric), cur["ratios"].get(metric)
+    if c_ratio is None or b_ratio is None:
+        return Row(workload, metric, b, c, "FAIL" if c_ratio is None else "new")
+    share = c_ratio / (1 + c_ratio)  # x / T
+    if max(share, b_ratio / (1 + b_ratio)) < FLOOR_SHARE:
+        return Row(workload, metric, b, c, "below floor", share=share)
+    worse = _worse(b_ratio, c_ratio, "lower")
+    verdict = "FAIL" if worse > _LAYER_BOUND else "ok"
+    return Row(workload, metric, b, c, verdict, share=share, worse=worse, bound=_LAYER_BOUND)
 
-    scale = 1.0
-    notes: list[str] = []
-    if current_calibration_s and meta.get("calibration_s"):
-        scale = current_calibration_s / meta["calibration_s"]
-        notes.append(
-            f"machine calibration: baseline probe {meta['calibration_s']:.3f}s, "
-            f"current probe {current_calibration_s:.3f}s, scale x{scale:.2f}"
-        )
 
-    rows: list[ModuleTrend] = []
-    worst = "pass"
-
-    def escalate(to: str) -> None:
-        nonlocal worst
-        ladder = {"pass": 0, "warn": 1, "fail": 2}
-        if ladder[to] > ladder[worst]:
-            worst = to
-
-    for module, base in baseline.items():
-        if not base["passed"]:
-            # A baseline that itself failed carries no budget; report-only.
-            rows.append(ModuleTrend(module, "new", None,
-                                    measured.get(module, {}).get("wall_s"),
-                                    "baseline record had failed"))
+def compare(current: dict, baseline: dict) -> GateResult:
+    """Judge ``current`` against ``baseline``; both must be valid ledgers."""
+    for which, ledger in (("current", current), ("baseline", baseline)):
+        errors = validate(ledger)
+        if errors:
+            raise ValueError(f"malformed {which} ledger: " + "; ".join(errors))
+    host_matches = current["host"] == baseline["host"]
+    rows = []
+    for workload, base in baseline["workloads"].items():
+        cur = current["workloads"].get(workload)
+        if cur is None:
+            rows.append(Row(workload, "workload", None, None, "FAIL"))
             continue
-        budget = base["wall_s"] * scale
-        record = measured.get(module)
-        if record is None:
-            rows.append(ModuleTrend(module, "missing", budget, None,
-                                    "module vanished from the current run"))
-            escalate("fail")
-            continue
-        if not record["passed"]:
-            why = (record.get("error") or record.get("summary") or "").strip()
-            first = why.splitlines()[-1] if why else "failed"
-            rows.append(ModuleTrend(module, "failed", budget, record["wall_s"], first))
-            escalate("fail")
-            continue
-        wall = record["wall_s"]
-        over = wall - budget
-        if budget > 0 and over > abs_floor_s and wall > budget * (1 + fail_pct):
-            rows.append(ModuleTrend(module, "fail", budget, wall,
-                                    f"+{over:.2f}s over budget"))
-            escalate("fail")
-        elif budget > 0 and over > abs_floor_s and wall > budget * (1 + warn_pct):
-            rows.append(ModuleTrend(module, "warn", budget, wall,
-                                    f"+{over:.2f}s over budget"))
-            escalate("warn")
-        else:
-            rows.append(ModuleTrend(module, "ok", budget, wall))
-    for module, record in measured.items():
-        if module in baseline:
-            continue
-        status = "failed" if not record["passed"] else "new"
-        if status == "failed":
-            escalate("fail")
-        rows.append(ModuleTrend(module, status, None, record["wall_s"],
-                                "not in baseline snapshot"))
-
-    # Annotate every row with its cache hit rates (trend column; derived
-    # from the raw hits/misses for snapshots that predate the field).
-    rows = [
-        replace(
-            row,
-            baseline_hit_rate=(
-                cache_hit_rate(baseline[row.module])
-                if row.module in baseline else None
-            ),
-            current_hit_rate=(
-                cache_hit_rate(measured[row.module])
-                if row.module in measured else None
-            ),
-            baseline_rss_mb=(
-                peak_rss_mb(baseline[row.module])
-                if row.module in baseline else None
-            ),
-            current_rss_mb=(
-                peak_rss_mb(measured[row.module])
-                if row.module in measured else None
-            ),
-        )
-        for row in rows
-    ]
-
-    return GateResult(
-        status=worst,
-        rows=tuple(rows),
-        baseline_label=str(meta.get("label", "?")),
-        scale=scale,
-        notes=tuple(notes),
-    )
+        rows.append(Row(workload, "correct", float(base["correct"]), float(cur["correct"]),
+                        "ok" if cur["correct"] else "FAIL"))
+        names = list(base["metrics"]) + [m for m in cur["metrics"] if m not in base["metrics"]]
+        rows += [judge_metric(workload, m, base, cur, host_matches) for m in names]
+    label = str(baseline.get("label") or baseline.get("commit") or "?")
+    return GateResult(tuple(rows), host_matches, label)
 
 
-_STATUS_ICON = {
-    "ok": "✅", "warn": "⚠️", "fail": "❌", "failed": "💥",
-    "missing": "❌", "new": "🆕",
-}
+def _fmt(value: float | None, metric: str) -> str:
+    if value is None:
+        return "–"
+    if _SPECS.get(metric, {}).get("unit") == "count" or metric == "correct":
+        return f"{value:g}"
+    return f"{value:.4g}"
 
 
-def trend_table(result: GateResult) -> str:
-    """The markdown trend table CI uploads as a PR artifact."""
-    lines = [
-        f"## Bench gate: **{result.status.upper()}** "
-        f"(baseline `{result.baseline_label}`)",
-        "",
-    ]
-    for note in result.notes:
-        lines.append(f"_{note}_")
-        lines.append("")
-    lines += [
-        "| module | baseline budget (s) | current (s) | ratio | "
-        "cache hit (base → cur) | peak RSS MB (base → cur) | status |",
-        "|---|---:|---:|---:|---:|---:|---|",
-    ]
-
-    def pct(rate: float | None) -> str:
-        return f"{100.0 * rate:.0f}%" if rate is not None else "–"
-
-    def mb(rss: float | None) -> str:
-        return f"{rss:.0f}" if rss is not None else "–"
-
-    for row in sorted(result.rows, key=lambda r: r.module):
-        base = f"{row.baseline_s:.2f}" if row.baseline_s is not None else "–"
-        cur = f"{row.current_s:.2f}" if row.current_s is not None else "–"
-        ratio = f"x{row.ratio:.2f}" if row.ratio is not None else "–"
-        hit = f"{pct(row.baseline_hit_rate)} → {pct(row.current_hit_rate)}"
-        rss = f"{mb(row.baseline_rss_mb)} → {mb(row.current_rss_mb)}"
-        icon = _STATUS_ICON.get(row.status, "?")
-        note = f" {row.note}" if row.note else ""
-        lines.append(
-            f"| {row.module} | {base} | {cur} | {ratio} | {hit} | {rss} "
-            f"| {icon} {row.status}{note} |"
-        )
-    lines += [
-        "",
-        f"Thresholds: fail >{FAIL_PCT:.0%}, warn >{WARN_PCT:.0%}, "
-        f"absolute floor {ABS_FLOOR_S:.1f}s; budgets are min-of-N walls "
-        "scaled by the machine-calibration probe.  Cache hit rates are "
-        "persistent-cache hits/(hits+misses) per module ('–' = no cache "
-        "traffic); peak RSS is the module subprocess's high-water mark "
-        "('–' = recorded before the column existed); the gate is "
-        "informational on both columns.",
-        "",
-    ]
+def report(result: GateResult) -> str:
+    """The markdown verdict: one table per workload, layers with their share."""
+    status = "PASS" if result.ok else "FAIL"
+    host = "host matches" if result.host_matches else "host differs: counts and correctness only"
+    lines = [f"## Perf gate: **{status}** (baseline `{result.baseline_label}`, {host})"]
+    for workload in dict.fromkeys(row.workload for row in result.rows):
+        rows = [row for row in result.rows if row.workload == workload]
+        judged = [row for row in rows if row.worse is not None and row.bound]
+        worst = max(judged, key=lambda row: row.worse, default=None)
+        lines += ["", f"### {workload}" + (
+            f" (worst judged change {worst.worse:+.1%}, {worst.metric})" if worst else ""), "",
+            "| metric | baseline | current | share of traced time | change | bound | verdict |",
+            "|---|---:|---:|---:|---:|---:|---|"]
+        for row in rows:
+            share = f"{row.share:.1%}" if row.share is not None else ""
+            worse = f"{row.worse:+.1%}" if row.worse is not None else ""
+            bound = f"{row.bound:.0%}" if row.bound is not None else ""
+            lines.append(f"| {row.metric} | {_fmt(row.baseline, row.metric)} "
+                         f"| {_fmt(row.current, row.metric)} | {share} | {worse} "
+                         f"| {bound} | {row.verdict} |")
+    lines += ["", f"Change is positive when worse. Per-layer times are judged as their ratio "
+              f"to the rest of the traced time, from a {FLOOR_SHARE:.0%} share up.", ""]
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# History
 
 
 def history_snapshots(history_dir: Path) -> list[Path]:
@@ -522,164 +277,72 @@ def history_snapshots(history_dir: Path) -> list[Path]:
     return sorted(history_dir.glob("[0-9][0-9][0-9][0-9]-*.json"))
 
 
-def latest_snapshot(history_dir: Path) -> Path | None:
-    snapshots = history_snapshots(history_dir)
-    return snapshots[-1] if snapshots else None
-
-
 def next_snapshot_path(history_dir: Path, label: str) -> Path:
     slug = re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-") or "snapshot"
     snapshots = history_snapshots(history_dir)
-    number = 1
-    if snapshots:
-        number = int(snapshots[-1].name.split("-", 1)[0]) + 1
+    number = int(snapshots[-1].name.split("-", 1)[0]) + 1 if snapshots else 1
     return history_dir / f"{number:04d}-{slug}.json"
 
 
-def _git_commit() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        return out.stdout.strip() or None
-    except OSError:
-        return None
+def _git_commit(root: Path) -> str | None:
+    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
+                         capture_output=True, text=True)
+    return out.stdout.strip() or None
 
 
-def build_snapshot(report: dict, label: str, calibration_s: float) -> dict:
-    workloads = report.pop("_workloads", None)
-    return {
-        "meta": {
-            "schema": SNAPSHOT_SCHEMA,
-            "label": label,
-            "created": time.strftime("%Y-%m-%d"),
-            "commit": _git_commit(),
-            "repeats": report.get("repeats", 1),
-            "calibration_s": round(calibration_s, 4),
-        },
-        "report": report,
-        "workloads": workloads,
-    }
+def _judge(current: dict, baseline: dict) -> int:
+    print(report(result := compare(current, baseline)))
+    return 0 if result.ok else 1
 
 
-# ---------------------------------------------------------------------------
-# CLI
-
-
-def _load_json(path: str | Path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def _as_snapshot(payload: dict) -> dict:
-    """Accept either a raw report or a full snapshot as the baseline."""
-    if "report" in payload and "meta" in payload:
-        return payload
-    return {
-        "meta": {
-            "schema": SNAPSHOT_SCHEMA, "label": "raw-report",
-            "created": "?", "repeats": payload.get("repeats", 1),
-            "calibration_s": None,
-        },
-        "report": payload,
-        "workloads": None,
-    }
+def _write(path: Path, ledger: dict) -> None:
+    path.write_text(json.dumps(ledger, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--repeats", type=int, default=3,
-                        help="min-of-N benchmark repeats (default 3)")
-    common.add_argument("--module", action="append", default=[],
-                        help="restrict to modules containing this token")
-    common.add_argument("--timeout", type=float, default=1800.0,
-                        help="per-module timeout in seconds")
-    common.add_argument("--history", default=str(HISTORY_DIR),
-                        help="snapshot directory (default benchmarks/history)")
-
-    run = sub.add_parser("run", parents=[common],
-                         help="measure and gate against the latest snapshot")
-    run.add_argument("--trend", default=str(DEFAULT_TREND),
-                     help="markdown trend table output path")
-    run.add_argument("--report-out", default=None,
-                     help="also write the merged min-of-N report JSON here")
-
-    snap = sub.add_parser("snapshot", parents=[common],
-                          help="measure and write the next history snapshot")
-    snap.add_argument("--label", required=True,
-                      help="snapshot label, e.g. 'pre-vectorization'")
-
-    check = sub.add_parser("check", help="compare two existing files, no runs")
-    check.add_argument("current", help="BENCH_results.json (or snapshot) path")
-    check.add_argument("baseline", help="baseline snapshot path")
-    check.add_argument("--calibration", type=float, default=None,
-                       help="current-machine probe seconds (default: measure)")
-    check.add_argument("--trend", default=str(DEFAULT_TREND))
-
+    run = sub.add_parser("run", help="measure, write the ledger and judge it")
+    run.add_argument("--out", default="BENCH_ledger.json", help="ledger output path")
+    run.add_argument("--base", metavar="DIR", help="also measure the checkout at DIR, "
+                     "alternating run by run; judge against it, not the latest snapshot")
+    snap = sub.add_parser("snapshot", help="measure and bank the next snapshot")
+    snap.add_argument("--label", required=True, help="snapshot label, e.g. 'packed-cache'")
+    check = sub.add_parser("check", help="judge one ledger file against another")
+    check.add_argument("current")
+    check.add_argument("baseline")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
 
     if args.command == "check":
-        current_payload = _load_json(args.current)
-        current = (current_payload["report"]
-                   if "report" in current_payload and "meta" in current_payload
-                   else current_payload)
-        snapshot = _as_snapshot(_load_json(args.baseline))
-        calibration = args.calibration
-        if calibration is None and snapshot["meta"].get("calibration_s"):
-            calibration = calibration_probe()
-        result = compare(current, snapshot, calibration)
-        table = trend_table(result)
-        Path(args.trend).write_text(table)
-        print(table)
-        return 0 if result.ok else 1
+        return _judge(json.loads(Path(args.current).read_text()),
+                      json.loads(Path(args.baseline).read_text()))
 
-    history_dir = Path(args.history)
-    report = measure(args.repeats, args.module, args.timeout)
-    calibration = calibration_probe()
-    print(f"calibration probe: {calibration:.3f}s")
-
-    if args.command == "snapshot":
-        history_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = build_snapshot(report, args.label, calibration)
-        errors = validate_snapshot(snapshot)
-        if errors:
-            print("refusing to write malformed snapshot:", file=sys.stderr)
-            for error in errors:
-                print(f"  - {error}", file=sys.stderr)
-            return 1
-        path = next_snapshot_path(history_dir, args.label)
-        with open(path, "w") as handle:
-            json.dump(snapshot, handle, indent=2)
-            handle.write("\n")
-        failed = snapshot["report"]["failed"]
-        print(f"wrote {path.relative_to(REPO_ROOT)} "
-              f"({snapshot['report']['modules_passed']} modules, "
-              f"min-of-{args.repeats}, {len(failed)} failed)")
-        return 0 if not failed else 1
-
-    # run: gate against the latest committed snapshot.
-    latest = latest_snapshot(history_dir)
-    if args.report_out:
-        slim = {k: v for k, v in report.items() if k != "_workloads"}
-        with open(args.report_out, "w") as handle:
-            json.dump(slim, handle, indent=2)
-    if latest is None:
-        print(f"no snapshot under {history_dir}; commit one with "
-              f"'python tools/bench_gate.py snapshot --label <label>'",
-              file=sys.stderr)
+    base = getattr(args, "base", None)
+    if base and not (Path(base) / "perfbench" / "run.py").is_file():
+        print(f"{base} is not a checkout with perfbench/run.py", file=sys.stderr)
         return 1
-    snapshot = _load_json(latest)
-    result = compare(report, snapshot, calibration)
-    table = trend_table(result)
-    Path(args.trend).write_text(table)
-    print(table)
-    print(f"gate vs {latest.name}: {result.status.upper()}")
-    return 0 if result.ok else 1
+    ledgers = measure([REPO_ROOT] + ([Path(base).resolve()] if base else []),
+                      SNAPSHOT_ROUNDS if args.command == "snapshot" else 1)
+    if args.command == "snapshot":
+        if not all(entry["correct"] for entry in ledgers[0]["workloads"].values()):
+            print("refusing to bank a snapshot with incorrect runs", file=sys.stderr)
+            return 1
+        HISTORY_DIR.mkdir(parents=True, exist_ok=True)
+        _write(next_snapshot_path(HISTORY_DIR, args.label),
+               {"label": args.label, "created": time.strftime("%Y-%m-%d"), **ledgers[0]})
+        return 0
+
+    out = Path(args.out)
+    _write(out, ledgers[0])
+    if base:
+        _write(out.with_name(out.stem + ".base.json"), ledgers[1])
+        return _judge(ledgers[0], ledgers[1])
+    snapshots = history_snapshots(HISTORY_DIR)
+    if not snapshots:
+        print(f"no snapshot under {HISTORY_DIR}; bank one with "
+              "'python tools/bench_gate.py snapshot --label <label>'", file=sys.stderr)
+        return 1
+    return _judge(ledgers[0], json.loads(snapshots[-1].read_text()))
 
 
 if __name__ == "__main__":
