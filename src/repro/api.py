@@ -75,7 +75,13 @@ from repro.dse.explorer import design_space, space_categories
 from repro.dse.report import format_table, sweep_rows
 from repro.hw.cost import CostBreakdown
 from repro.obs import trace as obs
-from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
+from repro.runtime.cache import (
+    CacheStats,
+    NetworkTierProbe,
+    PersistentLayerCache,
+    ProbeMiss,
+    default_cache_dir,
+)
 from repro.runtime.runner import ProgressFn, SweepOutcome, SweepRunner
 from repro.runtime.search import SearchLoopOutcome, run_search_loop
 from repro.search.archive import ParetoArchive, SearchRecord
@@ -485,11 +491,12 @@ class Session:
         if runner is not None:
             runner.close(wait=wait)
 
-    def _open_cache(self) -> tuple[PersistentLayerCache | None, CacheStats]:
-        """A handle on the session's store for one call, and its counters."""
+    def _open_cache(self, probe: bool = False) -> tuple[PersistentLayerCache | None, CacheStats]:
+        """A handle on the session's store (``probe``: a
+        :class:`NetworkTierProbe`), and its counters."""
         if self.cache_dir is None:
             return None, CacheStats()
-        cache = PersistentLayerCache(self.cache_dir)
+        cache = (NetworkTierProbe if probe else PersistentLayerCache)(self.cache_dir)
         return cache, cache.stats
 
     def _record(self, stats: CacheStats) -> None:
@@ -555,36 +562,67 @@ class Session:
             categories=len(categories),
             workers=self.workers,
         ):
-            if self.workers <= 1:
-                return self._evaluate_serial(resolved, categories, settings, progress)
-            outcome = self._ensure_runner().run(
-                resolved, categories, settings, progress=progress
+            return self._evaluate(
+                resolved, categories, settings, progress, pool=self.workers > 1
             )
-            self._record(outcome.cache_stats)
-        return outcome
 
-    def _evaluate_serial(
+    def _evaluate(
         self,
         designs: tuple[Design, ...],
         categories: tuple[ModelCategory, ...],
         settings: EvalSettings,
-        progress: ProgressFn | None = None,
+        progress: ProgressFn | None,
+        pool: bool,
     ) -> SweepOutcome:
-        cache, stats = self._open_cache()
-        evaluations = []
+        """The in-process design loop; with ``pool``, for warm designs only.
+
+        With ``pool`` each design runs against a :class:`NetworkTierProbe`,
+        which answers network-tier hits and raises on the first miss: a
+        warm design costs a key hash and a read per network and no pool
+        round trip.  The rest go to :class:`SweepRunner`, whose workers
+        redo their lookups, so a probe's counts join the call's only if
+        its design completed, and stats equal the serial loop's.
+        """
+        stats = CacheStats()
+        results: list[DesignEvaluation | None] = [None] * len(designs)
+        cold: list[int] = []
         try:
-            for done, design in enumerate(designs, start=1):
+            for index, design in enumerate(designs):
+                if pool and self.cache_dir is None:
+                    cold.append(index)
+                    continue
+                cache, counts = self._open_cache(pool)
                 with obs.ACTIVE.span(
-                    "evaluate.design", index=done - 1, design=design.label
-                ):
-                    evaluations.append(
-                        evaluate_design(design, categories, settings, cache=cache)
-                    )
+                    "evaluate.design", index=index, design=design.label
+                ) as span:
+                    try:
+                        results[index] = evaluate_design(
+                            design, categories, settings, cache=cache
+                        )
+                    except ProbeMiss:
+                        span.set(probe="miss")
+                        cold.append(index)
+                        continue
+                    finally:
+                        if not pool or results[index] is not None:
+                            stats.merge(counts)
                 if progress is not None:
-                    progress(done, len(designs))
+                    progress(index + 1 - len(cold), len(designs))
+            if cold:
+                warm = len(designs) - len(cold)
+                outcome = self._ensure_runner().run(
+                    [designs[i] for i in cold], categories, settings,
+                    progress=progress and (
+                        lambda done, _: progress(warm + done, len(designs))
+                    ),
+                )
+                stats.merge(outcome.cache_stats)
+                for index, evaluation in zip(cold, outcome.evaluations):
+                    results[index] = evaluation
         finally:
             self._record(stats)
-        return SweepOutcome(tuple(evaluations), stats, self.workers, 1)
+        chunks = outcome.chunks if cold else 0
+        return SweepOutcome(tuple(results), stats, self.workers, chunks)
 
     def evaluate_one(
         self,
@@ -593,9 +631,9 @@ class Session:
         settings: EvalSettings | None = None,
     ) -> DesignEvaluation:
         """Evaluate a single design (always serial, through the cache)."""
-        return self._evaluate_serial(
+        return self._evaluate(
             (as_design(design),), tuple(categories), settings or self.settings,
-            self.progress,
+            self.progress, pool=False,
         ).evaluations[0]
 
     def simulate(

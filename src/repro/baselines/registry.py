@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.config import ArchConfig, ModelCategory, dense
 from repro.hw.cost import CostBreakdown, cost_of
@@ -50,9 +51,10 @@ class BaselineArch:
         }
 
 
-def all_baselines() -> list[BaselineArch]:
-    """The paper's comparison set (Table V)."""
-    return [
+@lru_cache(maxsize=None)
+def all_baselines() -> tuple[BaselineArch, ...]:
+    """The paper's comparison set (Table V), built once per process."""
+    return (
         BaselineArch(
             name="Baseline",
             config=dense(),
@@ -90,7 +92,7 @@ def all_baselines() -> list[BaselineArch]:
             cost=cost_of(CAMBRICON_X, label="Cambricon-X"),
             sparsity_support="Weight Only",
         ),
-    ]
+    )
 
 
 def baseline_names() -> list[str]:

@@ -60,8 +60,9 @@ def _cache_breakdown(spans: List[dict]) -> Dict[str, Dict[str, int]]:
     for span in spans:
         tier = _CACHE_GET_SPANS.get(span["name"])
         if tier is not None:
-            hit = bool((span.get("attrs") or {}).get("hit"))
-            breakdown[tier]["hits" if hit else "misses"] += 1
+            hit = (span.get("attrs") or {}).get("hit")
+            if hit is not None:  # None: the lookup raised (a warm probe's miss)
+                breakdown[tier]["hits" if hit else "misses"] += 1
             continue
         tier = _CACHE_PUT_SPANS.get(span["name"])
         if tier is not None:

@@ -29,8 +29,9 @@ Delete the directory (or call :meth:`PersistentLayerCache.clear`) to
 invalidate; the engine also versions keys with
 :data:`repro.sim.engine.SIMULATION_KEY_VERSION` and
 :data:`repro.sim.engine.NETWORK_KEY_VERSION`, so stale schema entries are
-simply never looked up again (network keys embed the layer keys, hence a
-simulation-semantics bump invalidates both tiers at once).
+simply never looked up again (network keys hash the simulation key
+version too, hence a simulation-semantics bump invalidates both tiers at
+once).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from repro.config import ModelCategory
@@ -52,8 +54,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: On-disk layer-entry schema version (independent of the key versions).
 ENTRY_VERSION = 1
 
-#: On-disk network-entry schema version.
-NETWORK_ENTRY_VERSION = 1
+#: On-disk network-entry schema version (2: scalars first, layers as an
+#: embedded JSON string decoded on demand).
+NETWORK_ENTRY_VERSION = 2
 
 
 def default_cache_dir() -> Path:
@@ -127,46 +130,22 @@ class CacheStats:
             setattr(self, share, getattr(self, share) + 1)
 
     def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.puts += other.puts
-        self.errors += other.errors
-        self.network_hits += other.network_hits
-        self.network_misses += other.network_misses
-        self.network_puts += other.network_puts
-        self.network_errors += other.network_errors
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            self.hits, self.misses, self.puts, self.errors,
-            self.network_hits, self.network_misses,
-            self.network_puts, self.network_errors,
-        )
+        return replace(self)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "errors": self.errors,
-            "network_hits": self.network_hits,
-            "network_misses": self.network_misses,
-            "network_puts": self.network_puts,
-            "network_errors": self.network_errors,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict[str, int]) -> "CacheStats":
-        return CacheStats(
-            hits=int(data.get("hits", 0)),
-            misses=int(data.get("misses", 0)),
-            puts=int(data.get("puts", 0)),
-            errors=int(data.get("errors", 0)),
-            network_hits=int(data.get("network_hits", 0)),
-            network_misses=int(data.get("network_misses", 0)),
-            network_puts=int(data.get("network_puts", 0)),
-            network_errors=int(data.get("network_errors", 0)),
-        )
+        return CacheStats(**{name: int(data.get(name, 0)) for name in _COUNTERS})
+
+
+#: The counter fields of :class:`CacheStats`, in order.
+_COUNTERS = tuple(f.name for f in fields(CacheStats))
 
 
 def _gemm_shape_to_dict(shape: GemmShape) -> dict:
@@ -232,7 +211,11 @@ def result_from_dict(data: dict) -> LayerSimResult:
 
 
 def network_result_to_dict(result: NetworkSimResult) -> dict:
-    """JSON-serializable form of a network result (exact float round-trip)."""
+    """JSON-serializable form of a network result (exact float round-trip).
+
+    Scalars first, then the layer list as one embedded JSON string: a hit
+    parses only the string's bytes and decodes it on first ``.layers``.
+    """
     return {
         "v": NETWORK_ENTRY_VERSION,
         "network": result.network,
@@ -240,23 +223,30 @@ def network_result_to_dict(result: NetworkSimResult) -> dict:
         "category": result.category.value,
         "cycles": result.cycles,
         "dense_cycles": result.dense_cycles,
-        "layers": [result_to_dict(layer) for layer in result.layers],
+        "layers": json.dumps(
+            [result_to_dict(layer) for layer in result.layers], separators=(",", ":")
+        ),
     }
 
 
+def _layers_from_json(text: str) -> tuple[LayerSimResult, ...]:
+    return tuple(result_from_dict(layer) for layer in json.loads(text))
+
+
 def network_result_from_dict(data: dict) -> NetworkSimResult:
-    """Inverse of :func:`network_result_to_dict`; raises on malformed entries."""
+    """Inverse of :func:`network_result_to_dict` (layers decoded lazily);
+    raises on malformed entries."""
     if data.get("v") != NETWORK_ENTRY_VERSION:
         raise ValueError(
             f"unsupported network cache entry version: {data.get('v')!r}"
         )
-    return NetworkSimResult(
+    return NetworkSimResult.lazy(
+        partial(_layers_from_json, data["layers"]),
         network=str(data["network"]),
         config=str(data["config"]),
         category=ModelCategory(data["category"]),
         cycles=float(data["cycles"]),
         dense_cycles=int(data["dense_cycles"]),
-        layers=tuple(result_from_dict(layer) for layer in data["layers"]),
     )
 
 
@@ -408,3 +398,29 @@ class PersistentLayerCache:
                 except OSError:
                     pass
         return removed
+
+
+class ProbeMiss(Exception):
+    """A :class:`NetworkTierProbe` met something other than a network-tier hit."""
+
+
+class NetworkTierProbe(PersistentLayerCache):
+    """A handle that answers network-tier hits and raises :class:`ProbeMiss`
+    on anything else (the warm pass of :meth:`repro.api.Session.evaluate`).
+
+    A missing or corrupt entry raises uncounted and stays on disk, so the
+    pool's own read counts it as the serial path does.  Layer reads and
+    writes raise too; the engine reaches them only after a network miss.
+    """
+
+    def _read(self, path: Path, decode) -> object:
+        try:
+            return decode(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError):
+            raise ProbeMiss(path.name) from None
+
+    def get(self, key: str) -> LayerSimResult | None:
+        raise ProbeMiss(key)
+
+    def _write(self, path: Path, payload: str, key: str) -> bool:
+        raise ProbeMiss(key)

@@ -27,13 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,7 +49,8 @@ ProgressFn = Callable[[int, int], None]
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """Results and bookkeeping of one sweep run."""
+    """Results and bookkeeping of one sweep run (``chunks``: tasks sent to
+    the process pool, 0 when every design was answered in-process)."""
 
     evaluations: tuple[DesignEvaluation, ...]
     cache_stats: CacheStats
@@ -154,10 +149,9 @@ class SweepRunner:
         self.keep_pool = keep_pool
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
-        self._submitter: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
-    # Lifecycle: the warm pool and the async submission seam.
+    # Lifecycle: the warm pool.
     # ------------------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -167,49 +161,21 @@ class SweepRunner:
             return self._pool
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the warm pool and submission threads (idempotent).
+        """Shut down the warm pool (idempotent).
 
         ``wait=False`` cancels queued work and returns without joining
         chunks already running -- for a bounded-time service shutdown.
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            submitter, self._submitter = self._submitter, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=not wait)
-        if submitter is not None:
-            submitter.shutdown(wait=wait, cancel_futures=not wait)
 
     def __enter__(self) -> "SweepRunner":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def submit(
-        self,
-        designs: Sequence[DesignLike],
-        categories: Sequence[ModelCategory],
-        settings: EvalSettings | None = None,
-        progress: ProgressFn | None = None,
-    ) -> "Future[SweepOutcome]":
-        """Schedule :meth:`run` on a background thread; returns a future.
-
-        The asyncio-friendly submission seam: an event loop awaits the
-        result without blocking on the (process-pool-coordinating) run
-        via ``asyncio.wrap_future(runner.submit(...))``.  Concurrent
-        submissions are fine -- each run tracks its own pending chunk
-        set, and under ``keep_pool=True`` they interleave over one warm
-        pool.
-        """
-        with self._lock:
-            if self._submitter is None:
-                self._submitter = ThreadPoolExecutor(
-                    max_workers=max(2, self.workers),
-                    thread_name_prefix="sweep-submit",
-                )
-            submitter = self._submitter
-        return submitter.submit(self.run, designs, categories, settings, progress)
 
     def run(
         self,

@@ -42,6 +42,7 @@ from repro.api import Session
 from repro.errors import envelope_from_exception, error_envelope
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats
+from repro.runtime.runner import SweepOutcome
 from repro.serve.coalescer import Computation, RequestCoalescer
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -504,8 +505,10 @@ class ServeApp:
         cache_delta = result.cache_stats
         if not isinstance(cache_delta, CacheStats):  # pragma: no cover
             cache_delta = None
+        outcome = getattr(result, "outcome", None)
         self.telemetry.computation_finished(
-            timing["queue_s"], timing["compute_s"], cache_delta
+            timing["queue_s"], timing["compute_s"], cache_delta,
+            runner_chunks=outcome.chunks if isinstance(outcome, SweepOutcome) else 0,
         )
         return {
             "result": result,

@@ -12,7 +12,8 @@ so ``/stats`` can answer the deployment questions directly:
   (the acceptance bar: 8 identical concurrent requests -> 1 computation,
   7 hits);
 * is the cache warm?  ``cache.network_hits`` climbing while
-  ``cache.layer_lookups`` stays flat;
+  ``cache.layer_lookups`` and ``runner.chunks`` (``/run`` work sent to
+  the process pool) stay flat;
 * where does latency go?  queue vs compute totals / max, plus the
   per-endpoint p50/p90/max summaries under ``latency.endpoints``.
 
@@ -34,8 +35,9 @@ from repro.runtime.cache import CacheStats
 STATS_VERSION = 1
 
 #: Additive ``/stats`` schema revision: 2 added ``schema_version``,
-#: ``latency.endpoints`` (p50/p90/max per endpoint), and ``GET /metrics``.
-STATS_SCHEMA_VERSION = 2
+#: ``latency.endpoints`` (p50/p90/max per endpoint), and ``GET /metrics``;
+#: 3 added ``runner.chunks``.
+STATS_SCHEMA_VERSION = 3
 
 
 def _series_dict(summary: dict) -> dict:
@@ -80,6 +82,10 @@ class ServeTelemetry:
         self._computations = self.registry.counter(
             "repro_serve_computations_total",
             "Distinct evaluations actually computed.",
+        )
+        self._runner_chunks = self.registry.counter(
+            "repro_serve_runner_chunks_total",
+            "Chunks /run evaluations sent to the process pool (0 when warm).",
         )
         self._in_flight = self.registry.gauge(
             "repro_serve_computations_in_flight",
@@ -136,8 +142,10 @@ class ServeTelemetry:
         queue_s: float,
         compute_s: float,
         cache_delta: CacheStats | None = None,
+        runner_chunks: int = 0,
     ) -> None:
         self._in_flight.dec()
+        self._runner_chunks.inc(runner_chunks)
         self._queue.observe(queue_s * 1000.0)
         self._compute.observe(compute_s * 1000.0)
         if cache_delta is not None:
@@ -190,6 +198,7 @@ class ServeTelemetry:
                 "hits": int(self._coalesce_hits.value()),
                 "in_flight": int(self._in_flight.value()),
             },
+            "runner": {"chunks": int(self._runner_chunks.value())},
             "latency": {
                 "queue": _series_dict(self._queue.summary()),
                 "compute": _series_dict(self._compute.summary()),

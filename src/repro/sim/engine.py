@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -164,7 +164,12 @@ class LayerSimResult:
 
 @dataclass(frozen=True)
 class NetworkSimResult:
-    """End-to-end latency of a network on an architecture."""
+    """End-to-end latency of a network on an architecture.
+
+    A result built by :meth:`lazy` (a network-tier cache hit) decodes its
+    ``layers`` on first access; equality, hashing and ``repr`` decode
+    first, and pickling ships the decoder until then.
+    """
 
     network: str
     config: str
@@ -172,6 +177,26 @@ class NetworkSimResult:
     cycles: float
     dense_cycles: int
     layers: tuple[LayerSimResult, ...]
+
+    @classmethod
+    def lazy(
+        cls, decode: "Callable[[], tuple[LayerSimResult, ...]]", **scalars: object
+    ) -> "NetworkSimResult":
+        """A result from its other fields, with ``layers = decode()`` on demand."""
+        result = object.__new__(cls)
+        result.__dict__.update(scalars, _decode=decode)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for unset attributes: ``layers`` of a lazy result.
+        # Safe under a concurrent first access: the first decode wins.
+        decode = self.__dict__.get("_decode") if name == "layers" else None
+        if decode is not None:
+            self.__dict__.setdefault("layers", decode())
+            self.__dict__.pop("_decode", None)
+        if name == "layers" and "layers" in self.__dict__:
+            return self.__dict__["layers"]
+        raise AttributeError(name)
 
     @property
     def speedup(self) -> float:
@@ -519,13 +544,27 @@ class ResultCache(Protocol):
 SIMULATION_KEY_VERSION = "layer-sim-v2"
 
 #: Version tag of the network-key schema.  Bump when the *aggregation* of
-#: layer results into a network result changes (the layer tier is covered
-#: separately: network keys embed the per-layer simulation keys, so a
-#: ``SIMULATION_KEY_VERSION`` bump invalidates both tiers at once).
+#: layer results into a network result, or the key derivation, changes
+#: (the layer tier is covered separately: network keys hash
+#: ``SIMULATION_KEY_VERSION``, so its bump invalidates both tiers at once).
 #: (v2: keys embed the workload content fingerprint, so user-defined
-#: networks -- which share neither a registry name nor a factory -- cache
-#: correctly and can never collide on display names.)
-NETWORK_KEY_VERSION = "network-sim-v2"
+#: networks can never collide on display names.  v3: one hash, no
+#: per-layer simulation keys.)
+NETWORK_KEY_VERSION = "network-sim-v3"
+
+
+def _design_content(
+    config: ArchConfig, category: ModelCategory, options: SimulationOptions
+) -> str:
+    """The config (not its label), category and options part of both keys."""
+    geometry = config.geometry
+    return (
+        f"a={config.a.as_tuple()}|b={config.b.as_tuple()}|shuffle={int(config.shuffle)}"
+        f"|geom={geometry.k0},{geometry.n0},{geometry.m0},"
+        f"{geometry.frequency_mhz!r},{geometry.precision_bits}|{category.value}"
+        f"|opts={options.passes_per_gemm},{options.max_t_steps},{options.seed},"
+        f"{options.pipeline_drain},{int(options.include_stalls)},{int(options.include_dram)}"
+    )
 
 
 def simulation_key(
@@ -544,20 +583,12 @@ def simulation_key(
     sampling options.  Stable across processes and sessions, so it doubles
     as the on-disk key of the persistent result cache.
     """
-    geometry = config.geometry
     parts = [
         SIMULATION_KEY_VERSION,
         gemm_content(gemms),
         repr(float(weight_density)),
         repr(float(act_density)),
-        f"a={config.a.as_tuple()}",
-        f"b={config.b.as_tuple()}",
-        f"shuffle={int(config.shuffle)}",
-        f"geom={geometry.k0},{geometry.n0},{geometry.m0},"
-        f"{geometry.frequency_mhz!r},{geometry.precision_bits}",
-        category.value,
-        f"opts={options.passes_per_gemm},{options.max_t_steps},{options.seed},"
-        f"{options.pipeline_drain},{int(options.include_stalls)},{int(options.include_dram)}",
+        _design_content(config, category, options),
     ]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
@@ -568,37 +599,25 @@ def network_key(
     category: ModelCategory,
     options: SimulationOptions,
 ) -> str:
-    """Content-addressed key of one whole-network simulation.
+    """Content-addressed key of one whole-network simulation, in one hash.
 
-    Derived from the workload's content fingerprint
-    (:func:`repro.workloads.models.network_fingerprint` -- layer specs plus
-    the per-layer density assignments, so user-defined networks can never
-    collide on a display name) and the per-layer :func:`simulation_key`
-    sequence -- which inherits every input the layer simulations depend on,
-    including :data:`SIMULATION_KEY_VERSION` -- plus exactly the display
-    metadata the cached :class:`NetworkSimResult` carries: the network
-    name, the layer names in order, and the configuration label (which the
-    layer keys deliberately exclude).  Hashing keys, not results, keeps the
-    derivation cheap: a warm lookup costs one hash and one disk read, no
-    simulation.
+    Hashes both key versions (a :data:`SIMULATION_KEY_VERSION` bump
+    invalidates both tiers), the network name, its content fingerprint
+    (:func:`repro.workloads.models.network_fingerprint`: layer names,
+    GEMMs and densities, so user-defined networks never collide on a
+    display name; memoized on the network), the config label the cached
+    :class:`NetworkSimResult` carries, and the config, category and
+    options content :func:`simulation_key` hashes.  A warm lookup costs
+    one hash and one disk read, no simulation.
     """
     parts = [
         NETWORK_KEY_VERSION,
+        SIMULATION_KEY_VERSION,
         network.name,
         f"fp={network_fingerprint(network)}",
         config.label,
-        category.value,
+        _design_content(config, category, options),
     ]
-    for layer in network.layers:
-        key = simulation_key(
-            tuple(layer.spec.gemms()),
-            layer.weight_density,
-            layer.act_density,
-            config,
-            category,
-            options,
-        )
-        parts.append(f"{layer.name}={key}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from repro.gemm.layers import (
@@ -99,10 +99,16 @@ class Network:
         kept = sum(layer.act_volume * layer.act_density for layer in relu_fed)
         return 1.0 - kept / volume if volume else 0.0
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Stable content hash of the workload (see :func:`network_fingerprint`)."""
-        return network_fingerprint(self)
+        """Stable content hash of the workload (see :func:`network_fingerprint`).
+
+        Hashed once per instance: the network is immutable, and every
+        network-tier cache key embeds it.
+        """
+        parts = [self.name]
+        parts.extend(layer_content(layer) for layer in self.layers)
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def gemm_content(gemms: Iterable[GemmShape]) -> str:
@@ -135,11 +141,10 @@ def network_fingerprint(network: Network) -> str:
     fingerprint is stable across processes and sessions, and any edit to a
     layer or a density produces a new fingerprint; it feeds
     :func:`repro.sim.engine.network_key`, so user-defined workloads cache
-    correctly without name collisions.
+    correctly without name collisions.  Memoized on the network
+    (:attr:`Network.fingerprint`).
     """
-    parts = [network.name]
-    parts.extend(layer_content(layer) for layer in network.layers)
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return network.fingerprint
 
 
 _DENSITY_FLOOR = 0.05

@@ -40,7 +40,6 @@ from repro.workloads.models import (
     googlenet,
     inception_v3,
     mobilenet_v2,
-    network_fingerprint,
     resnet50,
 )
 
@@ -85,10 +84,10 @@ class Workload:
             return self.source
         return self.factory()
 
-    @cached_property
+    @property
     def fingerprint(self) -> str:
-        """Content fingerprint of the built network (memoized per instance)."""
-        return network_fingerprint(self.network)
+        """Content fingerprint of the built network (memoized on the network)."""
+        return self.network.fingerprint
 
     def categories(self) -> tuple[ModelCategory, ...]:
         """Model categories this workload can exercise.

@@ -12,6 +12,9 @@ The load-bearing guarantees:
   `session.stats` is their sum;
 * `session.evaluate` is bitwise-identical between the serial and the
   parallel path for a mixed design list (config + Griffin + baseline);
+* a pool session answers warm designs in-process (no runner chunk, at
+  most two key-function calls per network hit) and sends only the rest
+  to the pool, with results and per-tier stats equal to the serial loop;
 * nothing is installed engine-wide: the store travels with each call.
 
 (The `evaluate_arch` / `evaluate_griffin` shims and their identity tests
@@ -52,6 +55,7 @@ from repro.sim.engine import SimulationOptions
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=7)
 SETTINGS = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
 CATS = (ModelCategory.B, ModelCategory.DENSE)
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture
@@ -271,6 +275,63 @@ class TestSessionEvaluate:
         assert parallel.cache_stats.puts > 0
         assert parallel.cache_stats == serial.cache_stats
 
+    def test_warm_parallel_fig8_answers_in_session(
+        self, cold_engine, tmp_path, monkeypatch
+    ):
+        """A warm fig8 on a pool session: at most two key-function calls per
+        network hit (one key, one memoized fingerprint) and no runner chunk."""
+        spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
+        designs, categories = spec.resolve_designs(), spec.resolve_categories()
+        settings = EvalSettings(quick=True, options=CHEAP, networks=("BERT", "AlexNet"))
+        Session(cache_dir=tmp_path).evaluate(designs, categories, settings)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("simulation_key", "network_key", "network_fingerprint"):
+            monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+        session = Session(workers=2, cache_dir=tmp_path)
+        warm = session.evaluate(designs, categories, settings)
+        assert warm.chunks == 0 and session._runner is None
+        assert warm.cache_stats.misses == 0
+        networks = sum(len(settings.suite(category)) for category in categories)
+        assert warm.cache_stats.network_hits == len(designs) * networks
+        assert "simulation_key" not in calls
+        assert len(calls) <= 2 * warm.cache_stats.network_hits
+
+    def test_mixed_warm_and_cold_designs_equal_serial(self, cold_engine, tmp_path):
+        """Warm, partly warm (one category cached), broken (a corrupt entry
+        after a hit) and cold designs: a pool session answers the warm one
+        in-process and sends the rest to the pool, with evaluations,
+        per-tier stats and progress ticks equal to the serial loop's."""
+        warm, partial = sparse_b(2, 0, 0), sparse_b(4, 0, 1)
+        broken, cold = sparse_b(2, 1, 0), sparse_b(1, 0, 0)
+        bert = SETTINGS.suite(ModelCategory.DENSE)[0].network
+        outcomes, ticks = {}, {}
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            Session(cache_dir=root).evaluate([warm, broken], CATS, SETTINGS)
+            Session(cache_dir=root).evaluate([partial], (ModelCategory.B,), SETTINGS)
+            PersistentLayerCache(root).network_path_for(
+                engine.network_key(bert, broken, ModelCategory.DENSE, CHEAP)
+            ).write_text("{ truncated")
+            engine.clear_memo_cache()
+            ticks[workers] = []
+            outcomes[workers] = Session(workers=workers, cache_dir=root).evaluate(
+                [cold, warm, partial, broken], CATS, SETTINGS,
+                progress=lambda done, total, _t=ticks[workers]: _t.append((done, total)),
+            )
+        serial, parallel = outcomes[1], outcomes[2]
+        assert parallel.evaluations == serial.evaluations
+        assert parallel.cache_stats == serial.cache_stats
+        assert serial.cache_stats.network_errors == 1
+        assert parallel.chunks >= 1
+        assert ticks[2][0] == (1, 4) and ticks[2][-1] == ticks[1][-1] == (4, 4)
+
     def test_session_stats_accumulate_across_calls(self, cold_engine, tmp_path):
         session = Session(cache_dir=tmp_path)
         session.evaluate([sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS)
@@ -453,9 +514,6 @@ class TestExperimentSpec:
         engine.clear_memo_cache()
         by_dict = session.run(self.MINI)
         assert by_path.evaluations == by_dict.evaluations
-
-
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestFig8Spec:

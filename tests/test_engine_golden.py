@@ -57,7 +57,7 @@ GOLDEN_OPTIONS = SimulationOptions(passes_per_gemm=2, max_t_steps=48)
 #: versa) -- regenerate the fixture *and* bump the version, never just one.
 GOLDEN_KEY_VERSIONS = {
     "simulation": "layer-sim-v2",
-    "network": "network-sim-v2",
+    "network": "network-sim-v3",
 }
 
 _CONFIGS = {

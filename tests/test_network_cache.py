@@ -10,17 +10,22 @@ The load-bearing guarantees:
 * the unified :class:`CacheStats` tier accounting is consistent (layer
   share + network share == totals, through merge/snapshot/delta and the
   worker-chunk dict round trip);
-* ``network_key`` covers exactly the result's inputs and display metadata;
+* ``network_key`` covers exactly the result's inputs and display metadata,
+  in one hash over the memoized workload fingerprint (equal networks built
+  apart share a key);
+* a network-tier hit decodes its layers lazily, equal to the eager ones;
 * parallel sweeps with the network tier enabled stay bitwise-identical to
   the serial loop, warm or cold.
 """
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.api import Session
-from repro.config import GRIFFIN, ModelCategory, sparse_b
+from repro.config import GRIFFIN, BorrowConfig, ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings
 from repro.runtime.cache import (
     CacheStats,
@@ -30,6 +35,7 @@ from repro.runtime.cache import (
 )
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions, network_key, simulate_network
+from repro.workloads.models import Network, network_fingerprint
 from repro.workloads.registry import benchmark
 
 OPTIONS = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=11)
@@ -75,6 +81,54 @@ class TestNetworkKey:
         conf_ab = GRIFFIN.config_for(ModelCategory.AB)
         assert key_of(config=conf_b) != key_of(config=conf_ab)
 
+    def test_sensitive_to_every_config_and_option_field(self):
+        """Each field moves the key on its own (the label held fixed)."""
+        named = replace(CONFIG, name="Fixed")
+        base = key_of(config=named)
+        geometry = CONFIG.geometry
+        configs = [
+            replace(named, a=BorrowConfig(1, 0, 0)),
+            replace(named, b=BorrowConfig(4, 1, 1)),
+            replace(named, shuffle=False),
+            *(
+                replace(named, geometry=replace(geometry, **{name: value}))
+                for name, value in (
+                    ("k0", 8), ("n0", 8), ("m0", 8),
+                    ("frequency_mhz", geometry.frequency_mhz * 2),
+                    ("precision_bits", 16),
+                )
+            ),
+        ]
+        options = [
+            replace(OPTIONS, **{name: value})
+            for name, value in (
+                ("passes_per_gemm", 2), ("max_t_steps", 32), ("seed", 12),
+                ("pipeline_drain", 3), ("include_stalls", False),
+                ("include_dram", True),
+            )
+        ]
+        keys = [key_of(config=c) for c in configs] + [
+            key_of(config=named, options=o) for o in options
+        ]
+        assert base not in keys and len(set(keys)) == len(keys)
+
+    def test_sensitive_to_simulation_key_version(self, monkeypatch):
+        base = key_of()
+        monkeypatch.setattr(engine, "SIMULATION_KEY_VERSION", "layer-sim-test")
+        assert key_of() != base
+
+    def test_equal_networks_built_apart_share_a_key(self):
+        rebuilt = Network(NETWORK.name, tuple(replace(layer) for layer in NETWORK.layers))
+        assert rebuilt == NETWORK and rebuilt is not NETWORK
+        assert key_of(network=rebuilt) == key_of()
+        assert rebuilt.fingerprint == network_fingerprint(NETWORK)
+
+    def test_fingerprint_is_memoized_on_the_network(self):
+        network = replace(NETWORK)
+        assert "fingerprint" not in vars(network)
+        first = network_fingerprint(network)
+        assert vars(network)["fingerprint"] == first == network_fingerprint(network)
+
 
 class TestSerialization:
     def test_round_trip_is_exact(self, cold_engine):
@@ -84,6 +138,20 @@ class TestSerialization:
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             network_result_from_dict({"v": 999})
+
+    def test_layers_decode_lazily_and_equal_the_eager_ones(self, cold_engine):
+        result = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        entry = network_result_to_dict(result)
+        assert list(entry)[-1] == "layers" and isinstance(entry["layers"], str)
+        lazy = network_result_from_dict(json.loads(json.dumps(entry)))
+        assert "layers" not in vars(lazy)
+        assert lazy.speedup == result.speedup
+        assert "layers" not in vars(lazy), "scalars never decode the layers"
+        shipped = pickle.loads(pickle.dumps(lazy))
+        assert lazy.layers == result.layers
+        assert "layers" in vars(lazy) and "_decode" not in vars(lazy)
+        assert shipped == result and hash(shipped) == hash(result)
+        assert pickle.loads(pickle.dumps(lazy)) == result
 
 
 class TestNetworkTierRoundTrip:

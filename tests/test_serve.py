@@ -739,8 +739,9 @@ class TestMetricsEndpoint:
         assert set(stats["latency"]["compute"]) == {
             "count", "total_ms", "max_ms", "mean_ms",
         }
-        # Additive schema revision 2.
-        assert stats["schema_version"] == 2
+        # Additive schema revisions 2 and 3.
+        assert stats["schema_version"] == 3
+        assert stats["runner"] == {"chunks": 0}  # a serial session uses no pool
         assert stats["uptime_s"] >= 0
         endpoint = stats["latency"]["endpoints"]["POST /run"]
         assert endpoint["count"] == 1
@@ -755,6 +756,13 @@ class TestMetricsEndpoint:
         previous = obs_trace.set_tracer(tracer)
         try:
             server.client.run(make_spec())
+            # The request span closes just after the response is written,
+            # so the client can return first: wait for the record.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not any(
+                rec["name"] == "serve.request" for rec in tracer.export()
+            ):
+                time.sleep(0.01)
         finally:
             obs_trace.set_tracer(previous)
         spans = tracer.export()

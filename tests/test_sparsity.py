@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.workloads.sparsity import (
     SparsityProfile,
@@ -144,6 +144,10 @@ class TestActivationMasks:
         assert not mask[:, :, 2:].any()
 
 
+#: Independent tiles averaged per example of the density property.
+DENSITY_TILES = 32
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     density=st.floats(0.05, 0.95),
@@ -151,17 +155,29 @@ class TestActivationMasks:
     n=st.integers(4, 64),
     seed=st.integers(0, 2**31),
 )
+# One tile of this size holds 128 weights, so its density is a near-binomial
+# draw: over seeds 0-999 its mean is 0.0931 (target 0.09375), its std 0.025,
+# and 0.3% of single tiles fall below the band (seed 306583: 0.0234).
+@example(density=0.09375, k=32, n=4, seed=306583)
 def test_weight_mask_density_statistics(density, k, n, seed):
-    """Generated density tracks the target across the parameter space."""
-    rng = np.random.default_rng(seed)
+    """Generated density tracks the target across the parameter space.
+
+    The band applies to the mean of ``DENSITY_TILES`` independent tiles
+    (fresh field and tile per child seed): a single small tile's sampling
+    noise leaves it, while a biased sampler still moves the mean out.
+    """
     profile = weight_profile(density)
-    field = sample_weight_field(rng, profile, k, n, max(1, k // 9), k0=16)
     t = (k + 15) // 16
-    mask = weight_tile_mask(
-        rng, profile, field, t_steps=t, k0=16,
-        k_offset=0, k_total=k, n_offset=0, n_tile=min(16, n), n_total=n,
-    )
     valid = k * min(16, n)
-    achieved = mask.sum() / valid
+    densities = []
+    for child in np.random.SeedSequence(seed).spawn(DENSITY_TILES):
+        rng = np.random.default_rng(child)
+        field = sample_weight_field(rng, profile, k, n, max(1, k // 9), k0=16)
+        mask = weight_tile_mask(
+            rng, profile, field, t_steps=t, k0=16,
+            k_offset=0, k_total=k, n_offset=0, n_tile=min(16, n), n_total=n,
+        )
+        densities.append(mask.sum() / valid)
+    achieved = float(np.mean(densities))
     # Clipping at 1.0 biases extreme-CV draws; allow a loose band.
     assert 0.3 * density < achieved < min(1.0, 2.5 * density + 0.05)
