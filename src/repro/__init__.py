@@ -75,12 +75,12 @@ from repro.surrogate import (
 from repro.sim.engine import (
     NETWORK_KEY_VERSION,
     SIMULATION_KEY_VERSION,
+    EvalContext,
     NetworkSimResult,
     SimulationOptions,
     network_key,
     simulate_layer,
     simulate_network,
-    simulate_tile,
     simulation_key,
 )
 from repro.workloads.models import Network, network_fingerprint
@@ -101,7 +101,7 @@ from repro.workloads.spec import (
     register_sparsity_profile,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "ArchConfig",
@@ -151,7 +151,7 @@ __all__ = [
     "set_tracer",
     "current_trace_id",
     "MetricsRegistry",
-    "simulate_tile",
+    "EvalContext",
     "simulate_layer",
     "simulate_network",
     "simulation_key",

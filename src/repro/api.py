@@ -3,10 +3,10 @@
 :class:`Session` is the facade over the whole toolkit.  It owns the
 two-tier persistent result cache (whole networks, then layers -- see
 ``docs/caching.md``) and the parallel
-:class:`~repro.runtime.runner.SweepRunner`, and passes its store to the
-engine explicitly on every call: nothing is installed engine-wide, so two
-sessions in one process never see each other's store, and each call's
-cache counts are exactly its own.  Any design -- a borrowing
+:class:`~repro.runtime.runner.SweepRunner`, and passes its store and memos
+to the engine explicitly on every call: the engine keeps no state, so two
+sessions in one process never share either, and each call's cache counts
+are exactly its own.  Any design -- a borrowing
 :class:`~repro.config.ArchConfig`, the hybrid
 :class:`~repro.config.GriffinArch`, a calibrated
 :class:`~repro.baselines.registry.BaselineArch` row, or a name understood
@@ -93,7 +93,7 @@ from repro.search.strategy import (
     SearchStrategy,
     SurrogateScreenedSearch,
 )
-from repro.sim.engine import NetworkSimResult, SimulationOptions, simulate_network
+from repro.sim.engine import EvalContext, NetworkSimResult, SimulationOptions, simulate_network
 from repro.workloads.models import Network
 from repro.workloads.registry import (
     Workload,
@@ -101,9 +101,6 @@ from repro.workloads.registry import (
     anchor_workload_tokens,
     parse_workload,
 )
-
-#: Default sampling of declarative experiments (matches EvalSettings).
-_SPEC_DEFAULT_OPTIONS = SPEC_DEFAULT_OPTIONS
 
 _SPEC_KEYS = {"name", "title", "designs", "space", "categories", "quick",
               "networks", "options"}
@@ -135,7 +132,7 @@ class ExperimentSpec:
     quick: bool = True
     networks: tuple[str, ...] | None = None
     options: SimulationOptions = field(
-        default_factory=lambda: SimulationOptions(**_SPEC_DEFAULT_OPTIONS)
+        default_factory=lambda: SimulationOptions(**SPEC_DEFAULT_OPTIONS)
     )
 
     @staticmethod
@@ -157,7 +154,7 @@ class ExperimentSpec:
             quick=bool(data.get("quick", True)),
             networks=tuple(str(n) for n in networks) if networks else None,
             options=SimulationOptions.from_dict(
-                dict(data.get("options") or {}), defaults=_SPEC_DEFAULT_OPTIONS
+                dict(data.get("options") or {}), defaults=SPEC_DEFAULT_OPTIONS
             ),
         )
         if not spec.designs and spec.space is None:
@@ -249,14 +246,7 @@ class ExperimentSpec:
                 quick=self.quick, options=self.options, networks=self.networks
             )
         if quick:
-            options = SimulationOptions(
-                passes_per_gemm=1,
-                max_t_steps=16,
-                seed=self.options.seed,
-                pipeline_drain=self.options.pipeline_drain,
-                include_stalls=self.options.include_stalls,
-                include_dram=self.options.include_dram,
-            )
+            options = replace(self.options, passes_per_gemm=1, max_t_steps=16)
             return EvalSettings(quick=True, options=options, networks=self.networks)
         return EvalSettings(quick=False, options=self.options, networks=self.networks)
 
@@ -424,12 +414,14 @@ class Session:
             :meth:`close` (or use the session as a context manager) to
             release the pool.
 
-    Every call opens its own :class:`PersistentLayerCache` handle on the
-    session's store and passes it to the engine, so the call's
-    ``cache_stats`` count exactly its own activity (unified across the
-    network and layer tiers; per-tier shares in ``network_hits`` /
-    ``layer_hits`` and friends).  :attr:`stats` is the sum over all of
-    the session's calls.
+    The session's :class:`~repro.sim.engine.EvalContext` holds the layer
+    and sampled-pass memos its in-process calls share; a fresh session is
+    cold.  Every call passes the engine that context on its own
+    :class:`PersistentLayerCache` handle, so the call's ``cache_stats``
+    count exactly its own activity (unified across the network and layer
+    tiers; per-tier shares in ``network_hits`` / ``layer_hits`` and
+    friends; memo answers in ``memo_hits``).  :attr:`stats` is the sum
+    over all of the session's calls.
 
     A session is safe to share across threads (the ``repro serve``
     deployment: one warm session answering many concurrent requests):
@@ -464,6 +456,7 @@ class Session:
         )
         self._state_lock = threading.Lock()
         self._runner: SweepRunner | None = None
+        self._context = EvalContext()
 
     @property
     def stats(self) -> CacheStats:
@@ -491,13 +484,13 @@ class Session:
         if runner is not None:
             runner.close(wait=wait)
 
-    def _open_cache(self, probe: bool = False) -> tuple[PersistentLayerCache | None, CacheStats]:
-        """A handle on the session's store (``probe``: a
-        :class:`NetworkTierProbe`), and its counters."""
+    def _open_cache(self, probe: bool = False) -> tuple[EvalContext, CacheStats]:
+        """The session's context on a new handle on its store (``probe``:
+        a :class:`NetworkTierProbe`), and the handle's counters."""
         if self.cache_dir is None:
-            return None, CacheStats()
+            return self._context, CacheStats()
         cache = (NetworkTierProbe if probe else PersistentLayerCache)(self.cache_dir)
-        return cache, cache.stats
+        return self._context.on(cache), cache.stats
 
     def _record(self, stats: CacheStats) -> None:
         """Fold one call's cache counts into the session totals."""
@@ -591,13 +584,13 @@ class Session:
                 if pool and self.cache_dir is None:
                     cold.append(index)
                     continue
-                cache, counts = self._open_cache(pool)
+                context, counts = self._open_cache(pool)
                 with obs.ACTIVE.span(
                     "evaluate.design", index=index, design=design.label
                 ) as span:
                     try:
                         results[index] = evaluate_design(
-                            design, categories, settings, cache=cache
+                            design, categories, settings, cache=context
                         )
                     except ProbeMiss:
                         span.set(probe="miss")
@@ -654,12 +647,12 @@ class Session:
         """
         net = network if isinstance(network, Network) else parse_workload(network).network
         config = as_design(design).config_for(category)
-        cache, stats = self._open_cache()
+        context, stats = self._open_cache()
         with obs.ACTIVE.span(
             "session.simulate", network=net.name, category=category.value
         ):
             try:
-                return simulate_network(net, config, category, options, cache=cache)
+                return simulate_network(net, config, category, options, cache=context)
             finally:
                 self._record(stats)
 
@@ -803,10 +796,6 @@ class Session:
 
         report = progress if progress is not None else self.progress
 
-        def evaluate_batch(configs):
-            outcome = self.evaluate(list(configs), categories, settings)
-            return outcome.evaluations, outcome.cache_stats
-
         def loop_progress(evaluated: int, cap: int | None) -> None:
             if report is not None:
                 report(evaluated, cap if cap is not None else grid_size)
@@ -823,7 +812,7 @@ class Session:
         ):
             outcome = run_search_loop(
                 strategy,
-                evaluate_batch,
+                lambda configs: self.evaluate(configs, categories, settings),
                 objectives,
                 archive,
                 budget=budget,

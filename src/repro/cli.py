@@ -127,7 +127,8 @@ def _cache_line(stats: CacheStats, session: Session) -> str:
     The leading totals aggregate the network and layer tiers; the bracketed
     breakdown shows each tier's hits/misses (a warm run reads ``network
     Nh/0m, layer 0h/0m``: whole networks served in one read each, zero
-    layer lookups).  CI greps this format -- keep the prefix stable.
+    layer lookups) and the layers the in-process memo answered.  CI greps
+    this format -- keep the prefix stable.
     """
     if session.cache_dir is None:
         return "persistent cache: disabled"
@@ -135,7 +136,7 @@ def _cache_line(stats: CacheStats, session: Session) -> str:
         f"persistent cache: {stats.hits} hits, {stats.misses} misses, "
         f"{stats.puts} puts ({100.0 * stats.hit_rate:.1f}% hit rate) "
         f"[network {stats.network_hits}h/{stats.network_misses}m, "
-        f"layer {stats.layer_hits}h/{stats.layer_misses}m] "
+        f"layer {stats.layer_hits}h/{stats.layer_misses}m, memo {stats.memo_hits}h] "
         f"[{session.cache_dir}]"
     )
 

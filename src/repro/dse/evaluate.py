@@ -52,7 +52,7 @@ from repro.hw.cost import (
     griffin_category_power_mw,
     griffin_cost,
 )
-from repro.sim.engine import ResultCache, SimulationOptions, simulate_network
+from repro.sim.engine import EvalContext, ResultCache, SimulationOptions, simulate_network
 from repro.workloads.registry import (
     BENCHMARKS,
     Workload,
@@ -106,12 +106,12 @@ def category_speedup(
     config: ArchConfig,
     category: ModelCategory,
     settings: EvalSettings | None = None,
-    cache: ResultCache | None = None,
+    cache: EvalContext | ResultCache | None = None,
 ) -> float:
     """Geometric-mean end-to-end speedup of a config on one category.
 
-    ``cache`` is the persistent store the simulations read and write
-    through (``None``: no persistent tier).
+    ``cache`` is the :class:`~repro.sim.engine.EvalContext` to simulate
+    in, or a store (or ``None``) to wrap in a throwaway one.
     """
     settings = settings or EvalSettings()
     speedups = [
@@ -418,20 +418,21 @@ def evaluate_design(
     design: DesignLike,
     categories: Sequence[ModelCategory],
     settings: EvalSettings | None = None,
-    cache: ResultCache | None = None,
+    cache: EvalContext | ResultCache | None = None,
 ) -> DesignEvaluation:
     """Evaluate one design across model categories (the single code path).
 
-    This is the serial unit of work, against the persistent store
-    ``cache`` (``None``: none); the batched, parallel, cache-backed entry
+    This is the serial unit of work, in the context ``cache`` (as for
+    :func:`category_speedup`); the batched, parallel, cache-backed entry
     point is :meth:`repro.api.Session.evaluate`.
     """
     design = as_design(design)
     settings = settings or EvalSettings()
+    context = EvalContext.of(cache)
     points = tuple(
         design.efficiency_point(
             category,
-            category_speedup(design.config_for(category), category, settings, cache),
+            category_speedup(design.config_for(category), category, settings, context),
         )
         for category in categories
     )

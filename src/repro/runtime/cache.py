@@ -74,9 +74,12 @@ class CacheStats:
     ``hits`` / ``misses`` / ``puts`` / ``errors`` are **unified totals
     across both tiers**; the ``network_*`` fields record the network-tier
     share of each, so the layer-tier share is always the difference (also
-    exposed as the ``layer_*`` properties).  Keeping one flat object makes
-    the tier breakdown survive every aggregation path -- worker chunks,
-    session totals, sweep outcomes -- unchanged.
+    exposed as the ``layer_*`` properties).  ``memo_hits`` counts layers
+    answered by the in-process memo of an
+    :class:`~repro.sim.engine.EvalContext`, which read nothing from disk,
+    so it stays out of ``hits``.  Keeping one flat object makes the tier
+    breakdown survive every aggregation path -- worker chunks, session
+    totals, sweep outcomes -- unchanged.
     """
 
     hits: int = 0
@@ -87,6 +90,7 @@ class CacheStats:
     network_misses: int = 0
     network_puts: int = 0
     network_errors: int = 0
+    memo_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -122,8 +126,9 @@ class CacheStats:
         return self.network_hits + self.network_misses
 
     def count(self, event: str, tier: str = "layer") -> None:
-        """Count one ``event`` (``"hits"``, ``"misses"``, ``"puts"`` or
-        ``"errors"``) in the totals and, for the network tier, its share."""
+        """Count one ``event`` (``"hits"``, ``"misses"``, ``"puts"``,
+        ``"errors"`` or ``"memo_hits"``) in the totals and, for the
+        network tier, its share."""
         setattr(self, event, getattr(self, event) + 1)
         if tier == "network":
             share = f"network_{event}"
@@ -148,17 +153,6 @@ class CacheStats:
 _COUNTERS = tuple(f.name for f in fields(CacheStats))
 
 
-def _gemm_shape_to_dict(shape: GemmShape) -> dict:
-    return {
-        "m": shape.m,
-        "k": shape.k,
-        "n": shape.n,
-        "repeats": shape.repeats,
-        "weight_is_dynamic": shape.weight_is_dynamic,
-        "channels": shape.channels,
-    }
-
-
 def _gemm_shape_from_dict(data: dict) -> GemmShape:
     return GemmShape(
         m=int(data["m"]),
@@ -179,7 +173,7 @@ def result_to_dict(result: LayerSimResult) -> dict:
         "dense_cycles": result.dense_cycles,
         "gemms": [
             {
-                "shape": _gemm_shape_to_dict(g.shape),
+                "shape": asdict(g.shape),
                 "cycles": g.cycles,
                 "dense_cycles": g.dense_cycles,
                 "sampled_passes": g.sampled_passes,
@@ -264,21 +258,12 @@ class PersistentLayerCache:
     :class:`CacheStats` it records into (tier shares in its ``network_*``
     / ``layer_*`` views) -- so each evaluation call opens its own handle
     on the shared store and its ``stats`` are exactly its own activity,
-    however many calls overlap.  Handles on one root compare equal (the
-    engine's layer memo is keyed on them).
+    however many calls overlap.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PersistentLayerCache):
-            return NotImplemented
-        return self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash(self.root)
 
     @property
     def layers_dir(self) -> Path:

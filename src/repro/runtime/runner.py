@@ -14,10 +14,11 @@ handle on the cache directory named in its payload and passes it to the
 engine, so simulations computed by one worker (or a previous run) are
 read from disk instead of recomputed -- whole networks from the network
 tier in a single read when the exact evaluation ran before, individual
-layers from the layer tier otherwise.  Each chunk's handle counts only
-that chunk's cache activity (with its per-tier breakdown); the counts
-are shipped back with the results and summed into
-:attr:`SweepOutcome.cache_stats`.
+layers from the layer tier otherwise.  The worker process's own
+:class:`~repro.sim.engine.EvalContext` memos, shared by every chunk it
+runs, sit in front of the store.  Each chunk's handle counts only that
+chunk's cache activity; the counts are shipped back with the results
+and summed into :attr:`SweepOutcome.cache_stats`.
 
 The runner is the process-pool path only: the in-process design loop is
 :meth:`repro.api.Session.evaluate` with ``workers <= 1``.
@@ -42,9 +43,19 @@ from repro.dse.evaluate import (
 )
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
+from repro.sim.engine import EvalContext
 
 #: Progress callback: (completed design points, total design points).
 ProgressFn = Callable[[int, int], None]
+
+#: This worker process's memos (``None`` outside a pool process).
+_worker_context: EvalContext | None = None
+
+
+def _start_worker() -> None:
+    """Pool initializer: the new worker process starts with empty memos."""
+    global _worker_context
+    _worker_context = EvalContext()
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,14 @@ def _evaluate_chunk(
     indices, designs, categories, settings, cache_dir, traced = payload
     cache = PersistentLayerCache(cache_dir) if cache_dir is not None else None
     stats = cache.stats if cache is not None else CacheStats()
+    context = (_worker_context or EvalContext()).on(cache)
     with obs.tracing(obs.Tracer() if traced else None) as tracer:
-        with tracer.span("runner.chunk", first=indices[0], points=len(indices)):
+        with tracer.span("runner.chunk", first=indices[0], points=len(indices), pid=os.getpid()):
             evaluations = []
             for index, design in zip(indices, designs):
                 with tracer.span("evaluate.design", index=index, design=design.label):
                     evaluations.append(
-                        evaluate_design(design, categories, settings, cache=cache)
+                        evaluate_design(design, categories, settings, cache=context)
                     )
     return indices, evaluations, stats.as_dict(), tracer.export()
 
@@ -157,7 +169,7 @@ class SweepRunner:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
+                self._pool = ProcessPoolExecutor(max(1, self.workers), initializer=_start_worker)
             return self._pool
 
     def close(self, wait: bool = True) -> None:
@@ -203,7 +215,8 @@ class SweepRunner:
         if self.keep_pool:
             pool = self._ensure_pool()
         else:
-            pool = ProcessPoolExecutor(max_workers=max(1, min(self.workers, len(chunks))))
+            workers = max(1, min(self.workers, len(chunks)))
+            pool = ProcessPoolExecutor(workers, initializer=_start_worker)
         tracer = obs.ACTIVE
         chunk_spans: dict[int, list[dict]] = {}
         try:

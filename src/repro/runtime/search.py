@@ -22,18 +22,16 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from repro.config import ArchConfig
-from repro.dse.evaluate import DesignEvaluation
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats
+from repro.runtime.runner import SweepOutcome
 from repro.search.archive import ParetoArchive
 from repro.search.objectives import ObjectiveSet
 from repro.search.strategy import SearchStrategy, TellResult
 
-#: Evaluate a batch of configs, order-preserving; returns the evaluations
-#: plus the persistent-cache activity of the batch.
-EvaluateBatch = Callable[
-    [Sequence[ArchConfig]], tuple[Sequence[DesignEvaluation], CacheStats]
-]
+#: Evaluate a batch of configs, order-preserving: the evaluations, the
+#: batch's persistent-cache activity and its pool chunks.
+EvaluateBatch = Callable[[Sequence[ArchConfig]], SweepOutcome]
 
 
 class SearchProgressFn(Protocol):
@@ -53,11 +51,8 @@ class SearchLoopOutcome:
     #: (0 for single-fidelity strategies).  ``evaluated`` stays what it
     #: always was: exact-engine evaluations only.
     screened: int = 0
-
-    @property
-    def total_told(self) -> int:
-        """Results handed to the strategy (fresh evaluations + replays)."""
-        return self.evaluated + self.reused
+    #: Tasks the batches sent to the process pool (:attr:`SweepOutcome.chunks`).
+    chunks: int = 0
 
 
 def run_search_loop(
@@ -80,6 +75,7 @@ def run_search_loop(
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     stats = CacheStats()
+    chunks = 0
     batches = 0
     evaluated = 0
     reused = 0
@@ -120,9 +116,10 @@ def run_search_loop(
 
         if fresh:
             with obs.ACTIVE.span(eval_span, strategy=strategy.name, fresh=len(fresh)):
-                evaluations, batch_stats = evaluate_batch(fresh)
-            stats.merge(batch_stats)
-            for config, evaluation in zip(fresh, evaluations):
+                outcome = evaluate_batch(fresh)
+            stats.merge(outcome.cache_stats)
+            chunks += outcome.chunks
+            for config, evaluation in zip(fresh, outcome.evaluations):
                 archive.record(
                     config.notation, evaluation, objectives.scores(evaluation)
                 )
@@ -153,4 +150,5 @@ def run_search_loop(
         evaluated=evaluated,
         reused=reused,
         screened=int(getattr(strategy, "screened", 0)),
+        chunks=chunks,
     )

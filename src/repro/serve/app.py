@@ -41,8 +41,6 @@ from repro import __version__
 from repro.api import Session
 from repro.errors import envelope_from_exception, error_envelope
 from repro.obs import trace as obs
-from repro.runtime.cache import CacheStats
-from repro.runtime.runner import SweepOutcome
 from repro.serve.coalescer import Computation, RequestCoalescer
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -502,13 +500,9 @@ class ServeApp:
                 timing.get("compute_s", 0.0),
             )
             raise
-        cache_delta = result.cache_stats
-        if not isinstance(cache_delta, CacheStats):  # pragma: no cover
-            cache_delta = None
-        outcome = getattr(result, "outcome", None)
         self.telemetry.computation_finished(
-            timing["queue_s"], timing["compute_s"], cache_delta,
-            runner_chunks=outcome.chunks if isinstance(outcome, SweepOutcome) else 0,
+            timing["queue_s"], timing["compute_s"], result.cache_stats,
+            runner_chunks=result.outcome.chunks,
         )
         return {
             "result": result,

@@ -12,8 +12,8 @@ so ``/stats`` can answer the deployment questions directly:
   (the acceptance bar: 8 identical concurrent requests -> 1 computation,
   7 hits);
 * is the cache warm?  ``cache.network_hits`` climbing while
-  ``cache.layer_lookups`` and ``runner.chunks`` (``/run`` work sent to
-  the process pool) stay flat;
+  ``cache.layer_lookups`` and ``runner.chunks`` (``/run`` and
+  ``/search`` work sent to the process pool) stay flat;
 * where does latency go?  queue vs compute totals / max, plus the
   per-endpoint p50/p90/max summaries under ``latency.endpoints``.
 
@@ -36,8 +36,8 @@ STATS_VERSION = 1
 
 #: Additive ``/stats`` schema revision: 2 added ``schema_version``,
 #: ``latency.endpoints`` (p50/p90/max per endpoint), and ``GET /metrics``;
-#: 3 added ``runner.chunks``.
-STATS_SCHEMA_VERSION = 3
+#: 3 added ``runner.chunks``; 4 added ``cache.memo_hits``.
+STATS_SCHEMA_VERSION = 4
 
 
 def _series_dict(summary: dict) -> dict:
@@ -85,7 +85,7 @@ class ServeTelemetry:
         )
         self._runner_chunks = self.registry.counter(
             "repro_serve_runner_chunks_total",
-            "Chunks /run evaluations sent to the process pool (0 when warm).",
+            "Pool chunks sent by /run and /search evaluations (0 when warm).",
         )
         self._in_flight = self.registry.gauge(
             "repro_serve_computations_in_flight",

@@ -13,13 +13,13 @@ from repro.sim.compaction import CompactionResult, compact_schedule
 from repro.sim.shuffle import rotation_shuffle
 from repro.sim.dual import dual_sparse_cycles
 from repro.sim.engine import (
+    EvalContext,
     LayerSimResult,
     NetworkSimResult,
     SimulationOptions,
     TileResult,
     simulate_layer,
     simulate_network,
-    simulate_tile,
 )
 from repro.sim.analytical import analytical_speedup, analytical_tile_cycles
 
@@ -28,7 +28,7 @@ __all__ = [
     "compact_schedule",
     "rotation_shuffle",
     "dual_sparse_cycles",
-    "simulate_tile",
+    "EvalContext",
     "simulate_layer",
     "simulate_network",
     "SimulationOptions",

@@ -12,26 +12,30 @@ Because repeated passes of one GEMM are statistically identical, the engine
 samples a configurable number of passes per GEMM (including edge passes)
 and extrapolates -- the same block-sampling the paper's own
 PyTorch-fed simulator performs.  Everything is deterministic in the option
-seed, and layer results are memoized on the full simulation key.  Sampled
-passes are memoized on the layer's sparsity rather than on the design, so
+seed.  Reuse lives in the :class:`EvalContext` each call passes: layer
+results are memoized on the content :func:`simulation_key` hashes, and
+sampled passes on the layer's sparsity rather than on the design, so
 every design and category that reads a GEMM's weights shares one draw of
-its weight factor field.
+its weight factor field.  The engine keeps no state between calls.
 
 Persistent caching is two-tiered: layer results store under
 :func:`simulation_key` (:data:`SIMULATION_KEY_VERSION`), and whole-network
 results under :func:`network_key` (:data:`NETWORK_KEY_VERSION`), so a warm
 :func:`simulate_network` is a single read.  The store is passed explicitly
-(``cache=``) to :func:`simulate_network` / :func:`simulate_layer`; the
-engine only knows the :class:`ResultCache` protocol, and the disk-backed
-implementation lives in :mod:`repro.runtime.cache`.
+(``cache=``, alone or in a context) to :func:`simulate_network` /
+:func:`simulate_layer`; the engine only knows the :class:`ResultCache`
+protocol, and the disk-backed implementation lives in
+:mod:`repro.runtime.cache`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from typing import Callable, Protocol
+import threading
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Hashable, Protocol
 
 import numpy as np
 
@@ -48,7 +52,6 @@ from repro.sim.shuffle import rotation_shuffle
 from repro.workloads.models import (
     Network,
     NetworkLayer,
-    RawGemmSpec,
     gemm_content,
     network_fingerprint,
 )
@@ -93,14 +96,7 @@ class SimulationOptions:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the spec files' ``options`` shape)."""
-        return {
-            "passes_per_gemm": self.passes_per_gemm,
-            "max_t_steps": self.max_t_steps,
-            "seed": self.seed,
-            "pipeline_drain": self.pipeline_drain,
-            "include_stalls": self.include_stalls,
-            "include_dram": self.include_dram,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict, defaults: dict | None = None) -> "SimulationOptions":
@@ -203,29 +199,6 @@ class NetworkSimResult:
         return self.dense_cycles / self.cycles if self.cycles else 1.0
 
 
-def simulate_tile(
-    config: ArchConfig,
-    a_mask: np.ndarray | None = None,
-    b_mask: np.ndarray | None = None,
-    t_steps: int | None = None,
-) -> TileResult:
-    """Schedule one output tile.
-
-    Pass the activation mask ``[T, L, M]`` and/or weight mask ``[T, L, N]``
-    for the sides the architecture should skip; a missing side is treated
-    as dense.  With both masks the dual-sparse seven-step pipeline runs;
-    with one, the corresponding single-sparse compaction (both through
-    :func:`_tile_cycles_batch`, as a batch of one); with none, the tile
-    costs exactly ``T`` dense cycles.
-    """
-    if a_mask is None and b_mask is None:
-        if t_steps is None:
-            raise ValueError("t_steps is required when no mask is given")
-        return TileResult(t_steps, t_steps, 0, 0)
-    (tile,) = _tile_cycles_batch(config, [(a_mask, b_mask)])
-    return tile if t_steps is None else replace(tile, dense_cycles=t_steps)
-
-
 def _tile_cycles_batch(
     config: ArchConfig,
     pairs: "list[tuple[np.ndarray | None, np.ndarray | None]]",
@@ -324,7 +297,6 @@ def _scheduling_config(config: ArchConfig, sparsity: _GemmSparsity) -> ArchConfi
     return config
 
 
-@lru_cache(maxsize=512)
 def _sampled_passes(
     seed: int,
     weights: SparsityProfile | None,
@@ -334,10 +306,11 @@ def _sampled_passes(
     passes_per_gemm: int,
     max_t_steps: int,
 ) -> dict[tuple[bool, bool], tuple]:
-    """Sampled ``(a_mask, b_mask)`` pass tiles for one GEMM, memoized.
+    """Sampled ``(a_mask, b_mask)`` pass tiles for one GEMM.
 
-    The memo is keyed on the layer's sparsity, not on the sides one
-    datapath skips: ``activations`` is the layer's activation profile
+    :attr:`EvalContext.passes` memoizes this on its arguments, which are
+    the layer's sparsity, not the sides one datapath skips:
+    ``activations`` is the layer's activation profile
     whether or not the requesting design uses it.  The result maps
     ``(weights used, activations used)`` to every pass set that one draw
     of the leading factor field serves:
@@ -357,8 +330,8 @@ def _sampled_passes(
     The draw sequence is a pure function of these arguments and does
     *not* depend on the scheduling config, so a design-space sweep redraws
     byte-identical tiles for every design point and memoizing turns every
-    re-visit into a lookup.  The rng is local, so a cache hit leaves no
-    stream behind.  Only masks are cached, never the factor fields; the
+    re-visit into a lookup.  The rng is local, so a memo hit leaves no
+    stream behind.  Only masks are returned, never the factor fields; the
     masks are read-only by contract (every consumer copies before
     mutating).
     """
@@ -442,6 +415,7 @@ def _simulate_gemm(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
+    passes: Memo,
 ) -> GemmSimResult:
     geometry = config.geometry
     grid = tile_grid(gemm, geometry)
@@ -453,11 +427,20 @@ def _simulate_gemm(
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
     layer_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
     sides = (sparsity.weights is not None, sparsity.activations is not None)
-    with obs.ACTIVE.span("engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"):
-        pairs = _sampled_passes(
-            seed, sparsity.weights, layer_acts, gemm, geometry,
-            options.passes_per_gemm, options.max_t_steps,
-        )[sides]
+    key = (
+        seed, sparsity.weights, layer_acts, gemm, geometry,
+        options.passes_per_gemm, options.max_t_steps,
+    )
+    with obs.ACTIVE.span(
+        "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}",
+        seed=seed, weights=sides[0],
+    ) as span:
+        sets = passes.get(key)
+        span.set(memo="miss" if sets is None else "hit")
+        if sets is None:
+            sets = _sampled_passes(*key)
+            passes.put(key, sets)
+        pairs = sets[sides]
     samples = len(pairs)
     n_passes = grid.m_tiles * grid.n_tiles
     full_t = grid.t_steps
@@ -521,11 +504,13 @@ class ResultCache(Protocol):
     ``put_network``) holds one :class:`NetworkSimResult` per
     :func:`network_key`.  A ``get`` returns ``None`` on a miss (including
     unreadable or corrupt entries -- the engine then recomputes and
-    overwrites).  Handles on one store must compare equal and hash alike:
-    the in-process layer memo is keyed on the handle, so it only answers
-    for the store it fronts.  Implementations live outside the engine (see
-    :mod:`repro.runtime.cache`) so the dependency points runtime -> sim.
+    overwrites); ``stats.count("memo_hits")`` counts a layer its
+    :class:`EvalContext` memo answered.  Implementations live outside the
+    engine (see :mod:`repro.runtime.cache`) so the dependency points
+    runtime -> sim.
     """
+
+    stats: Any
 
     def get(self, key: str) -> LayerSimResult | None: ...
 
@@ -621,31 +606,81 @@ def network_key(
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
+class Memo:
+    """A bounded, thread-safe least-recently-used map that counts lookups."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize, self.hits, self.misses = maxsize, 0, 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key`` (now the most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value``, evicting the least recent entry past ``maxsize``."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+
+@dataclass(frozen=True)
+class EvalContext:
+    """Where an evaluation looks results up: a store and two memos.
+
+    ``store`` is the persistent :class:`ResultCache` (``None``: none);
+    ``layers`` memoizes layer results on the content :func:`simulation_key`
+    hashes (never the display name), ``passes`` the sampled pass tiles of a
+    GEMM.  A :class:`repro.api.Session` owns one context and hands each
+    call ``context.on(handle)``, so calls share its memos but count into
+    their own handles.  A fresh context is a cold start.
+    """
+
+    store: ResultCache | None = None
+    layers: Memo = field(default_factory=lambda: Memo(32768))
+    passes: Memo = field(default_factory=lambda: Memo(512))
+
+    def on(self, store: ResultCache | None) -> "EvalContext":
+        """A context on ``store`` that shares these memos."""
+        return replace(self, store=store)
+
+    @staticmethod
+    def of(cache: "EvalContext | ResultCache | None") -> "EvalContext":
+        """``cache`` if it is a context, else a throwaway one on it."""
+        return cache if isinstance(cache, EvalContext) else EvalContext(cache)
+
+
 def clear_memo_cache() -> None:
-    """Drop the in-process layer memoization (not the persistent cache)."""
-    _simulate_layer_cached.cache_clear()
-    _sampled_passes.cache_clear()
+    """A no-op: the engine keeps no memo, and a fresh context is cold."""
 
 
 def _compute_layer(
+    layer: NetworkLayer,
     gemms: tuple[GemmShape, ...],
-    weight_density: float,
-    act_density: float,
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
+    passes: Memo,
 ) -> LayerSimResult:
-    layer = NetworkLayer(
-        spec=RawGemmSpec(name="layer", shapes=gemms),
-        weight_density=weight_density,
-        act_density=act_density,
-    )
     results = []
     cycles = 0.0
     dense = 0
     with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
         for gemm in gemms:
-            res = _simulate_gemm(gemm, layer, config, category, options)
+            res = _simulate_gemm(gemm, layer, config, category, options, passes)
             gemm_cycles = res.cycles
             if options.include_stalls and gemm_cycles < res.dense_cycles:
                 gemm_cycles = _apply_stalls(
@@ -659,62 +694,42 @@ def _compute_layer(
     return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=tuple(results))
 
 
-@lru_cache(maxsize=32768)
-def _simulate_layer_cached(
-    gemms: tuple[GemmShape, ...],
-    weight_density: float,
-    act_density: float,
-    config: ArchConfig,
-    category: ModelCategory,
-    options: SimulationOptions,
-    cache: ResultCache | None,
-) -> LayerSimResult:
-    """The in-process layer memo, above the persistent layer tier.
-
-    ``cache`` is part of the memo key (handles on one store compare
-    equal), so a memo entry answers only for the store that recorded it:
-    a call against another store -- or against none -- looks up, and
-    writes, its own.  On a memo miss the persistent get, simulation and
-    put run against the calling handle, so they count in its stats.  The
-    key keeps the first handle of each entry alive; a memo hit never
-    records into it again.
-    """
-    if cache is None:
-        return _compute_layer(gemms, weight_density, act_density, config, category, options)
-    key = simulation_key(gemms, weight_density, act_density, config, category, options)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _compute_layer(gemms, weight_density, act_density, config, category, options)
-    cache.put(key, result)
-    return result
-
-
 def simulate_layer(
     layer: NetworkLayer,
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions | None = None,
-    cache: ResultCache | None = None,
+    cache: EvalContext | ResultCache | None = None,
 ) -> LayerSimResult:
-    """Simulate one layer; results are memoized on the full key.
+    """Simulate one layer through the context's memo, then its store.
 
-    The cache key deliberately excludes the layer *name*, so topologically
-    repeated blocks (ResNet stages, BERT encoders) simulate once; the
-    returned result nevertheless carries the layer's real display name.
-    ``cache`` is the persistent store to read and write through (``None``:
-    no persistent tier).
+    ``cache`` is an :class:`EvalContext`, or a store (or ``None``) to wrap
+    in a throwaway one.  The memo key excludes the layer and config
+    *names*, so repeated blocks (ResNet stages, BERT encoders) and label
+    twins simulate once; the result still carries the layer's own name.
+    A memo hit reads nothing and counts in the store's ``memo_hits``.
     """
     options = options or SimulationOptions()
-    result = _simulate_layer_cached(
-        tuple(layer.spec.gemms()),
-        layer.weight_density,
-        layer.act_density,
-        config,
-        category,
-        options,
-        cache,
+    context = EvalContext.of(cache)
+    store = context.store
+    gemms = tuple(layer.spec.gemms())
+    args = (gemms, layer.weight_density, layer.act_density, config, category, options)
+    memo_key = (
+        gemms, layer.weight_density, layer.act_density,
+        config.a, config.b, config.shuffle, config.geometry, category, options,
     )
+    result = context.layers.get(memo_key)
+    if result is not None:
+        if store is not None:
+            store.stats.count("memo_hits")
+    else:
+        key = simulation_key(*args) if store is not None else None
+        result = store.get(key) if key is not None else None
+        if result is None:
+            result = _compute_layer(layer, gemms, config, category, options, context.passes)
+            if key is not None:
+                store.put(key, result)
+        context.layers.put(memo_key, result)
     if result.name != layer.name:
         result = replace(result, name=layer.name)
     return result
@@ -725,22 +740,24 @@ def simulate_network(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions | None = None,
-    cache: ResultCache | None = None,
+    cache: EvalContext | ResultCache | None = None,
 ) -> NetworkSimResult:
     """End-to-end latency of a network on an architecture configuration.
 
-    Resolution is tiered: with a persistent ``cache``, the whole network
-    is looked up under its :func:`network_key` first -- a warm run answers
-    in one read with zero layer simulations.  On a miss the layers
-    simulate individually through the layer tier, and the aggregated
-    result is written back to the network tier for the next run.  Without
-    one (``None``) every layer simulates, memoized in-process only.
+    ``cache`` is an :class:`EvalContext`, or a store (or ``None``) to wrap
+    in a throwaway one.  Resolution is tiered: with a store, the whole
+    network is looked up under its :func:`network_key` first -- a warm
+    run answers in one read with zero layer simulations.  On a miss the
+    layers go through :func:`simulate_layer`, and the aggregated result
+    is written back to the network tier for the next run.
     """
     options = options or SimulationOptions()
+    context = EvalContext.of(cache)
+    store = context.store
     key = None
-    if cache is not None:
+    if store is not None:
         key = network_key(network, config, category, options)
-        hit = cache.get_network(key)
+        hit = store.get_network(key)
         if hit is not None:
             return hit
     layer_results = []
@@ -753,7 +770,7 @@ def simulate_network(
         layers=len(network.layers),
     ):
         for layer in network.layers:
-            res = simulate_layer(layer, config, category, options, cache=cache)
+            res = simulate_layer(layer, config, category, options, cache=context)
             layer_results.append(res)
             cycles += res.cycles
             dense += res.dense_cycles
@@ -765,6 +782,6 @@ def simulate_network(
         dense_cycles=dense,
         layers=tuple(layer_results),
     )
-    if cache is not None:
-        cache.put_network(key, result)
+    if store is not None:
+        store.put_network(key, result)
     return result

@@ -5,8 +5,10 @@ The load-bearing guarantees:
 * `parse_design` parses configs, Griffin, starred points, and baseline
   names uniformly (case-insensitive);
 * two sessions with different cache directories are fully isolated (no
-  bleed-through in either direction), even in one process with a warm
-  in-process memo: each writes and counts its own store;
+  bleed-through in either direction), even in one process: each owns its
+  in-process memos, and writes and counts its own store;
+* designs that differ only by label share the session's layer memo, and
+  a pool worker keeps its memos across the chunks it runs;
 * each call's `cache_stats` is exactly its own activity -- under forced
   overlap on one shared session, and across worker processes -- and
   `session.stats` is their sum;
@@ -25,6 +27,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,7 @@ from repro.dse.evaluate import (
     evaluate_design,
     parse_design,
 )
+from repro.obs import trace as obs_trace
 from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
@@ -56,14 +60,6 @@ CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=7)
 SETTINGS = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
 CATS = (ModelCategory.B, ModelCategory.DENSE)
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-
-
-@pytest.fixture
-def cold_engine():
-    """No inherited memoization before or after the test."""
-    engine.clear_memo_cache()
-    yield
-    engine.clear_memo_cache()
 
 
 class TestParseDesign:
@@ -121,16 +117,15 @@ class TestAsDesign:
 
 
 class TestSessionEvaluate:
-    def test_empty(self, cold_engine):
+    def test_empty(self):
         outcome = Session(use_cache=False).evaluate([], CATS, SETTINGS)
         assert outcome.evaluations == ()
 
-    def test_parallel_equals_serial_mixed_designs(self, cold_engine, tmp_path):
+    def test_parallel_equals_serial_mixed_designs(self, tmp_path):
         designs = [sparse_b(2, 0, 0), "Griffin", "SparTen", "Sparse.B*"]
         serial = Session(workers=0, cache_dir=tmp_path / "s").evaluate(
             designs, CATS, SETTINGS
         )
-        engine.clear_memo_cache()
         parallel = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
             designs, CATS, SETTINGS
         )
@@ -139,7 +134,7 @@ class TestSessionEvaluate:
             "B(2,0,0,off)", "Griffin", "SparTen", "Sparse.B*"
         ]
 
-    def test_cache_isolation_between_sessions(self, cold_engine, tmp_path):
+    def test_cache_isolation_between_sessions(self, tmp_path):
         config = sparse_b(2, 0, 1)
         one = Session(cache_dir=tmp_path / "one")
         two = Session(cache_dir=tmp_path / "two")
@@ -149,24 +144,20 @@ class TestSessionEvaluate:
         assert one.stats.puts == first.cache_stats.puts
 
         # A different cache dir must not see session one's entries.
-        engine.clear_memo_cache()
         second = two.evaluate([config], (ModelCategory.B,), SETTINGS)
         assert second.cache_stats.hits == 0
         assert second.cache_stats.puts > 0
         assert second.evaluations == first.evaluations
 
         # ... and warms up independently.
-        engine.clear_memo_cache()
         warm = two.evaluate([config], (ModelCategory.B,), SETTINGS)
         assert warm.cache_stats.hit_rate == 1.0
         assert two.stats.hits == warm.cache_stats.hits
 
-    def test_second_session_writes_and_counts_its_own_store(
-        self, cold_engine, tmp_path
-    ):
-        """No memo clearing between the sessions: the in-process layer memo
-        is scoped to the store it fronts, so the second session's store
-        gets every layer entry the first one got, and its own lookups."""
+    def test_second_session_writes_and_counts_its_own_store(self, tmp_path):
+        """No memo clearing between the sessions: each session owns its
+        memos, so the second session's store gets every layer entry the
+        first one got, and its own lookups."""
         config = sparse_b(2, 0, 1)
         first = Session(cache_dir=tmp_path / "one").evaluate(
             [config], (ModelCategory.B,), SETTINGS
@@ -184,8 +175,88 @@ class TestSessionEvaluate:
             p.name for p in one.layers_dir.glob("*/*.json")
         )
 
+    def test_fresh_session_is_cold_without_any_clear_call(self, tmp_path):
+        """A second session in the same process, after a first one warmed
+        its memos, draws every sampled-pass set again and counts the same
+        cache activity: nothing carries over between sessions."""
+        designs = ["Sparse.B*", "Griffin"]
+        runs = []
+        for name in ("one", "two"):
+            tracer = obs_trace.Tracer()
+            with obs_trace.tracing(tracer):
+                outcome = Session(cache_dir=tmp_path / name).evaluate(
+                    designs, CATS, SETTINGS
+                )
+            misses = [
+                span for span in tracer.export()
+                if span["name"] == "engine.sample_passes"
+                and span["attrs"]["memo"] == "miss"
+            ]
+            runs.append((outcome, len(misses)))
+        (first, first_draws), (second, second_draws) = runs
+        assert second.evaluations == first.evaluations
+        assert second.cache_stats == first.cache_stats
+        assert second.cache_stats.memo_hits > 0
+        assert second_draws == first_draws > 0
+
+    def test_label_twins_share_one_memo_entry_and_read_no_layer(self, tmp_path):
+        """Two designs that differ only by display name simulate once: the
+        twin's layers come from the session's memo, not from the store."""
+        config = sparse_b(2, 0, 1)
+        twin = replace(config, name="Twin")
+        alone = Session(cache_dir=tmp_path / "alone").evaluate(
+            [config], (ModelCategory.B,), SETTINGS
+        )
+        both = Session(cache_dir=tmp_path / "both").evaluate(
+            [config, twin], (ModelCategory.B,), SETTINGS
+        )
+        stats = both.cache_stats
+        assert both.evaluations[1].speedup(ModelCategory.B) == (
+            both.evaluations[0].speedup(ModelCategory.B)
+        )
+        assert stats.hits == 0
+        assert (stats.layer_misses, stats.layer_puts) == (
+            alone.cache_stats.layer_misses, alone.cache_stats.layer_puts
+        )
+        twin_layers = len(SETTINGS.suite(ModelCategory.B)[0].network.layers)
+        assert stats.memo_hits == alone.cache_stats.memo_hits + twin_layers
+        # The network tier is keyed on the label: the twin has its own entry.
+        assert stats.network_puts == 2 * alone.cache_stats.network_puts
+
+    def test_pool_worker_draws_each_pass_set_once(self, tmp_path):
+        """One chunk per design on two workers: each worker process keeps
+        its memos across the chunks it runs, so no sampled-pass set is
+        drawn twice in one process (counted from ``memo="miss"`` spans)."""
+        spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
+        settings = replace(SETTINGS, options=spec.options)
+        tracer = obs_trace.Tracer()
+        with obs_trace.tracing(tracer):
+            outcome = Session(workers=2, cache_dir=tmp_path, chunk_size=1).evaluate(
+                spec.resolve_designs(), CATS, settings
+            )
+        assert outcome.chunks == len(spec.designs)
+        spans = tracer.export()
+        by_id = {span["id"]: span for span in spans}
+
+        def worker_pid(span):
+            while span["name"] != "runner.chunk":
+                span = by_id[span["parent"]]
+            return span["attrs"]["pid"]
+
+        draws = [
+            (worker_pid(span), span["attrs"]["gemm"], span["attrs"]["seed"],
+             span["attrs"]["weights"])
+            for span in spans
+            if span["name"] == "engine.sample_passes" and span["attrs"]["memo"] == "miss"
+        ]
+        assert draws and len(draws) == len(set(draws))
+        assert any(
+            span["attrs"]["memo"] == "hit"
+            for span in spans if span["name"] == "engine.sample_passes"
+        )
+
     def test_overlapping_calls_count_exactly_their_own_activity(
-        self, cold_engine, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """Two threads on one shared session, each held at a barrier inside
         its first layer simulation until the other is in flight too: each
@@ -194,13 +265,11 @@ class TestSessionEvaluate:
         designs = [sparse_b(2, 0, 0), sparse_b(4, 0, 1)]
         alone = []
         for index, design in enumerate(designs):
-            engine.clear_memo_cache()
             outcome = Session(cache_dir=tmp_path / f"alone{index}").evaluate(
                 [design], (ModelCategory.B,), SETTINGS
             )
             alone.append(outcome.cache_stats)
 
-        engine.clear_memo_cache()
         barrier = threading.Barrier(2, timeout=30.0)
         held_threads = set()
         simulate_layer = engine.simulate_layer
@@ -227,7 +296,7 @@ class TestSessionEvaluate:
         assert session.stats == total
 
     def test_session_totals_lose_no_update_under_thread_stress(
-        self, cold_engine, tmp_path
+        self, tmp_path
     ):
         """Many threads (more than cores) fold warm network-tier hits into
         one session's totals with a short switch interval: the totals are
@@ -260,14 +329,13 @@ class TestSessionEvaluate:
             total.merge(stats)
         assert session.stats == total
 
-    def test_parallel_call_stats_equal_serial(self, cold_engine, tmp_path):
+    def test_parallel_call_stats_equal_serial(self, tmp_path):
         """Designs with disjoint layer keys: every worker chunk counts its
         own handle, and the summed per-call stats match the serial loop."""
         designs = [sparse_b(2, 0, 0), sparse_b(4, 0, 1), sparse_b(2, 1, 0)]
         serial = Session(workers=0, cache_dir=tmp_path / "s").evaluate(
             designs, (ModelCategory.B,), SETTINGS
         )
-        engine.clear_memo_cache()
         parallel = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
             designs, (ModelCategory.B,), SETTINGS
         )
@@ -276,7 +344,7 @@ class TestSessionEvaluate:
         assert parallel.cache_stats == serial.cache_stats
 
     def test_warm_parallel_fig8_answers_in_session(
-        self, cold_engine, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """A warm fig8 on a pool session: at most two key-function calls per
         network hit (one key, one memoized fingerprint) and no runner chunk."""
@@ -303,7 +371,7 @@ class TestSessionEvaluate:
         assert "simulation_key" not in calls
         assert len(calls) <= 2 * warm.cache_stats.network_hits
 
-    def test_mixed_warm_and_cold_designs_equal_serial(self, cold_engine, tmp_path):
+    def test_mixed_warm_and_cold_designs_equal_serial(self, tmp_path):
         """Warm, partly warm (one category cached), broken (a corrupt entry
         after a hit) and cold designs: a pool session answers the warm one
         in-process and sends the rest to the pool, with evaluations,
@@ -319,7 +387,6 @@ class TestSessionEvaluate:
             PersistentLayerCache(root).network_path_for(
                 engine.network_key(bert, broken, ModelCategory.DENSE, CHEAP)
             ).write_text("{ truncated")
-            engine.clear_memo_cache()
             ticks[workers] = []
             outcomes[workers] = Session(workers=workers, cache_dir=root).evaluate(
                 [cold, warm, partial, broken], CATS, SETTINGS,
@@ -332,15 +399,14 @@ class TestSessionEvaluate:
         assert parallel.chunks >= 1
         assert ticks[2][0] == (1, 4) and ticks[2][-1] == ticks[1][-1] == (4, 4)
 
-    def test_session_stats_accumulate_across_calls(self, cold_engine, tmp_path):
+    def test_session_stats_accumulate_across_calls(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         session.evaluate([sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS)
-        engine.clear_memo_cache()
         session.evaluate([sparse_b(2, 0, 0)], (ModelCategory.B,), SETTINGS)
         assert session.stats.puts > 0 and session.stats.hits > 0
 
     def test_overlapping_serial_calls_count_stats_exactly_once(
-        self, cold_engine, tmp_path
+        self, tmp_path
     ):
         """Concurrent serial evaluations on one session: the session totals
         are the sum of the calls' own counts, nothing counted twice.  A
@@ -369,18 +435,16 @@ class TestSessionEvaluate:
         assert session.stats.puts > 0
         assert session.stats == total
 
-    def test_simulate_through_cache(self, cold_engine, tmp_path):
+    def test_simulate_through_cache(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         result = session.simulate("BERT", "Griffin", ModelCategory.B, CHEAP)
         assert result.speedup > 1.0
         assert session.stats.puts > 0
-        engine.clear_memo_cache()
         again = session.simulate("BERT", "Griffin", ModelCategory.B, CHEAP)
         assert again == result
         assert session.stats.hits > 0
 
-    def test_use_cache_false_touches_nothing(self, cold_engine, tmp_path,
-                                             monkeypatch):
+    def test_use_cache_false_touches_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         session = Session(use_cache=False)
         assert session.cache_dir is None
@@ -483,7 +547,7 @@ class TestExperimentSpec:
         assert settings.options == spec.options
         assert spec.eval_settings(quick=None).quick is True
 
-    def test_run_through_session(self, cold_engine, tmp_path):
+    def test_run_through_session(self, tmp_path):
         spec = ExperimentSpec.from_dict(self.MINI)
         session = Session(cache_dir=tmp_path)
         result = session.run(spec)
@@ -498,7 +562,6 @@ class TestExperimentSpec:
 
         # Identical result through the raw evaluation path, served from a
         # handle on the session's store.
-        engine.clear_memo_cache()
         store = PersistentLayerCache(session.cache_dir)
         direct = evaluate_design(
             sparse_b(2, 0, 0), (ModelCategory.B,), spec.eval_settings(), cache=store
@@ -506,12 +569,11 @@ class TestExperimentSpec:
         assert direct == result.evaluations[1]
         assert store.stats.hits > 0 and store.stats.misses == 0
 
-    def test_run_accepts_dict_and_path(self, cold_engine, tmp_path):
+    def test_run_accepts_dict_and_path(self, tmp_path):
         path = tmp_path / "mini.json"
         path.write_text(json.dumps(self.MINI))
         session = Session(cache_dir=tmp_path / "cache")
         by_path = session.run(path)
-        engine.clear_memo_cache()
         by_dict = session.run(self.MINI)
         assert by_path.evaluations == by_dict.evaluations
 

@@ -182,9 +182,6 @@ class TestUnifiedDesignParsing:
         assert "Sparse.B*" in capsys.readouterr().out
 
     def test_simulate_griffin_morphs(self, capsys, tmp_path):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         argv = [
             "simulate", "--arch", "griffin", "--network", "BERT",
             "--category", "DNN.B", "--passes", "1", "--max-t", "16",
@@ -196,16 +193,12 @@ class TestUnifiedDesignParsing:
         assert "persistent cache: 0 hits" in cold
 
         # The repeated CLI call is served from the persistent cache.
-        engine.clear_memo_cache()
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "0 misses" in warm and "100.0% hit rate" in warm
         assert warm.split("persistent cache")[0] == cold.split("persistent cache")[0]
 
     def test_compare_accepts_baseline_names(self, capsys, tmp_path):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         code = main(
             ["compare", "--category", "DNN.B", "--arch", "Dense",
              "--arch", "SparTen", "--arch", "Griffin",
@@ -224,9 +217,6 @@ class TestUnifiedDesignParsing:
 
 class TestRunCommand:
     def test_run_experiment_cold_then_warm(self, capsys, tmp_path):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         spec_path = tmp_path / "mini.json"
         spec_path.write_text(json.dumps(MINI_SPEC))
         argv = ["run", str(spec_path), "--cache-dir", str(tmp_path / "cache")]
@@ -235,7 +225,6 @@ class TestRunCommand:
         assert "mini" in cold and "Baseline" in cold and "B(2,0,0,off)" in cold
         assert "persistent cache: 0 hits" in cold
 
-        engine.clear_memo_cache()
         assert main(argv + ["--json", str(tmp_path / "out.json")]) == 0
         warm = capsys.readouterr().out
         assert "0 misses" in warm and "100.0% hit rate" in warm
@@ -263,9 +252,6 @@ class TestSweepCommand:
             build_parser().parse_args(["sweep", "--space", "c"])
 
     def test_quick_sweep_cold_then_warm(self, capsys, tmp_path):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         argv = [
             "sweep", "--space", "b", "--quick", "--limit", "4",
             "--network", "BERT", "--cache-dir", str(tmp_path),
@@ -276,7 +262,6 @@ class TestSweepCommand:
         assert "optimal point" in cold
         assert "persistent cache: 0 hits" in cold
 
-        engine.clear_memo_cache()
         assert main(argv + ["--json", str(tmp_path / "fig5.json")]) == 0
         warm = capsys.readouterr().out
         assert "0 misses" in warm and "100.0% hit rate" in warm
@@ -290,9 +275,6 @@ class TestSweepCommand:
         assert payload["cache"]["hits"] > 0
 
     def test_no_cache_flag(self, capsys, tmp_path):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         code = main(
             ["sweep", "--space", "b", "--quick", "--limit", "2",
              "--network", "BERT", "--no-cache"]
@@ -324,9 +306,6 @@ class TestSearchCommand:
     def test_spec_search_with_checkpoint_resume_and_json(
         self, capsys, tmp_path
     ):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
         checkpoint = tmp_path / "front.json"
@@ -341,7 +320,6 @@ class TestSearchCommand:
         assert checkpoint.is_file()
 
         # Resume: everything replayed from the checkpoint, same optimum.
-        engine.clear_memo_cache()
         assert main(argv + ["--resume", "--json", str(tmp_path / "out.json")]) == 0
         resumed = capsys.readouterr().out
         assert "in 0 batches" in resumed
@@ -357,9 +335,6 @@ class TestSearchCommand:
     def test_strategy_override_keeps_spec_tuning(self, capsys, tmp_path):
         """--strategy random must inherit the spec's budget/seed, not
         reset them to flag defaults."""
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
         code = main(
@@ -394,9 +369,6 @@ class TestSearchCommand:
     def test_exhaustive_override_matches_sweep_selection(
         self, capsys, tmp_path
     ):
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         spec_path = tmp_path / "search.json"
         spec_path.write_text(json.dumps(SEARCH_SPEC))
         code = main(
@@ -415,9 +387,6 @@ class TestSurrogateCommand:
     ):
         """The full CLI loop: fit constants from this cache, verify the
         error budget offline, then spend them in a multi-fidelity search."""
-        from repro.sim import engine
-
-        engine.clear_memo_cache()
         cache = str(tmp_path / "cache")
         constants = tmp_path / "constants.json"
         assert main(
@@ -436,7 +405,6 @@ class TestSurrogateCommand:
         assert "surrogate error budget: OK" in out
         assert " ok" in out
 
-        engine.clear_memo_cache()
         spec_path = tmp_path / "multi.json"
         spec_path.write_text(json.dumps({
             "name": "cli-multi",

@@ -1,26 +1,54 @@
 """Tests for the end-to-end simulation engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config import (
     GRIFFIN,
+    ArchConfig,
     ModelCategory,
     dense,
     sparse_a,
     sparse_ab,
     sparse_b,
 )
+from repro.sim import engine
 from repro.sim.engine import (
+    EvalContext,
     SimulationOptions,
+    TileResult,
     simulate_layer,
     simulate_network,
-    simulate_tile,
 )
 from repro.workloads.models import alexnet, bert_base
 from repro.workloads.registry import BENCHMARKS, benchmark
 
 FAST = SimulationOptions(passes_per_gemm=2, max_t_steps=48, seed=3)
+
+
+def simulate_tile(
+    config: ArchConfig,
+    a_mask: np.ndarray | None = None,
+    b_mask: np.ndarray | None = None,
+    t_steps: int | None = None,
+) -> TileResult:
+    """Schedule one output tile.
+
+    Pass the activation mask ``[T, L, M]`` and/or weight mask ``[T, L, N]``
+    for the sides the architecture should skip; a missing side is treated
+    as dense.  With both masks the dual-sparse seven-step pipeline runs;
+    with one, the corresponding single-sparse compaction (both through the
+    engine's batch scheduler, as a batch of one); with none, the tile
+    costs exactly ``T`` dense cycles.
+    """
+    if a_mask is None and b_mask is None:
+        if t_steps is None:
+            raise ValueError("t_steps is required when no mask is given")
+        return TileResult(t_steps, t_steps, 0, 0)
+    (tile,) = engine._tile_cycles_batch(config, [(a_mask, b_mask)])
+    return tile if t_steps is None else replace(tile, dense_cycles=t_steps)
 
 
 class TestSimulateTile:
@@ -114,13 +142,27 @@ class TestSimulateNetwork:
 
     def test_repeated_layers_hit_cache(self):
         # BERT's 12 identical encoders simulate as 2 unique layers.
-        from repro.sim.engine import _simulate_layer_cached
+        context = EvalContext()
+        simulate_network(
+            bert_base(), sparse_b(4, 0, 0), ModelCategory.B, FAST, cache=context
+        )
+        assert context.layers.misses <= 4
+        assert context.layers.hits >= 20
+        assert len(context.layers) == context.layers.misses
 
-        _simulate_layer_cached.cache_clear()
-        simulate_network(bert_base(), sparse_b(4, 0, 0), ModelCategory.B, FAST)
-        info = _simulate_layer_cached.cache_info()
-        assert info.misses <= 4
-        assert info.hits >= 20
+    def test_direct_call_dedups_repeated_layers_in_a_throwaway_context(self, monkeypatch):
+        # Without a context, one call still simulates each unique layer once.
+        computed = []
+        real = engine._compute_layer
+
+        def counting(layer, *args):
+            computed.append((args[0], layer.weight_density, layer.act_density))
+            return real(layer, *args)
+
+        monkeypatch.setattr(engine, "_compute_layer", counting)
+        net = bert_base()
+        simulate_network(net, sparse_b(4, 0, 0), ModelCategory.B, FAST)
+        assert len(computed) == len(set(computed)) <= 4 < len(net.layers)
 
     def test_layer_results_keep_real_names(self):
         res = simulate_network(alexnet(), sparse_b(4, 0, 0), ModelCategory.B, FAST)
@@ -134,10 +176,9 @@ class TestSimulateLayerNames:
         assert res.name == "conv1"
 
     def test_cache_shared_across_names_without_losing_them(self):
-        # Two layers identical up to the display name must share one cache
+        # Two layers identical up to the display name must share one memo
         # entry yet each come back under their own name.
         from repro.gemm.layers import GemmShape
-        from repro.sim.engine import _simulate_layer_cached
         from repro.workloads.models import NetworkLayer, RawGemmSpec
 
         shapes = (GemmShape(m=48, k=160, n=48),)
@@ -149,11 +190,10 @@ class TestSimulateLayerNames:
             spec=RawGemmSpec(name="enc7.attn", shapes=shapes),
             weight_density=0.3, act_density=1.0,
         )
-        _simulate_layer_cached.cache_clear()
-        res_a = simulate_layer(first, sparse_b(4, 0, 0), ModelCategory.B, FAST)
-        res_b = simulate_layer(twin, sparse_b(4, 0, 0), ModelCategory.B, FAST)
-        info = _simulate_layer_cached.cache_info()
-        assert info.misses == 1 and info.hits == 1
+        context = EvalContext()
+        res_a = simulate_layer(first, sparse_b(4, 0, 0), ModelCategory.B, FAST, context)
+        res_b = simulate_layer(twin, sparse_b(4, 0, 0), ModelCategory.B, FAST, context)
+        assert (context.layers.misses, context.layers.hits) == (1, 1)
         assert res_a.name == "enc0.attn" and res_b.name == "enc7.attn"
         assert res_a.cycles == res_b.cycles
         assert res_a.gemms == res_b.gemms

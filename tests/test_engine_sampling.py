@@ -9,6 +9,9 @@ reproduced here as a test-side oracle.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from repro.config import SPARSE_AB_STAR, SPARSE_B_STAR, ModelCategory
 from repro.gemm.layers import GemmShape
 from repro.gemm.tiling import tile_grid
 from repro.sim import engine
-from repro.sim.engine import SimulationOptions, simulate_layer
+from repro.sim.engine import EvalContext, Memo, SimulationOptions, simulate_layer
 from repro.workloads.models import NetworkLayer, RawGemmSpec
 from repro.workloads.sparsity import (
     act_profile,
@@ -104,8 +107,8 @@ def _oracle_passes(gemm: GemmShape, use_b: bool, use_a: bool) -> list:
 
 @pytest.fixture
 def scheduled(monkeypatch):
-    """Cold memo, no persistent cache; records each GEMM's scheduled pairs."""
-    engine.clear_memo_cache()
+    """``(pairs seen, context)``: a fresh context with no persistent store,
+    and each GEMM's scheduled pairs as they are recorded."""
     seen: list[list] = []
     real = engine._tile_cycles_batch
 
@@ -116,15 +119,16 @@ def scheduled(monkeypatch):
         return tiles
 
     monkeypatch.setattr(engine, "_tile_cycles_batch", spy)
-    yield seen
-    engine.clear_memo_cache()
+    return seen, EvalContext()
 
 
-def _request(seen: list, name: str) -> list:
-    """Simulate the layer for one request; the pass pairs of each GEMM."""
+def _request(scheduled: tuple, name: str) -> list:
+    """Simulate the layer for one request in the fixture's context; the
+    pass pairs of each GEMM."""
+    seen, context = scheduled
     config, category, _, _ = REQUESTS[name]
     del seen[:]
-    simulate_layer(LAYER, config, category, OPTIONS)
+    simulate_layer(LAYER, config, category, OPTIONS, cache=context)
     assert len(seen) == len(GEMMS)
     return list(seen)
 
@@ -174,19 +178,19 @@ def test_one_weight_draw_serves_both_variants(scheduled, monkeypatch):
 
 
 def test_memo_holds_no_factor_fields(scheduled):
-    """Only masks are cached; the fields are dropped after the draw."""
+    """Only masks are memoized; the fields are dropped after the draw."""
+    _, context = scheduled
     _request(scheduled, "dual")
-    info = engine._sampled_passes.cache_info()
-    assert info.currsize == len(GEMMS)
+    assert (len(context.passes), context.passes.misses) == (len(GEMMS), len(GEMMS))
     for gemm in GEMMS:
         seed = engine._layer_seed(
             OPTIONS.seed, gemm, LAYER.weight_density, LAYER.act_density
         )
-        sets = engine._sampled_passes(
+        sets = context.passes.get((
             seed, weight_profile(LAYER.weight_density),
             act_profile(LAYER.act_density), gemm, SPARSE_AB_STAR.geometry,
             OPTIONS.passes_per_gemm, OPTIONS.max_t_steps,
-        )
+        ))
         assert set(sets) == {(True, False), (True, True)}
         for pairs in sets.values():
             for pair in pairs:
@@ -194,22 +198,77 @@ def test_memo_holds_no_factor_fields(scheduled):
 
 
 def test_clear_memo_cache_empties_every_engine_memo():
-    """A cleared engine is cold: no ``lru_cache`` in the module keeps entries.
+    """The engine keeps no memo of its own, so there is nothing to clear.
 
-    Found by introspection, so a memo added later is covered too.  Cold
-    benchmark repetitions and the CLI and cache tests rely on this.
+    Found by introspection, so a memo added later is caught: no value the
+    engine module defines is an ``lru_cache`` or holds a :class:`Memo`,
+    before or after simulating, and ``clear_memo_cache`` is a no-op.  A
+    fresh :class:`EvalContext` (a fresh session) is the cold start.
     """
-    memos = {
-        name: value
-        for name, value in vars(engine).items()
-        if callable(getattr(value, "cache_info", None))
-    }
-    assert {"_sampled_passes", "_simulate_layer_cached"} <= set(memos)
+
+    def engine_memos() -> list[str]:
+        return [
+            name for name, value in vars(engine).items()
+            if callable(getattr(value, "cache_info", None))
+            and getattr(value, "__module__", None) == engine.__name__
+            or isinstance(value, (Memo, EvalContext))
+        ]
+
+    assert engine_memos() == []
     for config, category, _, _ in REQUESTS.values():
         simulate_layer(LAYER, config, category, OPTIONS)
-    assert memos["_sampled_passes"].cache_info().currsize > 0
-    assert memos["_simulate_layer_cached"].cache_info().currsize > 0
-    engine.clear_memo_cache()
-    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == {
-        name: 0 for name in memos
-    }
+    assert engine_memos() == []
+    assert engine.clear_memo_cache() is None
+
+
+def test_context_memos_count_and_bound_their_entries():
+    """A context's memos start empty, count every lookup, and stay within
+    their bounds by dropping the least recently used entry."""
+    context = EvalContext()
+    assert (len(context.layers), len(context.passes)) == (0, 0)
+    for config, category, _, _ in REQUESTS.values():
+        simulate_layer(LAYER, config, category, OPTIONS, cache=context)
+    layers, passes = context.layers, context.passes
+    assert (layers.misses, layers.hits, len(layers)) == (len(REQUESTS), 0, len(REQUESTS))
+    # One draw per GEMM for the weight sets, one for the activation-only set.
+    assert (passes.misses, len(passes)) == (2 * len(GEMMS), 2 * len(GEMMS))
+    assert passes.hits == 2 * len(GEMMS)
+    assert context.on(None).layers is layers
+
+    memo = Memo(2)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.get("a") == 1  # "b" is now the least recent
+    memo.put("c", 3)
+    assert (memo.get("b"), memo.get("a"), memo.get("c"), len(memo)) == (None, 1, 3, 2)
+    assert (memo.hits, memo.misses) == (3, 1)
+
+
+def test_memo_counts_every_lookup_under_thread_stress():
+    """Threads (more than cores) hammer one memo with a short switch
+    interval: no lookup goes uncounted and the bound holds, as a session's
+    memo must when ``repro serve`` evaluates on many threads at once."""
+    memo = Memo(64)
+    threads, lookups = 8, 2000
+    barrier = threading.Barrier(threads, timeout=30.0)
+
+    def hammer(offset: int) -> None:
+        barrier.wait()
+        for i in range(lookups):
+            key = (offset + i) % 96
+            if memo.get(key) is None:
+                memo.put(key, i + 1)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(n,)) for n in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(worker.is_alive() for worker in workers)
+    assert memo.hits + memo.misses == threads * lookups
+    assert memo.hits > 0 and len(memo) == 64

@@ -44,14 +44,6 @@ SETTINGS = EvalSettings(quick=True, options=OPTIONS, networks=("BERT",))
 NETWORK = benchmark("BERT").network
 
 
-@pytest.fixture
-def cold_engine():
-    """No inherited memoization before or after the test."""
-    engine.clear_memo_cache()
-    yield
-    engine.clear_memo_cache()
-
-
 def key_of(network=NETWORK, config=CONFIG, category=ModelCategory.B,
            options=OPTIONS):
     return network_key(network, config, category, options)
@@ -131,7 +123,7 @@ class TestNetworkKey:
 
 
 class TestSerialization:
-    def test_round_trip_is_exact(self, cold_engine):
+    def test_round_trip_is_exact(self):
         result = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
         assert network_result_from_dict(network_result_to_dict(result)) == result
 
@@ -139,7 +131,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_result_from_dict({"v": 999})
 
-    def test_layers_decode_lazily_and_equal_the_eager_ones(self, cold_engine):
+    def test_layers_decode_lazily_and_equal_the_eager_ones(self):
         result = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
         entry = network_result_to_dict(result)
         assert list(entry)[-1] == "layers" and isinstance(entry["layers"], str)
@@ -155,7 +147,7 @@ class TestSerialization:
 
 
 class TestNetworkTierRoundTrip:
-    def test_warm_run_is_one_read_zero_layer_lookups(self, cold_engine, tmp_path):
+    def test_warm_run_is_one_read_zero_layer_lookups(self, tmp_path):
         writer = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=writer)
         # Cold: network miss, layer misses, both tiers written through.
@@ -163,8 +155,8 @@ class TestNetworkTierRoundTrip:
         assert writer.stats.network_puts == 1
         assert writer.stats.layer_misses == writer.stats.layer_puts > 0
 
-        # New process simulated by: cold memo + a fresh cache object.
-        engine.clear_memo_cache()
+        # New process simulated by a fresh cache object (and a direct
+        # call's throwaway memo).
         reader = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=reader)
         assert second == first  # floats survive the JSON round trip exactly
@@ -172,12 +164,11 @@ class TestNetworkTierRoundTrip:
         assert reader.stats.layer_lookups == 0, "whole network in one read"
         assert reader.stats.hits == 1 and reader.stats.misses == 0
 
-    def test_display_names_round_trip(self, cold_engine, tmp_path):
+    def test_display_names_round_trip(self, tmp_path):
         named = sparse_b(4, 0, 1, shuffle=True, name="Sparse.B*")
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS, cache=cache)
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, named, ModelCategory.B, OPTIONS, cache=fresh)
         assert fresh.stats.network_hits == 1
@@ -188,7 +179,7 @@ class TestNetworkTierRoundTrip:
 
 class TestCorruptionFallback:
     def test_corrupt_network_entry_falls_back_to_layer_tier(
-        self, cold_engine, tmp_path
+        self, tmp_path
     ):
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
@@ -197,7 +188,6 @@ class TestCorruptionFallback:
         assert path.is_file()
         path.write_text("{ this is not json")
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
@@ -210,7 +200,7 @@ class TestCorruptionFallback:
         assert json.loads(path.read_text())["network"] == NETWORK.name
 
     def test_both_tiers_corrupt_recomputes_from_scratch(
-        self, cold_engine, tmp_path
+        self, tmp_path
     ):
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
@@ -220,7 +210,6 @@ class TestCorruptionFallback:
         ):
             entry.write_text("garbage")
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
@@ -228,7 +217,7 @@ class TestCorruptionFallback:
         assert fresh.stats.layer_errors > 0
         assert fresh.stats.hits == 0
 
-    def test_wrong_network_schema_version_is_a_miss(self, cold_engine, tmp_path):
+    def test_wrong_network_schema_version_is_a_miss(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         path = cache.network_path_for(key_of())
@@ -236,17 +225,15 @@ class TestCorruptionFallback:
         stale["v"] = 999
         path.write_text(json.dumps(stale))
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
         assert fresh.stats.network_errors == 1
 
 
 class TestCrossTierStats:
-    def test_tier_shares_sum_to_totals(self, cold_engine, tmp_path):
+    def test_tier_shares_sum_to_totals(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
-        engine.clear_memo_cache()
         simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
         s = cache.stats
@@ -273,20 +260,19 @@ class TestCrossTierStats:
         stats = CacheStats.from_dict({"hits": 5, "misses": 1, "puts": 1})
         assert stats.network_hits == 0 and stats.layer_hits == 5
 
-    def test_session_outcome_carries_tier_breakdown(self, cold_engine, tmp_path):
+    def test_session_outcome_carries_tier_breakdown(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         cold = session.evaluate([CONFIG], (ModelCategory.B,), SETTINGS)
         assert cold.cache_stats.network_puts > 0
         assert cold.cache_stats.layer_puts > 0
 
-        engine.clear_memo_cache()
         warm = session.evaluate([CONFIG], (ModelCategory.B,), SETTINGS)
         assert warm.cache_stats.network_hits > 0
         assert warm.cache_stats.layer_lookups == 0
         assert warm.cache_stats.hit_rate == 1.0
         assert session.stats.network_hits == warm.cache_stats.network_hits
 
-    def test_clear_and_len_cover_both_tiers(self, cold_engine, tmp_path):
+    def test_clear_and_len_cover_both_tiers(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         layer_entries = sum(1 for _ in cache.layers_dir.glob("*/*.json"))
@@ -298,13 +284,12 @@ class TestCrossTierStats:
 
 
 class TestParallelEqualsSerialWithNetworkTier:
-    def test_parallel_equals_serial_cold_and_warm(self, cold_engine, tmp_path):
+    def test_parallel_equals_serial_cold_and_warm(self, tmp_path):
         designs = [sparse_b(2, 0, 0), "Griffin", sparse_b(4, 0, 1, shuffle=True)]
         cats = (ModelCategory.B, ModelCategory.DENSE)
         serial = Session(workers=0, cache_dir=tmp_path / "s").evaluate(
             designs, cats, SETTINGS
         )
-        engine.clear_memo_cache()
         parallel_cold = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
             designs, cats, SETTINGS
         )
@@ -313,7 +298,6 @@ class TestParallelEqualsSerialWithNetworkTier:
 
         # Warm parallel run: answered entirely from the network tier, in
         # worker processes, still bitwise-identical.
-        engine.clear_memo_cache()
         parallel_warm = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
             designs, cats, SETTINGS
         )

@@ -13,7 +13,6 @@ from repro.runtime.cache import (
     result_from_dict,
     result_to_dict,
 )
-from repro.sim import engine
 from repro.sim.engine import SimulationOptions, simulate_layer, simulation_key
 from repro.workloads.models import NetworkLayer, RawGemmSpec
 
@@ -27,14 +26,6 @@ def small_layer(name: str = "block") -> NetworkLayer:
         weight_density=0.25,
         act_density=1.0,
     )
-
-
-@pytest.fixture
-def isolated_engine():
-    """No inherited memoization before or after the test."""
-    engine.clear_memo_cache()
-    yield
-    engine.clear_memo_cache()
 
 
 def key_of(layer: NetworkLayer) -> str:
@@ -75,7 +66,7 @@ class TestSimulationKey:
 
 
 class TestSerialization:
-    def test_round_trip_is_exact(self, isolated_engine):
+    def test_round_trip_is_exact(self):
         result = simulate_layer(small_layer(), CONFIG, ModelCategory.B, OPTIONS)
         assert result_from_dict(result_to_dict(result)) == result
 
@@ -95,21 +86,21 @@ class TestDefaultCacheDir:
 
 
 class TestPersistentRoundTrip:
-    def test_recompute_from_disk_is_identical(self, isolated_engine, tmp_path):
+    def test_recompute_from_disk_is_identical(self, tmp_path):
         layer = small_layer()
         writer = PersistentLayerCache(tmp_path)
         first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=writer)
         assert writer.stats.misses == 1 and writer.stats.puts == 1
         assert len(writer) == 1
 
-        # New process simulated by: cold memo + a fresh cache object.
-        engine.clear_memo_cache()
+        # New process simulated by a fresh cache object (and a direct
+        # call's throwaway memo).
         reader = PersistentLayerCache(tmp_path)
         second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=reader)
         assert reader.stats == CacheStats(hits=1, misses=0, puts=0, errors=0)
         assert second == first  # bitwise: floats survive the JSON round trip
 
-    def test_corrupt_entry_recomputes_gracefully(self, isolated_engine, tmp_path):
+    def test_corrupt_entry_recomputes_gracefully(self, tmp_path):
         layer = small_layer()
         cache = PersistentLayerCache(tmp_path)
         first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
@@ -118,7 +109,6 @@ class TestPersistentRoundTrip:
         assert path.is_file()
         path.write_text("{ this is not json")
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
         assert second == first
@@ -126,7 +116,7 @@ class TestPersistentRoundTrip:
         assert fresh.stats.puts == 1  # the repaired entry went back to disk
         assert json.loads(path.read_text())["dense_cycles"] == first.dense_cycles
 
-    def test_wrong_schema_version_is_a_miss(self, isolated_engine, tmp_path):
+    def test_wrong_schema_version_is_a_miss(self, tmp_path):
         layer = small_layer()
         cache = PersistentLayerCache(tmp_path)
         first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
@@ -135,12 +125,11 @@ class TestPersistentRoundTrip:
         stale["v"] = 999
         path.write_text(json.dumps(stale))
 
-        engine.clear_memo_cache()
         fresh = PersistentLayerCache(tmp_path)
         assert simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
         assert fresh.stats.errors == 1
 
-    def test_clear_removes_entries(self, isolated_engine, tmp_path):
+    def test_clear_removes_entries(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         simulate_layer(small_layer(), CONFIG, ModelCategory.B, OPTIONS, cache=cache)
         assert len(cache) == 1

@@ -26,20 +26,11 @@ from repro.dse.evaluate import EvalSettings
 from repro.dse.explorer import design_space, sparse_b_space
 from repro.runtime.cache import PersistentLayerCache
 from repro.runtime.runner import SweepRunner, chunk_indices, default_chunk_size
-from repro.sim import engine
 from repro.sim.engine import SimulationOptions
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=5)
 SETTINGS = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
 CATEGORIES = (ModelCategory.B, ModelCategory.DENSE)
-
-
-@pytest.fixture
-def cold_engine():
-    """No inherited memoization before or after the test."""
-    engine.clear_memo_cache()
-    yield
-    engine.clear_memo_cache()
 
 
 class TestLifecycle:
@@ -75,11 +66,11 @@ class TestRunnerBasics:
         with pytest.raises(ValueError):
             SweepRunner(workers=-1)
 
-    def test_empty_sweep(self, cold_engine):
+    def test_empty_sweep(self):
         outcome = SweepRunner(workers=0, use_cache=False).run([], CATEGORIES)
         assert outcome.evaluations == () and len(outcome) == 0
 
-    def test_progress_reported_serially(self, cold_engine, tmp_path):
+    def test_progress_reported_serially(self, tmp_path):
         seen = []
         session = Session(
             workers=0, cache_dir=tmp_path, progress=lambda d, t: seen.append((d, t))
@@ -94,12 +85,8 @@ class TestParallelEqualsSerial:
 
     @pytest.fixture(scope="class")
     def serial_outcome(self):
-        engine.clear_memo_cache()
-        try:
-            session = Session(workers=0, use_cache=False)
-            yield session.evaluate(design_space("b"), CATEGORIES, SETTINGS)
-        finally:
-            engine.clear_memo_cache()
+        session = Session(workers=0, use_cache=False)
+        return session.evaluate(design_space("b"), CATEGORIES, SETTINGS)
 
     def test_full_space_is_covered(self, serial_outcome):
         configs = design_space("b")
@@ -109,7 +96,7 @@ class TestParallelEqualsSerial:
         ]
 
     def test_workers_4_bitwise_identical_then_90pct_cached(
-        self, serial_outcome, cold_engine, tmp_path
+        self, serial_outcome, tmp_path
     ):
         configs = design_space("b")
         progress = []
@@ -123,7 +110,6 @@ class TestParallelEqualsSerial:
 
         # Second invocation, fresh processes, same cache dir: the PR's
         # acceptance bar is >= 90% persistent-cache hits.
-        engine.clear_memo_cache()
         second = SweepRunner(workers=4, cache_dir=tmp_path).run(
             configs, CATEGORIES, SETTINGS
         )
@@ -132,7 +118,7 @@ class TestParallelEqualsSerial:
         assert second.cache_stats.hit_rate >= 0.9
 
     def test_odd_worker_count_and_chunk_size_identical(
-        self, serial_outcome, cold_engine, tmp_path
+        self, serial_outcome, tmp_path
     ):
         configs = design_space("b")
         outcome = SweepRunner(workers=3, cache_dir=tmp_path, chunk_size=5).run(
@@ -140,7 +126,7 @@ class TestParallelEqualsSerial:
         )
         assert outcome.evaluations == serial_outcome.evaluations
 
-    def test_serial_with_cache_identical(self, serial_outcome, cold_engine, tmp_path):
+    def test_serial_with_cache_identical(self, serial_outcome, tmp_path):
         configs = design_space("b")
         outcome = Session(workers=1, cache_dir=tmp_path).evaluate(
             configs, CATEGORIES, SETTINGS
@@ -151,7 +137,7 @@ class TestParallelEqualsSerial:
 
 
 class TestNoCache:
-    def test_use_cache_false_serial_writes_nothing(self, cold_engine, tmp_path,
+    def test_use_cache_false_serial_writes_nothing(self, tmp_path,
                                                    monkeypatch):
         """A use_cache=False session neither reads nor writes any store,
         not even the default one."""
@@ -163,7 +149,7 @@ class TestNoCache:
         assert len(PersistentLayerCache(tmp_path)) == 0, "nothing may be written"
 
     def test_use_cache_false_parallel_workers_write_nothing(
-        self, cold_engine, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         outcome = SweepRunner(workers=2, use_cache=False).run(
@@ -174,14 +160,13 @@ class TestNoCache:
 
 
 class TestCrossProcessReuse:
-    def test_serial_then_parallel_reuses_serial_results(self, cold_engine, tmp_path):
+    def test_serial_then_parallel_reuses_serial_results(self, tmp_path):
         configs = sparse_b_space()[:6]
         serial = Session(workers=0, cache_dir=tmp_path).evaluate(
             configs, (ModelCategory.B,), SETTINGS
         )
         assert serial.cache_stats.puts > 0
 
-        engine.clear_memo_cache()
         parallel = SweepRunner(workers=2, cache_dir=tmp_path).run(
             configs, (ModelCategory.B,), SETTINGS
         )

@@ -31,6 +31,7 @@ from repro.dse.evaluate import DesignEvaluation, EvalSettings
 from repro.dse.explorer import design_space, space_categories
 from repro.dse.report import select_optimal
 from repro.runtime.cache import CacheStats
+from repro.runtime.runner import SweepOutcome
 from repro.runtime.search import run_search_loop
 from repro.search import (
     AreaBudget,
@@ -265,7 +266,7 @@ def _fake_evaluate(configs):
             speedup=score, power_mw=100.0, area_um2=1e6,
         )
         evaluations.append(DesignEvaluation(label=config.label, points=(point,)))
-    return evaluations, CacheStats()
+    return SweepOutcome(tuple(evaluations), CacheStats(), workers=0, chunks=0)
 
 
 SPEEDUP_OBJECTIVE = ObjectiveSet((Objective(ModelCategory.B, "speedup"),))

@@ -682,6 +682,34 @@ class TestBitwiseIdentity:
         assert served["experiment"] == cli_payload["experiment"]
 
 
+class TestRunnerChunks:
+    def test_search_pool_chunks_count_in_stats(self, tmp_path):
+        """``runner.chunks`` counts the pool tasks of ``/search`` as it does
+        those of ``/run``; a warm repeat sends none."""
+        spec = {
+            "name": "serve-chunks",
+            "space": {"name": "tiny-b", "db1": [1, 2], "db2": [0], "db3": [0, 1],
+                      "shuffle": [False]},
+            "strategy": {"kind": "exhaustive"},
+            "objectives": [{"category": "DNN.B", "metric": "speedup"}],
+            "networks": [TINYCNN],
+            "options": {"passes_per_gemm": 1, "max_t_steps": 8},
+        }
+        session = Session(workers=2, chunk_size=1,
+                          cache_dir=str(tmp_path / "cache"), keep_pool=True)
+        fixture = ServerFixture(ServeApp(session, compute_threads=2))
+        try:
+            cold = fixture.client.search(spec)
+            chunks = fixture.client.stats()["runner"]["chunks"]
+            warm = fixture.client.search(spec)
+            stats = fixture.client.stats()
+        finally:
+            fixture.stop()
+        assert chunks == cold["fresh_evaluations"] == 4
+        assert stats["runner"]["chunks"] == chunks
+        assert warm["front"] == cold["front"]
+
+
 class TestMetricsEndpoint:
     """``GET /metrics`` (Prometheus text) and the widened ``/stats``."""
 
@@ -739,9 +767,11 @@ class TestMetricsEndpoint:
         assert set(stats["latency"]["compute"]) == {
             "count", "total_ms", "max_ms", "mean_ms",
         }
-        # Additive schema revisions 2 and 3.
-        assert stats["schema_version"] == 3
+        # Additive schema revisions 2, 3 and 4.
+        assert stats["schema_version"] == 4
         assert stats["runner"] == {"chunks": 0}  # a serial session uses no pool
+        assert stats["cache"]["memo_hits"] >= 0
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] > 0
         assert stats["uptime_s"] >= 0
         endpoint = stats["latency"]["endpoints"]["POST /run"]
         assert endpoint["count"] == 1

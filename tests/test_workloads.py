@@ -75,14 +75,6 @@ SPEC_DICT = {
 }
 
 
-@pytest.fixture
-def cold_engine():
-    """No inherited memoization before or after the test."""
-    engine.clear_memo_cache()
-    yield
-    engine.clear_memo_cache()
-
-
 # ----------------------------------------------------------------------
 # Table IV bitwise regression (goldens captured on the pre-redesign code).
 # ----------------------------------------------------------------------
@@ -150,7 +142,7 @@ class TestTableIVRegression:
         assert info.network.macs == golden["macs"]
 
     @pytest.mark.parametrize("info", BENCHMARKS, ids=lambda b: b.name)
-    def test_simulated_cycles_bitwise(self, info, cold_engine):
+    def test_simulated_cycles_bitwise(self, info):
         golden = TABLE_IV_GOLDEN[info.name]
         result = simulate_network(
             info.network, SPARSE_AB_STAR, golden["category"], CHEAP
@@ -447,7 +439,7 @@ class TestParseWorkload:
 class TestEndToEnd:
     CATS = (ModelCategory.B, ModelCategory.DENSE)
 
-    def test_evaluate_networks_kwarg_warm_network_tier(self, cold_engine, tmp_path):
+    def test_evaluate_networks_kwarg_warm_network_tier(self, tmp_path):
         session = Session(cache_dir=tmp_path / "cache")
         cold = session.evaluate(
             ["Dense", "Sparse.B*"], self.CATS,
@@ -455,7 +447,6 @@ class TestEndToEnd:
             networks=(str(TINYCNN),),
         )
         assert cold.cache_stats.network_misses > 0
-        engine.clear_memo_cache()
         warm = session.evaluate(
             ["Dense", "Sparse.B*"], self.CATS,
             EvalSettings(quick=True, options=CHEAP),
@@ -466,20 +457,19 @@ class TestEndToEnd:
         for a, b in zip(cold.evaluations, warm.evaluations):
             assert a == b
 
-    def test_parallel_equals_serial_with_workload_objects(self, cold_engine, tmp_path):
+    def test_parallel_equals_serial_with_workload_objects(self, tmp_path):
         # Workload objects pickle into worker processes.
         workload = parse_workload(str(PYRAMID))
         settings = EvalSettings(quick=True, options=CHEAP)
         serial = Session(workers=0, cache_dir=tmp_path / "s").evaluate(
             ["Dense", "Sparse.B*"], self.CATS, settings, networks=(workload,)
         )
-        engine.clear_memo_cache()
         parallel = Session(workers=2, cache_dir=tmp_path / "p").evaluate(
             ["Dense", "Sparse.B*"], self.CATS, settings, networks=(workload,)
         )
         assert serial.evaluations == parallel.evaluations
 
-    def test_search_on_custom_workload_warm_network_tier(self, cold_engine, tmp_path):
+    def test_search_on_custom_workload_warm_network_tier(self, tmp_path):
         spec = {
             "name": "custom-search",
             "space": {"db1": [1, 2], "db2": [0, 1], "db3": [0]},
@@ -491,7 +481,6 @@ class TestEndToEnd:
         session = Session(cache_dir=tmp_path / "cache")
         cold = session.search(spec)
         assert len(cold.archive) == cold.grid_size > 0
-        engine.clear_memo_cache()
         warm = session.search(spec)
         assert warm.optimal().label == cold.optimal().label
         assert warm.cache_stats.network_hits > 0
@@ -513,7 +502,7 @@ class TestEndToEnd:
                 {"name": "x", "designs": ["Dense"], "networks": ["ResNet5"]}
             )
 
-    def test_cli_simulate_spec_path(self, cold_engine, tmp_path, capsys):
+    def test_cli_simulate_spec_path(self, tmp_path, capsys):
         code = main([
             "simulate", "--arch", "B(2,0,0)", "--network", str(TINYCNN),
             "--category", "DNN.B", "--passes", "1", "--max-t", "16",
