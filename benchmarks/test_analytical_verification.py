@@ -2,17 +2,17 @@
 
 Sec. V builds an analytical overhead/performance model and verifies it
 against the cycle simulator; this bench reproduces that verification pass:
-the closed-form tile model must track the simulator across the density and
-window grid, and the fast speedup estimate must rank design points in the
-same order as the full simulation.
+the surrogate's closed-form tile model (the same function that pre-ranks
+designs in multi-fidelity search) must track the simulator across the
+density and window grid.
 """
 
 import numpy as np
 
-from repro.config import parse_notation
+from repro.config import BorrowConfig
 from repro.dse.report import format_table
-from repro.sim.analytical import analytical_speedup, analytical_tile_cycles
 from repro.sim.compaction import compact_schedule
+from repro.surrogate.model import tile_cycle_estimate
 from conftest import show
 
 
@@ -27,7 +27,9 @@ def test_tile_model_tracks_simulator(benchmark):
                 compact_schedule(rng.random((96, 16, 16)) < density, d1, 0, 0).cycles
                 for _ in range(3)
             ]
-            model = analytical_tile_cycles(96, np.full((16, 16), density), d1)
+            model = float(tile_cycle_estimate(
+                np.array([96.0]), np.array([density]), BorrowConfig(d1), 16 * 16
+            )[0])
             rows.append(
                 {
                     "d1": d1,
@@ -44,24 +46,3 @@ def test_tile_model_tracks_simulator(benchmark):
     errors = [abs(r["error%"]) for r in rows]
     assert max(errors) < 25.0
     assert float(np.mean(errors)) < 12.0
-
-
-def test_estimate_ranks_designs_like_simulator(benchmark):
-    """The quick estimator must order Sparse.B points like the simulator
-    orders them in Fig. 5 (used by the explorer to pre-rank sweeps)."""
-    notations = ["B(2,0,0,on)", "B(4,0,0,on)", "B(4,0,1,on)", "B(8,0,1,on)"]
-
-    def run():
-        return {
-            n: analytical_speedup(parse_notation(n), weight_density=0.19, act_density=None)
-            for n in notations
-        }
-
-    estimates = benchmark(run)
-    show(format_table(
-        [{"Config": k, "Estimated speedup": v} for k, v in estimates.items()],
-        title="Analytical speedup estimates (B side, density 0.19)",
-    ))
-    values = [estimates[n] for n in notations]
-    assert values == sorted(values)
-    assert values[0] > 1.0

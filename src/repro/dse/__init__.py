@@ -18,7 +18,6 @@ from repro.dse.evaluate import (
     evaluate_design,
     parse_design,
 )
-from repro.dse.figures import bar_chart, scatter_plot
 from repro.dse.pareto import dominates, pareto_front, pareto_ranks
 from repro.dse.report import format_table, select_optimal
 
@@ -40,8 +39,6 @@ __all__ = [
     "dominates",
     "pareto_front",
     "pareto_ranks",
-    "bar_chart",
-    "scatter_plot",
     "format_table",
     "select_optimal",
 ]

@@ -1,7 +1,6 @@
-"""GEMM substrate: layer descriptors, im2col lowering, and core tiling."""
+"""GEMM substrate: layer descriptors, their GEMM shapes, and core tiling."""
 
 from repro.gemm.layers import AttentionSpec, Conv2DSpec, GemmShape, LayerSpec, LinearSpec
-from repro.gemm.im2col import im2col_mask, conv_output_size
 from repro.gemm.tiling import TileGrid, tile_grid
 
 __all__ = [
@@ -10,8 +9,6 @@ __all__ = [
     "Conv2DSpec",
     "LinearSpec",
     "AttentionSpec",
-    "im2col_mask",
-    "conv_output_size",
     "TileGrid",
     "tile_grid",
 ]

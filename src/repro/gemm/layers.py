@@ -86,6 +86,18 @@ class Conv2DSpec(LayerSpec):
     groups: int = 1
 
     def __post_init__(self) -> None:
+        if min(self.stride, self.kernel, self.groups) < 1 or self.padding < 0:
+            raise ValueError(
+                f"{self.name}: need stride, kernel and groups >= 1 and "
+                f"padding >= 0, got stride={self.stride}, kernel={self.kernel}, "
+                f"groups={self.groups}, padding={self.padding}"
+            )
+        if self.output_hw < 1:
+            raise ValueError(
+                f"{self.name}: convolution produces empty output: "
+                f"input_hw={self.input_hw}, kernel={self.kernel}, "
+                f"stride={self.stride}, padding={self.padding}"
+            )
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
                 f"{self.name}: channels ({self.in_channels}, {self.out_channels}) "

@@ -9,7 +9,7 @@ from repro.hw.cost import (
     griffin_cost,
     provisioned_bandwidth_scale,
 )
-from repro.hw.energy import EnergyReport, energy_ratio, inference_energy
+from repro.hw.energy import EnergyReport, inference_energy
 
 __all__ = [
     "ComponentLibrary",
@@ -23,5 +23,4 @@ __all__ = [
     "provisioned_bandwidth_scale",
     "EnergyReport",
     "inference_energy",
-    "energy_ratio",
 ]

@@ -62,10 +62,3 @@ def inference_energy(
         power_mw=power,
         geometry=config.geometry,
     )
-
-
-def energy_ratio(sparse: EnergyReport, baseline: EnergyReport) -> float:
-    """How many times less energy the sparse design uses per inference."""
-    if sparse.energy_mj <= 0:
-        raise ValueError("sparse energy must be positive")
-    return baseline.energy_mj / sparse.energy_mj

@@ -2,12 +2,6 @@
 
 from repro.memory.sram import SramConfig, SramModel, bank_conflict_stall_fraction
 from repro.memory.dram import DramModel, dram_stall_factor
-from repro.memory.buffers import (
-    BufferOccupancy,
-    expected_drift,
-    fullness_stall_fraction,
-    occupancy_from_progress,
-)
 
 __all__ = [
     "SramConfig",
@@ -15,8 +9,4 @@ __all__ = [
     "bank_conflict_stall_fraction",
     "DramModel",
     "dram_stall_factor",
-    "BufferOccupancy",
-    "occupancy_from_progress",
-    "fullness_stall_fraction",
-    "expected_drift",
 ]

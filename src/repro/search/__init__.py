@@ -20,7 +20,6 @@ from repro.search.space import (
     MaxBmuxFanin,
     MaxMuxFanin,
     PowerBudget,
-    Predicate,
     SearchSpace,
     paper_space,
     resolve_space,
@@ -47,7 +46,6 @@ __all__ = [
     "MaxMuxFanin",
     "AreaBudget",
     "PowerBudget",
-    "Predicate",
     "Objective",
     "ObjectiveSet",
     "METRICS",

@@ -5,10 +5,10 @@ distance (``da1..da3``, ``db1..db3``) and the shuffle flag, plus a list of
 composable feasibility :class:`Constraint` objects -- the mux fan-in caps
 the paper uses to bound its sweeps (larger MUXes "severely impact power
 efficiency"), area/energy budgets priced by :mod:`repro.hw.cost`, or
-arbitrary predicates.  The three paper spaces (Figs. 5-7) are instances
-(:func:`paper_space`), so the guided-search machinery subsumes the legacy
-hand-bounded grids in :mod:`repro.dse.explorer` -- which are now thin
-wrappers over this module.
+any callable that takes an :class:`ArchConfig` and returns a bool.  The
+three paper spaces (Figs. 5-7) are instances (:func:`paper_space`), so the
+guided-search machinery subsumes the legacy hand-bounded grids in
+:mod:`repro.dse.explorer` -- which are now thin wrappers over this module.
 
 Enumeration order is the deterministic nested-loop order
 ``da1 -> da2 -> da3 -> db1 -> db2 -> db3 -> shuffle`` with each domain
@@ -95,20 +95,6 @@ class PowerBudget:
 
     def describe(self) -> str:
         return f"power <= {self.max_mw:g} mW"
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """An arbitrary feasibility predicate with a human-readable label."""
-
-    fn: Callable[[ArchConfig], bool]
-    label: str = "custom predicate"
-
-    def __call__(self, config: ArchConfig) -> bool:
-        return self.fn(config)
-
-    def describe(self) -> str:
-        return self.label
 
 
 #: Anything usable as a feasibility constraint: callable on an

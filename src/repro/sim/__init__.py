@@ -1,12 +1,14 @@
 """Cycle-level performance model of the Griffin borrowing architectures.
 
-The simulator follows the paper's methodology (Sec. V): tensor blocks are
-lowered to blocked nonzero masks, weight (B) blocks are preprocessed into a
-compressed schedule, activation (A) zeros are skipped on the fly, and the
-number of cycles per block follows the borrowing strategy of the configured
-architecture, including stalls from output synchronization and SRAM bank
-conflicts (DRAM bandwidth optionally).  ABUF/BBUF fullness stalls are not
-modeled.
+The simulator follows the paper's methodology (Sec. V): each GEMM's tile
+masks are sampled from per-tile factor fields of the layer's densities,
+weight (B) blocks are preprocessed into a compressed schedule, activation
+(A) zeros are skipped on the fly, and the number of cycles per block
+follows the borrowing strategy of the configured architecture, including
+stalls from output synchronization and SRAM bank conflicts (DRAM
+bandwidth optionally).  ABUF/BBUF fullness stalls are not modeled.  The
+paper's analytical model, which the simulator verifies, is the
+surrogate's closed form (:func:`repro.surrogate.model.tile_cycle_estimate`).
 """
 
 from repro.sim.compaction import CompactionResult, compact_schedule
@@ -21,7 +23,6 @@ from repro.sim.engine import (
     simulate_layer,
     simulate_network,
 )
-from repro.sim.analytical import analytical_speedup, analytical_tile_cycles
 
 __all__ = [
     "CompactionResult",
@@ -35,6 +36,4 @@ __all__ = [
     "TileResult",
     "LayerSimResult",
     "NetworkSimResult",
-    "analytical_speedup",
-    "analytical_tile_cycles",
 ]

@@ -9,14 +9,17 @@ positions away (Definitions III.1 / III.2).
 
 Execution semantics:
 
-* Each dot-product unit (one ``C1 x C2`` group of ``L`` lanes) follows its
-  own compressed stream with a *front pointer*; the window of reachable
-  positions is ``[f, f + d1]`` and ``f`` advances by at most ``1 + d1`` per
-  cycle (the buffer refill rate), which caps the ideal speedup at ``1 + d1``
-  exactly as the paper states for ``db1``.  Lanes inside a unit share the
-  front (they drain one stream); different units drift within the
-  provisioned ABUF/BBUF, whose overflow is not modeled (the engine charges
-  SRAM and DRAM stalls only).
+* Every slot -- one lane ``l`` of the dot-product unit at ``(c1, c2)`` --
+  follows its own compressed stream with its own *front pointer*; the
+  window of reachable positions is ``[f, f + d1]`` and ``f`` advances by
+  at most ``1 + d1`` per cycle (the buffer refill rate), which caps the
+  ideal speedup at ``1 + d1`` exactly as the paper states for ``db1``.
+  Fronts drift apart freely, even between the lanes of one unit: the
+  provisioned ABUF/BBUF are assumed to absorb the drift, and their
+  overflow is not modeled (the engine charges SRAM and DRAM stalls only).
+  The ``front_mode`` ablations share fronts instead: ``"unit"`` gives the
+  ``L`` lanes of a dot-product unit one front, ``"tile"`` gives the whole
+  tile one.
 * Each output cycle every slot executes at most one remaining effectual op:
   first from its own stream (earliest first), otherwise from a donor stream
   at lane offset ``1..d2`` (wrapping inside the dot-product unit) and/or PE
@@ -26,9 +29,9 @@ Execution semantics:
 * Conflicting claims in a cycle are arbitrated in offset-priority rounds
   (one claim per donor stream per round), in slot order within a round --
   modeling a fixed-priority arbiter.
-* A unit is done when all its effectual ops have executed *and* its front
-  has drained past ``T`` (trailing zero slices still stream at window
-  rate); the tile ends when the slowest unit finishes.
+* A stream is done when all its effectual ops have executed *and* its
+  front has drained past ``T`` (trailing zero slices still stream at
+  window rate); the tile ends when the slowest stream finishes.
 
 Masks are 4-D ``[T, L, C1, C2]``: lane borrowing (``d2``) acts along ``L``,
 PE borrowing (``d3``) along ``C1``, and ``C2`` indexes independent slot
@@ -66,7 +69,7 @@ class CompactionResult:
     """Outcome of scheduling one tile.
 
     ``cycles`` counts every output cycle including the trailing drain of the
-    slowest unit.  ``busy_cycles`` counts cycles in which at least one op
+    slowest stream.  ``busy_cycles`` counts cycles in which at least one op
     executed.  ``schedule`` (optional) maps ``[cycle, slot] -> flat original
     index`` into the ``(T, L, C1, C2)`` mask (or -1 for an idle slot); it
     stops at the last cycle that executed work.  ``borrowed_ops`` counts ops

@@ -15,7 +15,9 @@ same ``[min_cycles, dense_cycles]`` envelope the engine enforces:
   the floor/cap clamps, the stall models) and replaces only the *sampled*
   mean tile cycles with a closed form: a rectified-Gaussian smooth-max of
   the work bound over the window floor with a Gumbel-style slot-max tail
-  (the constant-density analogue of :mod:`repro.sim.analytical`);
+  (:func:`tile_cycle_estimate`, the paper's "analytical model, verified by
+  a simulator": ``benchmarks/test_analytical_verification.py`` checks it
+  against the cycle scheduler);
 * the **correction** ``exp(theta . phi)`` absorbs what the closed form
   abstracts away (factor-field imbalance, shuffle, borrowing
   interactions): a log-linear basis over borrowing distances x tensor

@@ -1,11 +1,9 @@
-"""Tests for the GEMM substrate: layers, tiling, im2col."""
+"""Tests for the GEMM substrate: layers and tiling."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PAPER_CORE
-from repro.gemm.im2col import conv_output_size, im2col_mask
 from repro.gemm.layers import (
     AttentionSpec,
     Conv2DSpec,
@@ -64,6 +62,19 @@ class TestLayers:
             Conv2DSpec(name="bad", in_channels=10, out_channels=10, kernel=3,
                        input_hw=8, groups=3)
 
+    def test_conv_rejects_empty_output(self):
+        with pytest.raises(ValueError, match="empty output"):
+            Conv2DSpec(name="bad", kernel=7, input_hw=4, padding=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("stride", 0), ("stride", -1), ("kernel", 0), ("padding", -1),
+         ("groups", 0)],
+    )
+    def test_conv_rejects_bad_geometry(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            Conv2DSpec(**{"name": "bad", "kernel": 3, "input_hw": 8, field: value})
+
     def test_linear(self):
         fc = LinearSpec(name="fc", in_features=2048, out_features=1000)
         gemm = fc.gemms()[0]
@@ -105,52 +116,6 @@ class TestTiling:
         grid = tile_grid(GemmShape(m=4, k=16, n=16, repeats=7), PAPER_CORE)
         assert grid.total_passes == 7
         assert grid.dense_cycles == 7
-
-
-class TestIm2col:
-    def _naive(self, fmap, kernel, stride, padding):
-        c, h, w = fmap.shape
-        out = conv_output_size(h, kernel, stride, padding)
-        padded = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=bool)
-        padded[:, padding:padding + h, padding:padding + w] = fmap
-        rows = []
-        for oy in range(out):
-            for ox in range(out):
-                patch = padded[:, oy * stride:oy * stride + kernel,
-                               ox * stride:ox * stride + kernel]
-                rows.append(patch.reshape(-1))
-        return np.array(rows)
-
-    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (5, 2, 2), (1, 1, 0)])
-    def test_matches_naive(self, kernel, stride, padding):
-        rng = np.random.default_rng(0)
-        fmap = rng.random((4, 10, 10)) < 0.5
-        fast = im2col_mask(fmap, kernel, stride, padding)
-        naive = self._naive(fmap, kernel, stride, padding)
-        np.testing.assert_array_equal(fast, naive)
-
-    def test_shape(self):
-        fmap = np.ones((3, 8, 8), dtype=bool)
-        out = im2col_mask(fmap, 3, 1, 1)
-        assert out.shape == (64, 27)
-
-    def test_sparsity_is_preserved_in_ratio(self):
-        rng = np.random.default_rng(1)
-        fmap = rng.random((8, 16, 16)) < 0.3
-        out = im2col_mask(fmap, 3, 1, 1)
-        # Interior elements replicate 9x; border effects shift the ratio a
-        # little, but it stays close to the feature-map density.
-        assert out.mean() == pytest.approx(0.3, abs=0.05)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            im2col_mask(np.ones((4, 4), dtype=bool), 3)
-        with pytest.raises(ValueError):
-            im2col_mask(np.ones((1, 4, 5), dtype=bool), 3)
-
-    def test_conv_output_size_validation(self):
-        with pytest.raises(ValueError):
-            conv_output_size(4, 7, 1, 0)
 
 
 @settings(max_examples=30, deadline=None)

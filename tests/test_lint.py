@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.lint
 from repro.cli import main
 from repro.lint import (
     MANIFEST_ENTRIES,
@@ -438,15 +439,18 @@ class TestLintCli:
         rules = {f["rule"] for f in payload["error"]["detail"]["findings"]}
         assert rules == {"DET004"}
 
-    def test_refresh_manifest_verb(self, capsys):
-        # The repo manifest is fresh, so refreshing is a no-op rewrite.
-        before = (
-            REPO_ROOT / "src/repro/lint/key_manifest.json"
-        ).read_text()
+    def test_refresh_manifest_verb(self, tmp_path, monkeypatch, capsys):
+        # The verb runs against a copy of the root: if the suite rewrote
+        # the committed manifest, a stale one would never be reported.
+        root, manifest_path = make_mini_repo(tmp_path)
+        manifest_path.write_text("{}\n")
+        committed = REPO_ROOT / "src/repro/lint/key_manifest.json"
+        before = committed.read_text()
+        monkeypatch.setattr(repro.lint, "default_root", lambda: root)
         assert main(["lint", "refresh-manifest"]) == 0
         assert "refreshed" in capsys.readouterr().out
-        after = (REPO_ROOT / "src/repro/lint/key_manifest.json").read_text()
-        assert after == before
+        assert manifest_is_fresh(root)
+        assert committed.read_text() == before
 
     def test_refresh_manifest_rejects_extra_args(self, capsys):
         assert main(["lint", "refresh-manifest", "src"]) == 2

@@ -41,7 +41,6 @@ from repro.search import (
     Objective,
     ObjectiveSet,
     ParetoArchive,
-    Predicate,
     RandomSearch,
     SearchRecord,
     SearchSpace,
@@ -99,12 +98,14 @@ class TestSearchSpace:
             constraints=(
                 MaxAmuxFanin(8),
                 AreaBudget(1500.0),
-                Predicate(lambda c: c.shuffle, "shuffle required"),
+                lambda c: c.shuffle,
             ),
         )
         assert 0 < len(tight) < len(base)
         for config in tight:
             assert config.shuffle
+        # A plain callable needs no wrapper: describe() shows its repr.
+        assert "<lambda>" in tight.describe()
 
     def test_contains(self):
         space = paper_space("b")
@@ -168,7 +169,7 @@ class TestSearchSpace:
             SearchSpace.from_dict({"db1": [2], "dbx": [1]})
 
     def test_predicate_constraint_not_serializable(self):
-        space = SearchSpace(db1=(2,), constraints=(Predicate(lambda c: True),))
+        space = SearchSpace(db1=(2,), constraints=(lambda c: True,))
         with pytest.raises(ValueError, match="cannot be serialized"):
             space.to_dict()
 

@@ -50,6 +50,8 @@ from repro.workloads import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TINYCNN = REPO_ROOT / "examples" / "workloads" / "tinycnn.json"
 PYRAMID = REPO_ROOT / "examples" / "workloads" / "pyramid_hier.json"
+#: kernel 7 on a 4x4 input with no padding: a conv with no output pixels.
+BAD_CONV = REPO_ROOT / "tests" / "data" / "bad_conv_spec.json"
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16)
 
@@ -548,9 +550,20 @@ class TestEndToEnd:
                          "in_features": 8, "out_features": 2}],
              "sparsity": ["uniform"]},
             ["not", "an", "object"],
+            json.loads(BAD_CONV.read_text()),
+            *(
+                {"name": "b",
+                 "layers": [{"type": "conv2d", "name": "c", "in_channels": 3,
+                             "out_channels": 4, "kernel": 3, "input_hw": 8,
+                             **geometry}]}
+                for geometry in ({"stride": 0}, {"stride": -1},
+                                 {"kernel": 0}, {"padding": -1})
+            ),
         ],
         ids=["str-layer", "str-gemm-shape", "null-dim", "int-density-pair",
-             "list-sparsity", "array-spec"],
+             "list-sparsity", "array-spec", "conv-empty-output",
+             "conv-stride-0", "conv-stride-neg", "conv-kernel-0",
+             "conv-padding-neg"],
     )
     def test_cli_workloads_validate_malformed_shapes(self, tmp_path, capsys,
                                                      payload):
