@@ -95,8 +95,8 @@ def test_fig8_griffin_is_the_all_rounder(benchmark, evaluations):
     # sparsity -- in particular the plain dual-sparse core it is built
     # from, which is the paper's central claim.  (In this reproduction the
     # weight-only Sparse.B* overachieves on DNN.AB because our causal
-    # dual-path scheduler is conservative on the A side; EXPERIMENTS.md
-    # discusses the deviation.)
+    # dual-path scheduler is conservative on the A side; docs/figures.md
+    # lists the deviation.)
     for rival in ("Sparse.A*", "Sparse.AB*", "TDash.AB", "SparTen.AB", "Baseline"):
         assert minimax["Griffin"] > minimax[rival], rival
     assert minimax["Griffin"] > 0.6

@@ -44,7 +44,7 @@ def test_table6_sparse_b_star(benchmark, session, settings):
     # Our greedy scheduler is more conservative than the paper's at deep
     # windows, so the selector may prefer a shallower shuffled design; the
     # published star must still score within 15% of the selected point
-    # (EXPERIMENTS.md discusses the deviation).
+    # (docs/figures.md, "Known deviations from the paper").
     assert _score(published, ModelCategory.B) >= 0.85 * _score(best, ModelCategory.B)
     # The structural findings hold regardless: the winners shuffle, and
     # db3 > 0 appears among the leaders (Fig. 5 observations 2-3).
@@ -77,7 +77,7 @@ def test_table6_sparse_a_star(benchmark, session, settings):
         )
     )
     show(f"selected: {best.label}; paper's pick: {SPARSE_A_STAR.notation}")
-    # Same modeling caveat as the B-side selection (see EXPERIMENTS.md).
+    # Same modeling caveat as the B-side selection (see docs/figures.md).
     assert _score(published, ModelCategory.A) >= 0.75 * _score(best, ModelCategory.A)
     assert best.label.endswith("on)")
     # The paper's core A-side finding: lane lookaside (da2) is the

@@ -101,7 +101,7 @@ from repro.workloads.spec import (
     register_sparsity_profile,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "ArchConfig",

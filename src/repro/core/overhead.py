@@ -78,7 +78,8 @@ def _metadata_bits(db1: int, db2: int, db3: int) -> int:
     reproduces the paper's 3 bits for ``B(2,0,1)``; for Griffin's
     ``conf.B(8,0,1)`` it yields 5 where the paper reports 4 (the paper
     presumably merges the unused 16th index with the tree flag); the one-bit
-    difference is noted in EXPERIMENTS.md and is negligible in cost.
+    difference is listed in docs/figures.md ("Known deviations from the
+    paper") and is negligible in cost.
     """
     index_bits = math.ceil(math.log2((1 + db1) * (1 + db2)))
     tree_bits = 1 if db3 > 0 else 0

@@ -73,6 +73,14 @@ class LayerSpec:
         return sum(g.macs for g in self.gemms())
 
 
+def _require_positive(spec: LayerSpec, *names: str) -> None:
+    """Raise unless each named dimension of ``spec`` is an integer >= 1."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{spec.name}: {name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Conv2DSpec(LayerSpec):
     """A 2-D convolution layer (optionally grouped / depthwise)."""
@@ -148,6 +156,14 @@ class AttentionSpec(LayerSpec):
     heads: int = 12
     seq_len: int = 64
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "hidden", "heads", "seq_len")
+        if self.hidden % self.heads:
+            raise ValueError(
+                f"{self.name}: hidden={self.hidden} not divisible by "
+                f"heads={self.heads}"
+            )
+
     def gemms(self) -> list[GemmShape]:
         head_dim = self.hidden // self.heads
         proj = GemmShape(m=self.seq_len, k=self.hidden, n=self.hidden)
@@ -169,6 +185,9 @@ class FeedForwardSpec(LayerSpec):
     hidden: int = 768
     intermediate: int = 3072
     seq_len: int = 64
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "hidden", "intermediate", "seq_len")
 
     def gemms(self) -> list[GemmShape]:
         return [

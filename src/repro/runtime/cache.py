@@ -14,31 +14,27 @@ store.  The store has two tiers:
   layer-tier lookups) and falls back to the layer tier -- and then to
   simulation -- on a miss or a corrupt entry.
 
-Entries are one JSON file per key, sharded by key prefix::
+Both tiers live in one SQLite database, ``<root>/cache.sqlite``: tables
+``layers`` and ``networks`` map a key to its JSON payload.  Each put is
+one autocommitted ``INSERT OR REPLACE`` in WAL mode, so threads, worker
+processes and concurrent ``repro`` invocations share the store (racing
+writers of a key write identical payloads).  Rows that fail to decode
+are deleted, recomputed and counted in :attr:`CacheStats.errors`; a store
+that cannot be opened or written never fails the simulation.
 
-    <root>/layers/<key[:2]>/<key>.json      # layer tier
-    <root>/networks/<key[:2]>/<key>.json    # network tier
-
-Writes are atomic (temp file + rename) so concurrent workers may race on
-the same key without corrupting it -- last writer wins and every winner
-wrote identical bytes.  Unreadable or corrupt entries are treated as misses
-and recomputed (and counted in :attr:`CacheStats.errors`).
-
-The root directory defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
-Delete the directory (or call :meth:`PersistentLayerCache.clear`) to
-invalidate; the engine also versions keys with
-:data:`repro.sim.engine.SIMULATION_KEY_VERSION` and
-:data:`repro.sim.engine.NETWORK_KEY_VERSION`, so stale schema entries are
-simply never looked up again (network keys hash the simulation key
-version too, hence a simulation-semantics bump invalidates both tiers at
-once).
+The root defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  Keys
+carry :data:`~repro.sim.engine.SIMULATION_KEY_VERSION` and
+:data:`~repro.sim.engine.NETWORK_KEY_VERSION` (network keys hash both), so
+entries of an older schema are simply never looked up again; delete the
+directory or call :meth:`PersistentLayerCache.clear` to drop them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import sqlite3
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -72,14 +68,12 @@ class CacheStats:
     """Counters of one cache handle's activity (or an aggregate of them).
 
     ``hits`` / ``misses`` / ``puts`` / ``errors`` are **unified totals
-    across both tiers**; the ``network_*`` fields record the network-tier
-    share of each, so the layer-tier share is always the difference (also
-    exposed as the ``layer_*`` properties).  ``memo_hits`` counts layers
-    answered by the in-process memo of an
-    :class:`~repro.sim.engine.EvalContext`, which read nothing from disk,
-    so it stays out of ``hits``.  Keeping one flat object makes the tier
-    breakdown survive every aggregation path -- worker chunks, session
-    totals, sweep outcomes -- unchanged.
+    across both tiers**; the ``network_*`` fields hold the network tier's
+    share and the ``layer_*`` properties the rest.  ``memo_hits`` counts
+    layers answered by an :class:`~repro.sim.engine.EvalContext` memo,
+    which read nothing from the store, so it stays out of ``hits``.  One
+    flat object keeps the tier breakdown through every aggregation path
+    (worker chunks, session totals, sweep outcomes).
     """
 
     hits: int = 0
@@ -153,15 +147,8 @@ class CacheStats:
 _COUNTERS = tuple(f.name for f in fields(CacheStats))
 
 
-def _gemm_shape_from_dict(data: dict) -> GemmShape:
-    return GemmShape(
-        m=int(data["m"]),
-        k=int(data["k"]),
-        n=int(data["n"]),
-        repeats=int(data["repeats"]),
-        weight_is_dynamic=bool(data["weight_is_dynamic"]),
-        channels=int(data["channels"]),
-    )
+#: ``GemmShape``'s fields in order (``asdict`` costs ~13 µs per shape).
+_SHAPE_FIELDS = tuple(f.name for f in fields(GemmShape))
 
 
 def result_to_dict(result: LayerSimResult) -> dict:
@@ -173,7 +160,7 @@ def result_to_dict(result: LayerSimResult) -> dict:
         "dense_cycles": result.dense_cycles,
         "gemms": [
             {
-                "shape": asdict(g.shape),
+                "shape": {name: getattr(g.shape, name) for name in _SHAPE_FIELDS},
                 "cycles": g.cycles,
                 "dense_cycles": g.dense_cycles,
                 "sampled_passes": g.sampled_passes,
@@ -189,7 +176,7 @@ def result_from_dict(data: dict) -> LayerSimResult:
         raise ValueError(f"unsupported cache entry version: {data.get('v')!r}")
     gemms = tuple(
         GemmSimResult(
-            shape=_gemm_shape_from_dict(g["shape"]),
+            shape=GemmShape(**g["shape"]),
             cycles=float(g["cycles"]),
             dense_cycles=int(g["dense_cycles"]),
             sampled_passes=int(g["sampled_passes"]),
@@ -244,90 +231,116 @@ def network_result_from_dict(data: dict) -> NetworkSimResult:
     )
 
 
+#: The store's database file, under its root.
+DB_NAME = "cache.sqlite"
+
+#: Connections one thread keeps open (one per store, oldest closed first).
+MAX_OPEN_STORES = 8
+
+_TABLE = {"layer": "layers", "network": "networks"}
+
+
+#: This thread's ``pid`` and ``open`` connections: path -> (connection,
+#: file identity).
+_LOCAL = threading.local()
+#: A forked child's inherited connections, held so it never closes them.
+_INHERITED: list[tuple] = []
+
+
+def _connect(path: Path) -> sqlite3.Connection:
+    """This process's and thread's connection to the database at ``path``,
+    opened on first use and reused while ``path`` is the file it opened
+    (a deleted store gets a fresh one); raises ``OSError`` or
+    ``sqlite3.Error`` when the store cannot be opened."""
+    local = _LOCAL
+    if getattr(local, "pid", None) != os.getpid():  # a new thread or a fork
+        _INHERITED.extend(getattr(local, "open", {}).values())
+        local.pid, local.open = os.getpid(), {}
+    name = str(path)
+    try:
+        identity = os.stat(name)[1:3]  # (st_ino, st_dev)
+    except OSError:
+        identity = None
+    cached = local.open.pop(name, None)
+    if cached is not None and cached[1] == identity:
+        local.open[name] = cached
+        return cached[0]
+    if cached is not None:
+        cached[0].close()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    db = sqlite3.connect(name, timeout=30.0, isolation_level=None)
+    try:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("PRAGMA synchronous=NORMAL")
+        for table in _TABLE.values():
+            db.execute(f"CREATE TABLE IF NOT EXISTS {table}"
+                       "(key TEXT PRIMARY KEY, payload)")
+    except sqlite3.Error:
+        db.close()
+        raise
+    if len(local.open) >= MAX_OPEN_STORES:
+        local.open.pop(next(iter(local.open)))[0].close()
+    local.open[name] = (db, os.stat(name)[1:3])
+    return db
+
+
 class _CorruptEntry(Exception):
-    """Internal: a cache file existed but did not decode."""
+    """Internal: a cache row existed but did not decode."""
 
 
 class PersistentLayerCache:
-    """Disk-backed two-tier result cache: a handle on the store at ``root``.
+    """Two-tier result cache: a handle on the store at ``root``.
 
     Implements the engine's :class:`~repro.sim.engine.ResultCache`
     protocol: the layer tier (``get`` / ``put``) and the network tier
-    (``get_network`` / ``put_network``) share the root directory and the
-    atomic-write discipline.  A handle is cheap -- a root and the
-    :class:`CacheStats` it records into (tier shares in its ``network_*``
-    / ``layer_*`` views) -- so each evaluation call opens its own handle
-    on the shared store and its ``stats`` are exactly its own activity,
-    however many calls overlap.
+    (``get_network`` / ``put_network``).  A handle is cheap -- a root and
+    the :class:`CacheStats` it records into; connections are per thread
+    and shared by every handle -- so each evaluation call opens its own
+    and its ``stats`` are exactly its own activity, however many overlap.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.db_path = self.root / DB_NAME
         self.stats = CacheStats()
 
-    @property
-    def layers_dir(self) -> Path:
-        return self.root / "layers"
-
-    @property
-    def networks_dir(self) -> Path:
-        return self.root / "networks"
-
-    def path_for(self, key: str) -> Path:
-        return self.layers_dir / key[:2] / f"{key}.json"
-
-    def network_path_for(self, key: str) -> Path:
-        return self.networks_dir / key[:2] / f"{key}.json"
-
-    def _read(self, path: Path, decode) -> object | None:
-        """One tier-agnostic lookup.
-
-        Returns the decoded result, ``None`` for a plain miss (absent or
-        unreadable file), or raises ``_CorruptEntry`` after unlinking a
-        malformed file so callers can count the error against the right
-        tier.
-        """
+    def _execute(self, sql: str, *params) -> sqlite3.Cursor | None:
+        """``sql`` run on the store; ``None`` (never an exception) when the
+        store cannot be opened, read or written."""
         try:
-            text = path.read_text()
-        except OSError:
+            return _connect(self.db_path).execute(sql, params)
+        except (OSError, sqlite3.Error):
+            return None
+
+    def _payload(self, tier: str, key: str) -> str | None:
+        sql = f"SELECT payload FROM {_TABLE[tier]} WHERE key = ?"
+        cursor = self._execute(sql, key)
+        row = cursor and cursor.fetchone()
+        return row[0] if row else None
+
+    def _read(self, tier: str, key: str, decode) -> object | None:
+        """The decoded result, ``None`` for a plain miss (no row, or no
+        store to read); raises ``_CorruptEntry`` after deleting a malformed
+        row, so callers count the error against the right tier."""
+        payload = self._payload(tier, key)
+        if payload is None:
             return None
         try:
-            return decode(json.loads(text))
+            return decode(json.loads(payload))
         except (ValueError, KeyError, TypeError):
             # Corrupt or stale-schema entry: drop it and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._execute(f"DELETE FROM {_TABLE[tier]} WHERE key = ?", key)
             raise _CorruptEntry from None
 
-    def _write(self, path: Path, payload: str, key: str) -> bool:
-        """Atomic write; ``False`` (never an exception) on disk errors."""
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # A read-only or full disk never fails the simulation.
-            return False
-        return True
+    def _write(self, tier: str, key: str, payload: str) -> bool:
+        sql = f"INSERT OR REPLACE INTO {_TABLE[tier]} VALUES (?, ?)"
+        return self._execute(sql, key, payload) is not None
 
-    def _lookup(self, tier: str, key: str, path: Path, decode) -> object | None:
+    def _lookup(self, tier: str, key: str, decode) -> object | None:
         """Read one entry of ``tier`` under its span, counting the outcome."""
         with obs.ACTIVE.span(f"cache.{tier}.get", key=key) as span:
             try:
-                result = self._read(path, decode)
+                result = self._read(tier, key, decode)
             except _CorruptEntry:
                 result = None
                 self.stats.count("errors", tier)
@@ -335,54 +348,41 @@ class PersistentLayerCache:
             span.set(hit=result is not None)
         return result
 
-    def _store(self, tier: str, key: str, path: Path, encode, result) -> None:
+    def _store(self, tier: str, key: str, encode, result) -> None:
         """Write one entry of ``tier`` under its span, counting the outcome."""
         with obs.ACTIVE.span(f"cache.{tier}.put", key=key):
             payload = json.dumps(encode(result), separators=(",", ":"))
-            written = self._write(path, payload, key)
+            written = self._write(tier, key, payload)
             self.stats.count("puts" if written else "errors", tier)
 
     def get(self, key: str) -> LayerSimResult | None:
-        return self._lookup("layer", key, self.path_for(key), result_from_dict)
+        return self._lookup("layer", key, result_from_dict)
 
     def put(self, key: str, result: LayerSimResult) -> None:
-        self._store("layer", key, self.path_for(key), result_to_dict, result)
+        self._store("layer", key, result_to_dict, result)
 
     def get_network(self, key: str) -> NetworkSimResult | None:
-        return self._lookup(
-            "network", key, self.network_path_for(key), network_result_from_dict
-        )
+        return self._lookup("network", key, network_result_from_dict)
 
     def put_network(self, key: str, result: NetworkSimResult) -> None:
-        self._store(
-            "network", key, self.network_path_for(key), network_result_to_dict, result
-        )
+        self._store("network", key, network_result_to_dict, result)
 
-    # ------------------------------------------------------------------
-    # Maintenance.
-    # ------------------------------------------------------------------
+    def _each_table(self, sql: str) -> list[sqlite3.Cursor]:
+        """``sql`` (``{}`` for the table) run on both tables of the store,
+        if it has a database that opens."""
+        if not self.db_path.is_file():
+            return []
+        cursors = (self._execute(sql.format(table)) for table in _TABLE.values())
+        return [cursor for cursor in cursors if cursor is not None]
 
     def __len__(self) -> int:
-        """Total entries on disk across both tiers."""
-        total = 0
-        for tier in (self.layers_dir, self.networks_dir):
-            if tier.is_dir():
-                total += sum(1 for _ in sorted(tier.glob("*/*.json")))
-        return total
+        """Total entries in the store across both tiers."""
+        counts = self._each_table("SELECT count(*) FROM {}")
+        return sum(cursor.fetchone()[0] for cursor in counts)
 
     def clear(self) -> int:
         """Delete every cached entry (both tiers); returns how many."""
-        removed = 0
-        for tier in (self.layers_dir, self.networks_dir):
-            if not tier.is_dir():
-                continue
-            for entry in sorted(tier.glob("*/*.json")):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sum(cursor.rowcount for cursor in self._each_table("DELETE FROM {}"))
 
 
 class ProbeMiss(Exception):
@@ -393,19 +393,19 @@ class NetworkTierProbe(PersistentLayerCache):
     """A handle that answers network-tier hits and raises :class:`ProbeMiss`
     on anything else (the warm pass of :meth:`repro.api.Session.evaluate`).
 
-    A missing or corrupt entry raises uncounted and stays on disk, so the
+    A missing or corrupt entry raises uncounted and stays stored, so the
     pool's own read counts it as the serial path does.  Layer reads and
     writes raise too; the engine reaches them only after a network miss.
     """
 
-    def _read(self, path: Path, decode) -> object:
+    def _read(self, tier: str, key: str, decode) -> object:
         try:
-            return decode(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError, TypeError):
-            raise ProbeMiss(path.name) from None
+            return decode(json.loads(self._payload(tier, key)))  # None: TypeError
+        except (ValueError, KeyError, TypeError):
+            raise ProbeMiss(key) from None
 
     def get(self, key: str) -> LayerSimResult | None:
         raise ProbeMiss(key)
 
-    def _write(self, path: Path, payload: str, key: str) -> bool:
+    def _write(self, tier: str, key: str, payload: str) -> bool:
         raise ProbeMiss(key)

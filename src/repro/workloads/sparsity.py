@@ -20,8 +20,9 @@ borrowing architectures exploit is *channel level*:
 
 All factors are gamma-distributed with unit mean, multiplied, clipped and
 Bernoulli-sampled, deterministic in the layer seed.  The default CVs are
-calibration constants: EXPERIMENTS.md records how the resulting network
-level speedups line up with the paper's Figs. 5-7.
+calibration constants, set so the resulting network level speedups line
+up with the paper's Figs. 5-7 (docs/figures.md, "Known deviations from
+the paper").
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
+from test_runtime_cache import layer_keys, write_row
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=7)
 SETTINGS = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
@@ -171,9 +172,7 @@ class TestSessionEvaluate:
         one = PersistentLayerCache(tmp_path / "one")
         two = PersistentLayerCache(tmp_path / "two")
         assert len(two) == len(one)
-        assert sorted(p.name for p in two.layers_dir.glob("*/*.json")) == sorted(
-            p.name for p in one.layers_dir.glob("*/*.json")
-        )
+        assert layer_keys(tmp_path / "two") == layer_keys(tmp_path / "one")
 
     def test_fresh_session_is_cold_without_any_clear_call(self, tmp_path):
         """A second session in the same process, after a first one warmed
@@ -384,9 +383,9 @@ class TestSessionEvaluate:
             root = tmp_path / f"w{workers}"
             Session(cache_dir=root).evaluate([warm, broken], CATS, SETTINGS)
             Session(cache_dir=root).evaluate([partial], (ModelCategory.B,), SETTINGS)
-            PersistentLayerCache(root).network_path_for(
-                engine.network_key(bert, broken, ModelCategory.DENSE, CHEAP)
-            ).write_text("{ truncated")
+            write_row(root, "networks",
+                      engine.network_key(bert, broken, ModelCategory.DENSE, CHEAP),
+                      "{ truncated")
             ticks[workers] = []
             outcomes[workers] = Session(workers=workers, cache_dir=root).evaluate(
                 [cold, warm, partial, broken], CATS, SETTINGS,

@@ -256,6 +256,41 @@ class TestRun:
             "sim.tile_batch.self_s"}
         assert "**FAIL**" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("change, fails", [
+        pytest.param({"cache.layer.put_s": 0.3}, set(), id="put-drops-90pct-fails-nothing"),
+        pytest.param({"sim.tile_batch.self_s": 3.9}, {"sim.tile_batch.self_s"},
+                     id="tile-batch-rises-30pct-fails-its-row"),
+    ])
+    def test_base_judges_each_layer_by_its_paired_seconds(self, tmp_path, monkeypatch,
+                                                          capsys, change, fails):
+        """Under ``--base`` a layer is judged by its own change/base seconds
+        in back-to-back runs, so a large win in one layer moves no other
+        row; the host drifting between seeds cancels within each pair."""
+        base_tree = tmp_path / "base"
+        (base_tree / "perfbench").mkdir(parents=True)
+        (base_tree / "perfbench" / "run.py").write_text("")
+        layers = {"sim.sample_passes.self_s": 3.5, "sim.tile_batch.self_s": 3.0,
+                  "cache.layer.put_s": 3.0, "sim.layer.self_s": 1.45}
+
+        def fake_perfbench(root, workload, seed, trace):
+            times = dict(layers, **change) if root == bench_gate.REPO_ROOT else layers
+            drift = 1.0 + 0.2 * seed
+            metrics = {"wall_s": 6.0 * drift,
+                       **({m: v * drift for m, v in times.items()} if trace else {})}
+            return {"correct": True, "metrics": {m: {"value": v} for m, v in metrics.items()}}
+
+        monkeypatch.setattr(bench_gate, "perfbench", fake_perfbench)
+        out = tmp_path / "ledger.json"
+        assert main(["run", "--base", str(base_tree), "--out", str(out)]) == (1 if fails else 0)
+        failed = {line.split(" | ")[0].lstrip("| ") for line in capsys.readouterr().out
+                  .splitlines() if line.endswith("| FAIL |")}
+        assert failed == fails
+        # The rest-of-trace rule would have failed the layers that did not move.
+        if not fails:
+            rest = compare(json.loads(out.read_text()),
+                           json.loads((tmp_path / "ledger.base.json").read_text()))
+            assert "sim.tile_batch.self_s" in {r.metric for r in rest.rows if r.verdict == "FAIL"}
+
     def test_snapshot_takes_every_round_and_refuses_incorrect_runs(self, tmp_path,
                                                                     monkeypatch):
         calls = []

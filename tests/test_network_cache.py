@@ -20,6 +20,8 @@ The load-bearing guarantees:
 
 import json
 import pickle
+import sqlite3
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -28,6 +30,7 @@ from repro.api import Session
 from repro.config import GRIFFIN, BorrowConfig, ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings
 from repro.runtime.cache import (
+    DB_NAME,
     CacheStats,
     PersistentLayerCache,
     network_result_from_dict,
@@ -37,6 +40,7 @@ from repro.sim import engine
 from repro.sim.engine import SimulationOptions, network_key, simulate_network
 from repro.workloads.models import Network, network_fingerprint
 from repro.workloads.registry import benchmark
+from test_runtime_cache import count_rows, read_row, write_row
 
 OPTIONS = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=11)
 CONFIG = sparse_b(4, 0, 1, shuffle=True)
@@ -184,9 +188,8 @@ class TestCorruptionFallback:
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
-        path = cache.network_path_for(key_of())
-        assert path.is_file()
-        path.write_text("{ this is not json")
+        assert read_row(tmp_path, "networks", key_of()) is not None
+        write_row(tmp_path, "networks", key_of(), "{ this is not json")
 
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
@@ -197,7 +200,7 @@ class TestCorruptionFallback:
         assert fresh.stats.network_misses == 1
         assert fresh.stats.layer_hits > 0 and fresh.stats.layer_misses == 0
         assert fresh.stats.network_puts == 1
-        assert json.loads(path.read_text())["network"] == NETWORK.name
+        assert json.loads(read_row(tmp_path, "networks", key_of()))["network"] == NETWORK.name
 
     def test_both_tiers_corrupt_recomputes_from_scratch(
         self, tmp_path
@@ -205,10 +208,9 @@ class TestCorruptionFallback:
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
 
-        for entry in list(cache.networks_dir.glob("*/*.json")) + list(
-            cache.layers_dir.glob("*/*.json")
-        ):
-            entry.write_text("garbage")
+        with closing(sqlite3.connect(tmp_path / DB_NAME)) as db, db:
+            for table in ("networks", "layers"):
+                db.execute(f"UPDATE {table} SET payload = 'garbage'")
 
         fresh = PersistentLayerCache(tmp_path)
         second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
@@ -220,10 +222,9 @@ class TestCorruptionFallback:
     def test_wrong_network_schema_version_is_a_miss(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
-        path = cache.network_path_for(key_of())
-        stale = json.loads(path.read_text())
+        stale = json.loads(read_row(tmp_path, "networks", key_of()))
         stale["v"] = 999
-        path.write_text(json.dumps(stale))
+        write_row(tmp_path, "networks", key_of(), json.dumps(stale))
 
         fresh = PersistentLayerCache(tmp_path)
         assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
@@ -275,8 +276,8 @@ class TestCrossTierStats:
     def test_clear_and_len_cover_both_tiers(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
-        layer_entries = sum(1 for _ in cache.layers_dir.glob("*/*.json"))
-        network_entries = sum(1 for _ in cache.networks_dir.glob("*/*.json"))
+        layer_entries = count_rows(tmp_path, "layers")
+        network_entries = count_rows(tmp_path, "networks")
         assert network_entries == 1 and layer_entries > 0
         assert len(cache) == layer_entries + network_entries
         assert cache.clear() == layer_entries + network_entries

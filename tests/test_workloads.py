@@ -52,6 +52,8 @@ TINYCNN = REPO_ROOT / "examples" / "workloads" / "tinycnn.json"
 PYRAMID = REPO_ROOT / "examples" / "workloads" / "pyramid_hier.json"
 #: kernel 7 on a 4x4 input with no padding: a conv with no output pixels.
 BAD_CONV = REPO_ROOT / "tests" / "data" / "bad_conv_spec.json"
+#: an attention layer with zero heads.
+BAD_ATTENTION = REPO_ROOT / "tests" / "data" / "bad_attention_spec.json"
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16)
 
@@ -559,11 +561,27 @@ class TestEndToEnd:
                 for geometry in ({"stride": 0}, {"stride": -1},
                                  {"kernel": 0}, {"padding": -1})
             ),
+            json.loads(BAD_ATTENTION.read_text()),
+            *(
+                {"name": "t", "layers": [dict(layer, name="l")]}
+                for layer in (
+                    {"type": "attention", "hidden": 100, "heads": 12, "seq_len": 16},
+                    {"type": "attention", "hidden": 0, "heads": 2, "seq_len": 16},
+                    {"type": "attention", "hidden": 64, "heads": 2, "seq_len": 0},
+                    {"type": "feedforward", "hidden": 64, "intermediate": 0,
+                     "seq_len": 16},
+                    {"type": "feedforward", "hidden": -64, "intermediate": 256,
+                     "seq_len": 16},
+                )
+            ),
         ],
         ids=["str-layer", "str-gemm-shape", "null-dim", "int-density-pair",
              "list-sparsity", "array-spec", "conv-empty-output",
              "conv-stride-0", "conv-stride-neg", "conv-kernel-0",
-             "conv-padding-neg"],
+             "conv-padding-neg", "attention-heads-0",
+             "attention-hidden-not-divisible", "attention-hidden-0",
+             "attention-seq-len-0", "feedforward-intermediate-0",
+             "feedforward-hidden-neg"],
     )
     def test_cli_workloads_validate_malformed_shapes(self, tmp_path, capsys,
                                                      payload):

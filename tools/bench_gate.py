@@ -8,8 +8,9 @@ workload, whether every run was correct, each metric's median, and the
 median over traced runs of each layer's ratio to the rest of that run's
 traced time; plus the host.  ``run`` judges it against the latest snapshot
 under ``benchmarks/history/`` or, with ``--base DIR``, against the checkout
-at DIR measured alternately run by run (what CI does); ``snapshot`` banks it
-as the next snapshot; ``check`` judges two ledger files and runs nothing.
+at DIR measured alternately run by run (what CI does), judging each layer
+by its own change/base seconds in paired runs; ``snapshot`` banks it as the
+next snapshot; ``check`` judges two ledger files and runs nothing.
 ``docs/benchmarks.md`` gives the judging rules and their reasons::
 
     python tools/bench_gate.py run --out BENCH_ledger.json
@@ -109,8 +110,27 @@ def summarize(outs: list[dict | None]) -> dict:
             "ratios": {m: statistics.median(v) for m, v in sorted(ratios.items())}}
 
 
-def measure(roots: list[Path], rounds: int = 1) -> list[dict]:
-    """One ledger per checkout of ``roots``, measured alternately run by run."""
+def paired_ratios(change: list[dict | None], base: list[dict | None]) -> dict:
+    """Median over paired runs of each layer's own change/base seconds.
+
+    ``change`` and ``base`` are one workload's runs of two checkouts in
+    measuring order, so each pair ran back to back at one seed; untraced
+    and failed runs have no layer times and pair into nothing.
+    """
+    ratios = {}
+    for cur, old in zip(change, base):
+        if cur is None or old is None:
+            continue
+        for metric, entry in old["metrics"].items():
+            if _is_layer_time(metric) and entry["value"] > 0 and metric in cur["metrics"]:
+                ratios.setdefault(metric, []).append(
+                    cur["metrics"][metric]["value"] / entry["value"])
+    return {m: statistics.median(v) for m, v in sorted(ratios.items())}
+
+
+def measure(roots: list[Path], rounds: int = 1) -> tuple[list[dict], dict | None]:
+    """One ledger per checkout of ``roots``, measured alternately run by run,
+    and, for two checkouts, each workload's :func:`paired_ratios`."""
     host = {"cpu": cpu_model(), **environment()}
     names = [spec["name"] for spec in BENCHMARK["workloads"]]
     outs = [{name: [] for name in names} for _ in roots]
@@ -120,10 +140,13 @@ def measure(roots: list[Path], rounds: int = 1) -> list[dict]:
             tree[name].append(out := perfbench(root, name, seed, trace))
             print(f"{root.name} {name} seed {seed} trace {trace}: "
                   f"{'ok' if out and out['correct'] else 'FAILED'}", file=sys.stderr, flush=True)
-    return [{"schema": LEDGER_SCHEMA, "seeds": SEEDS, "rounds": rounds,
-             "commit": _git_commit(root), "host": host,
-             "workloads": {name: summarize(runs) for name, runs in tree.items()}}
-            for root, tree in zip(roots, outs)]
+    ledgers = [{"schema": LEDGER_SCHEMA, "seeds": SEEDS, "rounds": rounds,
+                "commit": _git_commit(root), "host": host,
+                "workloads": {name: summarize(runs) for name, runs in tree.items()}}
+               for root, tree in zip(roots, outs)]
+    pairs = {name: paired_ratios(outs[0][name], outs[1][name])
+             for name in names} if len(roots) == 2 else None
+    return ledgers, pairs
 
 
 def validate(ledger: object) -> list[str]:
@@ -172,6 +195,7 @@ class GateResult:
     rows: tuple[Row, ...]
     host_matches: bool
     baseline_label: str
+    paired: bool = False
 
     @property
     def ok(self) -> bool:
@@ -188,8 +212,13 @@ def _worse(base: float, cur: float, better: str) -> float:
     return change if better == "lower" else -change
 
 
-def judge_metric(workload: str, metric: str, base: dict, cur: dict, host_matches: bool) -> Row:
-    """One metric of one workload; ``base``/``cur`` are its ledger entries."""
+def judge_metric(workload: str, metric: str, base: dict, cur: dict, host_matches: bool,
+                 pair: float | None = None) -> Row:
+    """One metric of one workload; ``base``/``cur`` are its ledger entries.
+
+    A layer time with a ``pair`` (its :func:`paired_ratios` entry) is
+    judged by that change/base ratio, otherwise by its ratio to the rest.
+    """
     b, c = base["metrics"].get(metric), cur["metrics"].get(metric)
     if c is None:
         return Row(workload, metric, b, c, "FAIL")
@@ -213,13 +242,17 @@ def judge_metric(workload: str, metric: str, base: dict, cur: dict, host_matches
     share = c_ratio / (1 + c_ratio)  # x / T
     if max(share, b_ratio / (1 + b_ratio)) < FLOOR_SHARE:
         return Row(workload, metric, b, c, "below floor", share=share)
-    worse = _worse(b_ratio, c_ratio, "lower")
+    worse = _worse(b_ratio, c_ratio, "lower") if pair is None else pair - 1.0
     verdict = "FAIL" if worse > _LAYER_BOUND else "ok"
     return Row(workload, metric, b, c, verdict, share=share, worse=worse, bound=_LAYER_BOUND)
 
 
-def compare(current: dict, baseline: dict) -> GateResult:
-    """Judge ``current`` against ``baseline``; both must be valid ledgers."""
+def compare(current: dict, baseline: dict, pairs: dict | None = None) -> GateResult:
+    """Judge ``current`` against ``baseline``; both must be valid ledgers.
+
+    ``pairs`` (from :func:`measure` under ``--base``) holds each workload's
+    :func:`paired_ratios`; without it layers are judged by the rest rule.
+    """
     for which, ledger in (("current", current), ("baseline", baseline)):
         errors = validate(ledger)
         if errors:
@@ -234,9 +267,11 @@ def compare(current: dict, baseline: dict) -> GateResult:
         rows.append(Row(workload, "correct", float(base["correct"]), float(cur["correct"]),
                         "ok" if cur["correct"] else "FAIL"))
         names = list(base["metrics"]) + [m for m in cur["metrics"] if m not in base["metrics"]]
-        rows += [judge_metric(workload, m, base, cur, host_matches) for m in names]
+        paired = (pairs or {}).get(workload, {})
+        rows += [judge_metric(workload, m, base, cur, host_matches, paired.get(m))
+                 for m in names]
     label = str(baseline.get("label") or baseline.get("commit") or "?")
-    return GateResult(tuple(rows), host_matches, label)
+    return GateResult(tuple(rows), host_matches, label, pairs is not None)
 
 
 def _fmt(value: float | None, metric: str) -> str:
@@ -267,8 +302,10 @@ def report(result: GateResult) -> str:
             lines.append(f"| {row.metric} | {_fmt(row.baseline, row.metric)} "
                          f"| {_fmt(row.current, row.metric)} | {share} | {worse} "
                          f"| {bound} | {row.verdict} |")
-    lines += ["", f"Change is positive when worse. Per-layer times are judged as their ratio "
-              f"to the rest of the traced time, from a {FLOOR_SHARE:.0%} share up.", ""]
+    rule = ("the median over paired runs of their own change/base seconds"
+            if result.paired else "their ratio to the rest of the traced time")
+    lines += ["", f"Change is positive when worse. Per-layer times are judged as {rule}, "
+              f"from a {FLOOR_SHARE:.0%} share up.", ""]
     return "\n".join(lines)
 
 
@@ -290,8 +327,8 @@ def _git_commit(root: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def _judge(current: dict, baseline: dict) -> int:
-    print(report(result := compare(current, baseline)))
+def _judge(current: dict, baseline: dict, pairs: dict | None = None) -> int:
+    print(report(result := compare(current, baseline, pairs)))
     return 0 if result.ok else 1
 
 
@@ -321,8 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     if base and not (Path(base) / "perfbench" / "run.py").is_file():
         print(f"{base} is not a checkout with perfbench/run.py", file=sys.stderr)
         return 1
-    ledgers = measure([REPO_ROOT] + ([Path(base).resolve()] if base else []),
-                      SNAPSHOT_ROUNDS if args.command == "snapshot" else 1)
+    ledgers, pairs = measure([REPO_ROOT] + ([Path(base).resolve()] if base else []),
+                             SNAPSHOT_ROUNDS if args.command == "snapshot" else 1)
     if args.command == "snapshot":
         if not all(entry["correct"] for entry in ledgers[0]["workloads"].values()):
             print("refusing to bank a snapshot with incorrect runs", file=sys.stderr)
@@ -336,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     _write(out, ledgers[0])
     if base:
         _write(out.with_name(out.stem + ".base.json"), ledgers[1])
-        return _judge(ledgers[0], ledgers[1])
+        return _judge(ledgers[0], ledgers[1], pairs)
     snapshots = history_snapshots(HISTORY_DIR)
     if not snapshots:
         print(f"no snapshot under {HISTORY_DIR}; bank one with "
