@@ -29,6 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Mapping, Protocol, Sequence, Union, runtime_checkable
 
 from repro.baselines.registry import BaselineArch, all_baselines, baseline_names
@@ -165,8 +166,20 @@ class Design(Protocol):
     ) -> EfficiencyPoint: ...
 
 
+class _Memoized:
+    """A frozen design's fingerprint and cost (from the subclass's ``_cost``),
+    each computed once per object."""
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _fingerprint(self)
+
+    def cost(self) -> CostBreakdown:
+        return self._cost
+
+
 @dataclass(frozen=True)
-class ConfigDesign:
+class ConfigDesign(_Memoized):
     """A fixed borrowing configuration, optionally with calibrated cost.
 
     ``calibration`` swaps the family calibration used by the cost model
@@ -188,7 +201,8 @@ class ConfigDesign:
     def config_for(self, category: ModelCategory) -> ArchConfig:
         return self.config
 
-    def cost(self) -> CostBreakdown:
+    @cached_property
+    def _cost(self) -> CostBreakdown:
         return cost_of(self.config, calibration=self.calibration)
 
     def efficiency_point(
@@ -213,7 +227,7 @@ class ConfigDesign:
 
 
 @dataclass(frozen=True)
-class GriffinDesign:
+class GriffinDesign(_Memoized):
     """The hybrid: per category it morphs, the cost stays fixed."""
 
     griffin: GriffinArch = field(default_factory=lambda: GRIFFIN)
@@ -225,7 +239,8 @@ class GriffinDesign:
     def config_for(self, category: ModelCategory) -> ArchConfig:
         return self.griffin.config_for(category)
 
-    def cost(self) -> CostBreakdown:
+    @cached_property
+    def _cost(self) -> CostBreakdown:
         return griffin_cost(self.griffin)
 
     def efficiency_point(
@@ -243,7 +258,7 @@ class GriffinDesign:
 
 
 @dataclass(frozen=True)
-class BaselineDesign:
+class BaselineDesign(_Memoized):
     """A Table V comparison architecture with its calibrated cost row.
 
     Power per category comes from the baseline's calibrated per-category
@@ -295,6 +310,7 @@ _STARRED: dict[str, ArchConfig] = {
 }
 
 
+@lru_cache(maxsize=1024)
 def parse_design(text: str) -> Design:
     """Parse any design name into a :class:`Design`, uniformly.
 
@@ -308,6 +324,7 @@ def parse_design(text: str) -> Design:
     Errors name the offending token and list every accepted form; a token
     that *looks* like borrowing notation (``"B(4,0)"``) surfaces the
     notation parser's specific complaint instead of the generic list.
+    Each token's (immutable) design is built once and shared.
     """
     key = text.strip().lower()
     if key in ("dense", "baseline"):
@@ -347,6 +364,8 @@ def _parse_design_error(text: str) -> str:
 
 def as_design(obj: DesignLike) -> Design:
     """Coerce any design-like object to a :class:`Design`."""
+    if isinstance(obj, _Memoized):  # the concrete designs: skip the protocol check
+        return obj
     if isinstance(obj, ArchConfig):
         return ConfigDesign(obj)
     if isinstance(obj, GriffinArch):
@@ -404,10 +423,15 @@ def design_fingerprint(design: DesignLike) -> str:
     matches, independent of how the object was parsed or which process
     built it.  ``repro serve`` coalesces concurrent requests on
     (design fingerprints x workload fingerprints x options); see
-    ``docs/serve.md``.
+    ``docs/serve.md``.  The built-in designs keep theirs once computed.
     """
+    design = as_design(design)
+    return design.fingerprint if isinstance(design, _Memoized) else _fingerprint(design)
+
+
+def _fingerprint(design: Design) -> str:
     payload = json.dumps(
-        {"v": DESIGN_FINGERPRINT_VERSION, "design": _canonical(as_design(design))},
+        {"v": DESIGN_FINGERPRINT_VERSION, "design": _canonical(design)},
         sort_keys=True,
         separators=(",", ":"),
     )

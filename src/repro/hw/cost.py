@@ -9,7 +9,8 @@ square microns, matching the paper's units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 
 from repro.config import ArchConfig, CoreGeometry, GriffinArch, ModelCategory, dense
 from repro.core.overhead import HardwareOverhead, overhead_of
@@ -47,7 +48,7 @@ class CostBreakdown:
     mux_area: float = 0.0
     sram_area: float = 0.0
 
-    @property
+    @cached_property
     def total_power_mw(self) -> float:
         return sum(
             getattr(self, f.name)
@@ -55,7 +56,7 @@ class CostBreakdown:
             if f.name.endswith("_power")
         )
 
-    @property
+    @cached_property
     def total_area_kum2(self) -> float:
         return sum(
             getattr(self, f.name)
@@ -225,34 +226,9 @@ def griffin_cost(
     mux_power = base.mux_power + extra_bmux_legs * (
         library.mux_power_uw_per_leg * griffin.geometry.macs_per_cycle / 1e3
     )
-    mux_area = base.mux_area + extra_bmux_legs * (
-        library.mux_area_um2_per_leg * griffin.geometry.macs_per_cycle / 1e3
-    )
     # Morph-mode control (configuration registers, metadata width switch).
-    ctrl_area = base.ctrl_area * 1.16
-    return CostBreakdown(
-        label=griffin.label,
-        ctrl_power=base.ctrl_power,
-        shf_power=base.shf_power,
-        abuf_power=base.abuf_power,
-        bbuf_power=base.bbuf_power,
-        reg_power=base.reg_power,
-        acc_power=base.acc_power,
-        mul_power=base.mul_power,
-        adt_power=base.adt_power,
-        mux_power=mux_power,
-        sram_power=base.sram_power,
-        ctrl_area=ctrl_area,
-        shf_area=base.shf_area,
-        abuf_area=base.abuf_area,
-        bbuf_area=base.bbuf_area,
-        reg_area=base.reg_area,
-        acc_area=base.acc_area,
-        mul_area=base.mul_area,
-        adt_area=base.adt_area,
-        mux_area=base.mux_area,
-        sram_area=base.sram_area,
-    )
+    # The extra BMUX legs add power only: Griffin's MUX area is Sparse.AB*'s.
+    return replace(base, mux_power=mux_power, ctrl_area=base.ctrl_area * 1.16)
 
 
 #: Fraction of idle sparse-machinery power removed by clock gating.
@@ -262,6 +238,11 @@ def griffin_cost(
 #: "sparsity tax" is 29% (~213 mW vs 284 mW) -- both solved by gating
 #: ~55% of the overhead above the dense-equivalent core.
 DENSE_GATING = 0.55
+
+
+@lru_cache
+def _dense_power_mw(geometry: CoreGeometry) -> float:
+    return cost_of(dense(geometry)).total_power_mw
 
 
 def gated_power_mw(
@@ -285,7 +266,7 @@ def gated_power_mw(
     if active_a and active_b:
         return total
     if not active_a and not active_b:
-        dense_equiv = cost_of(dense(config.geometry)).total_power_mw
+        dense_equiv = _dense_power_mw(config.geometry)
         overhead = max(0.0, total - dense_equiv)
         return dense_equiv + (1.0 - DENSE_GATING) * overhead
     if config.family == "Sparse.AB":

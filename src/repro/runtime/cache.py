@@ -15,7 +15,8 @@ store.  The store has two tiers:
   simulation -- on a miss or a corrupt entry.
 
 Both tiers live in one SQLite database, ``<root>/cache.sqlite``: tables
-``layers`` and ``networks`` map a key to its JSON payload.  Each put is
+``layers`` and ``networks`` map a key to its payload (a layer's JSON; a
+network's scalars as one JSON line, then its layer list's JSON).  Each put is
 one autocommitted ``INSERT OR REPLACE`` in WAL mode, so threads, worker
 processes and concurrent ``repro`` invocations share the store (racing
 writers of a key write identical payloads).  Rows that fail to decode
@@ -50,9 +51,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: On-disk layer-entry schema version (independent of the key versions).
 ENTRY_VERSION = 1
 
-#: On-disk network-entry schema version (2: scalars first, layers as an
-#: embedded JSON string decoded on demand).
-NETWORK_ENTRY_VERSION = 2
+#: On-disk network-entry schema version (3: the scalars' JSON on the first
+#: line, the layer list's JSON after it, decoded on demand).
+NETWORK_ENTRY_VERSION = 3
 
 
 def default_cache_dir() -> Path:
@@ -192,11 +193,8 @@ def result_from_dict(data: dict) -> LayerSimResult:
 
 
 def network_result_to_dict(result: NetworkSimResult) -> dict:
-    """JSON-serializable form of a network result (exact float round-trip).
-
-    Scalars first, then the layer list as one embedded JSON string: a hit
-    parses only the string's bytes and decodes it on first ``.layers``.
-    """
+    """JSON-serializable form of a network result (exact float round-trip):
+    the scalars, then the layer list as one JSON string."""
     return {
         "v": NETWORK_ENTRY_VERSION,
         "network": result.network,
@@ -204,14 +202,24 @@ def network_result_to_dict(result: NetworkSimResult) -> dict:
         "category": result.category.value,
         "cycles": result.cycles,
         "dense_cycles": result.dense_cycles,
-        "layers": json.dumps(
-            [result_to_dict(layer) for layer in result.layers], separators=(",", ":")
-        ),
+        "layers": _dumps([result_to_dict(layer) for layer in result.layers]),
     }
+
+
+def _dumps(data: object) -> str:
+    return json.dumps(data, separators=(",", ":"))
 
 
 def _layers_from_json(text: str) -> tuple[LayerSimResult, ...]:
     return tuple(result_from_dict(layer) for layer in json.loads(text))
+
+
+def _layer_to_text(result: LayerSimResult) -> str:
+    return _dumps(result_to_dict(result))
+
+
+def _layer_from_text(text: str) -> LayerSimResult:
+    return result_from_dict(json.loads(text))
 
 
 def network_result_from_dict(data: dict) -> NetworkSimResult:
@@ -229,6 +237,22 @@ def network_result_from_dict(data: dict) -> NetworkSimResult:
         cycles=float(data["cycles"]),
         dense_cycles=int(data["dense_cycles"]),
     )
+
+
+def network_result_to_text(result: NetworkSimResult) -> str:
+    """The stored payload: the scalars' JSON, a newline, the layers' JSON
+    (compact JSON has no raw newline: a hit parses the first line only)."""
+    entry = network_result_to_dict(result)
+    layers = entry.pop("layers")
+    return f"{_dumps(entry)}\n{layers}"
+
+
+def network_result_from_text(text: str) -> NetworkSimResult:
+    """Inverse of :func:`network_result_to_text` (layers decoded lazily)."""
+    head, newline, layers = text.partition("\n")
+    if not newline:
+        raise ValueError("network cache entry has no layer line")
+    return network_result_from_dict({**json.loads(head), "layers": layers})
 
 
 #: The store's database file, under its root.
@@ -326,7 +350,7 @@ class PersistentLayerCache:
         if payload is None:
             return None
         try:
-            return decode(json.loads(payload))
+            return decode(payload)
         except (ValueError, KeyError, TypeError):
             # Corrupt or stale-schema entry: drop it and recompute.
             self._execute(f"DELETE FROM {_TABLE[tier]} WHERE key = ?", key)
@@ -351,21 +375,20 @@ class PersistentLayerCache:
     def _store(self, tier: str, key: str, encode, result) -> None:
         """Write one entry of ``tier`` under its span, counting the outcome."""
         with obs.ACTIVE.span(f"cache.{tier}.put", key=key):
-            payload = json.dumps(encode(result), separators=(",", ":"))
-            written = self._write(tier, key, payload)
+            written = self._write(tier, key, encode(result))
             self.stats.count("puts" if written else "errors", tier)
 
     def get(self, key: str) -> LayerSimResult | None:
-        return self._lookup("layer", key, result_from_dict)
+        return self._lookup("layer", key, _layer_from_text)
 
     def put(self, key: str, result: LayerSimResult) -> None:
-        self._store("layer", key, result_to_dict, result)
+        self._store("layer", key, _layer_to_text, result)
 
     def get_network(self, key: str) -> NetworkSimResult | None:
-        return self._lookup("network", key, network_result_from_dict)
+        return self._lookup("network", key, network_result_from_text)
 
     def put_network(self, key: str, result: NetworkSimResult) -> None:
-        self._store("network", key, network_result_to_dict, result)
+        self._store("network", key, network_result_to_text, result)
 
     def _each_table(self, sql: str) -> list[sqlite3.Cursor]:
         """``sql`` (``{}`` for the table) run on both tables of the store,
@@ -400,8 +423,8 @@ class NetworkTierProbe(PersistentLayerCache):
 
     def _read(self, tier: str, key: str, decode) -> object:
         try:
-            return decode(json.loads(self._payload(tier, key)))  # None: TypeError
-        except (ValueError, KeyError, TypeError):
+            return decode(self._payload(tier, key))  # None: AttributeError
+        except (ValueError, KeyError, TypeError, AttributeError):
             raise ProbeMiss(key) from None
 
     def get(self, key: str) -> LayerSimResult | None:

@@ -20,10 +20,11 @@ Correctness hinges on two properties:
   waiters (and for the cache).  Only when the *owner* explicitly aborts
   (server shutdown past the drain deadline) is the task itself cancelled.
 
-Progress events fan out the same way: the computation publishes
-``(done, total)`` ticks from the evaluation thread via
-``loop.call_soon_threadsafe`` and every streaming waiter subscribes its
-own queue, so one underlying run drives any number of progress streams.
+Progress events fan out the same way: while a stream is subscribed, the
+computation publishes ``(done, total)`` ticks from the evaluation thread
+via ``loop.call_soon_threadsafe`` and every streaming waiter subscribes
+its own queue, so one run drives any number of progress streams (and a
+unary-only run never wakes the loop for a tick).
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ class Computation:
         self._loop.call_soon_threadsafe(self.publish, event)
 
     def progress_callback(self) -> Callable[[int, int], None]:
-        """A ``(done, total)`` callback wired to :meth:`publish_threadsafe`."""
+        """A ``(done, total)`` callback publishing to stream subscribers."""
 
         def progress(done: int, total: int) -> None:
-            self.publish_threadsafe(
-                {"event": "progress", "done": done, "total": total}
-            )
+            if self._subscribers:
+                self.publish_threadsafe(
+                    {"event": "progress", "done": done, "total": total}
+                )
 
         return progress
 

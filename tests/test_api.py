@@ -16,7 +16,8 @@ The load-bearing guarantees:
   parallel path for a mixed design list (config + Griffin + baseline);
 * a pool session answers warm designs in-process (no runner chunk, at
   most two key-function calls per network hit) and sends only the rest
-  to the pool, with results and per-tier stats equal to the serial loop;
+  to the pool, with results and per-tier stats equal to the serial loop,
+  decodes no layer list, and costs each design once across requests;
 * nothing is installed engine-wide: the store travels with each call.
 
 (The `evaluate_arch` / `evaluate_griffin` shims and their identity tests
@@ -51,7 +52,10 @@ from repro.dse.evaluate import (
     evaluate_design,
     parse_design,
 )
+from repro.dse import evaluate as evaluate_module
+from repro.hw import cost as cost_module
 from repro.obs import trace as obs_trace
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
@@ -369,6 +373,39 @@ class TestSessionEvaluate:
         assert warm.cache_stats.network_hits == len(designs) * networks
         assert "simulation_key" not in calls
         assert len(calls) <= 2 * warm.cache_stats.network_hits
+
+    def test_warm_parallel_fig8_decodes_no_layers_and_costs_each_design_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Warm fig8 requests on a pool session decode no layer list, and a
+        second request for the same designs computes no cost row."""
+        data = json.loads((EXAMPLES / "experiments" / "fig8.json").read_text())
+        spec = ExperimentSpec.from_dict(
+            dict(data, networks=["BERT", "AlexNet"], options=CHEAP.to_dict())
+        )
+        Session(cache_dir=tmp_path).run(spec)
+        decodes, costs = [], []
+
+        def counted(calls, real):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cache_module, "_layers_from_json",
+                            counted(decodes, cache_module._layers_from_json))
+        for module in (evaluate_module, cost_module):
+            monkeypatch.setattr(module, "cost_of", counted(costs, module.cost_of))
+        parse_design.cache_clear()  # the designs a fresh server would build
+        session = Session(workers=2, cache_dir=tmp_path)
+        first = session.run(spec)
+        one_request = len(costs)
+        second = session.run(spec)
+        assert first.outcome.chunks == second.outcome.chunks == 0
+        assert first.cache_stats.network_hits > 0 and first.cache_stats.misses == 0
+        assert second.rows() == first.rows()
+        assert decodes == []
+        assert one_request > 0 and len(costs) == one_request
 
     def test_mixed_warm_and_cold_designs_equal_serial(self, tmp_path):
         """Warm, partly warm (one category cached), broken (a corrupt entry

@@ -14,6 +14,8 @@ The load-bearing guarantees:
   in one hash over the memoized workload fingerprint (equal networks built
   apart share a key);
 * a network-tier hit decodes its layers lazily, equal to the eager ones;
+  an entry in the older one-document layout, or cut before its layer
+  line, is an error at read time: recomputed and rewritten;
 * parallel sweeps with the network tier enabled stay bitwise-identical to
   the serial loop, warm or cold.
 """
@@ -31,9 +33,13 @@ from repro.config import GRIFFIN, BorrowConfig, ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings
 from repro.runtime.cache import (
     DB_NAME,
+    NETWORK_ENTRY_VERSION,
     CacheStats,
+    NetworkTierProbe,
     PersistentLayerCache,
+    ProbeMiss,
     network_result_from_dict,
+    network_result_from_text,
     network_result_to_dict,
 )
 from repro.sim import engine
@@ -51,6 +57,11 @@ NETWORK = benchmark("BERT").network
 def key_of(network=NETWORK, config=CONFIG, category=ModelCategory.B,
            options=OPTIONS):
     return network_key(network, config, category, options)
+
+
+def network_head(root) -> str:
+    """The first line of the stored payload under ``key_of()``: its scalars."""
+    return read_row(root, "networks", key_of()).partition("\n")[0]
 
 
 class TestNetworkKey:
@@ -200,7 +211,7 @@ class TestCorruptionFallback:
         assert fresh.stats.network_misses == 1
         assert fresh.stats.layer_hits > 0 and fresh.stats.layer_misses == 0
         assert fresh.stats.network_puts == 1
-        assert json.loads(read_row(tmp_path, "networks", key_of()))["network"] == NETWORK.name
+        assert json.loads(network_head(tmp_path))["network"] == NETWORK.name
 
     def test_both_tiers_corrupt_recomputes_from_scratch(
         self, tmp_path
@@ -222,13 +233,56 @@ class TestCorruptionFallback:
     def test_wrong_network_schema_version_is_a_miss(self, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
-        stale = json.loads(read_row(tmp_path, "networks", key_of()))
+        head, _, layers = read_row(tmp_path, "networks", key_of()).partition("\n")
+        stale = json.loads(head)
         stale["v"] = 999
-        write_row(tmp_path, "networks", key_of(), json.dumps(stale))
+        write_row(tmp_path, "networks", key_of(), f"{json.dumps(stale)}\n{layers}")
 
         fresh = PersistentLayerCache(tmp_path)
         assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
         assert fresh.stats.network_errors == 1
+
+
+class TestEntryMigration:
+    def test_v2_row_is_an_error_recomputed_and_rewritten_as_v3(self, tmp_path):
+        """A row in the one-document v2 layout (layers as an embedded
+        string) left by an older version: the probe leaves it alone, a
+        read counts one network error and rewrites it as v3."""
+        cache = PersistentLayerCache(tmp_path)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
+        assert NETWORK_ENTRY_VERSION == 3
+        v2 = json.dumps(dict(network_result_to_dict(first), v=2), separators=(",", ":"))
+        assert "\n" not in v2
+        write_row(tmp_path, "networks", key_of(), v2)
+
+        probe = NetworkTierProbe(tmp_path)
+        with pytest.raises(ProbeMiss):
+            probe.get_network(key_of())
+        assert read_row(tmp_path, "networks", key_of()) == v2, "left in place"
+        assert probe.stats == CacheStats()
+
+        fresh = PersistentLayerCache(tmp_path)
+        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh) == first
+        assert fresh.stats.network_errors == 1 and fresh.stats.network_puts == 1
+        assert fresh.stats.layer_hits > 0 and fresh.stats.layer_misses == 0
+        assert json.loads(network_head(tmp_path))["v"] == 3
+        assert network_result_from_text(read_row(tmp_path, "networks", key_of())) == first
+
+        again = PersistentLayerCache(tmp_path)
+        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=again) == first
+        assert again.stats == CacheStats(hits=1, network_hits=1)
+
+    def test_row_cut_before_its_layer_line_is_an_error(self, tmp_path):
+        """A v3 first line alone decodes its scalars but has no layers:
+        rejected at read time, not when ``.layers`` is first touched."""
+        cache = PersistentLayerCache(tmp_path)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=cache)
+        write_row(tmp_path, "networks", key_of(), network_head(tmp_path))
+
+        fresh = PersistentLayerCache(tmp_path)
+        second = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS, cache=fresh)
+        assert second == first and second.layers == first.layers
+        assert fresh.stats.network_errors == 1 and fresh.stats.network_puts == 1
 
 
 class TestCrossTierStats:

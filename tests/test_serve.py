@@ -3,15 +3,16 @@
 Three layers of coverage:
 
 * **unit** -- coalesce keys are content-addressed (cosmetic spec changes
-  coalesce, result-changing ones split), the coalescer shares exactly one
-  task per key and survives waiter cancellation, the error envelope has
-  the agreed shape;
+  coalesce, result-changing ones split) and pinned to fixed digests, the
+  coalescer shares exactly one task per key and survives waiter
+  cancellation, the error envelope has the agreed shape;
 * **integration** -- a real server on a real socket, driven by the real
   :class:`~repro.serve.client.ServeClient`: the acceptance bar (8
   concurrent identical requests -> 1 computation, 7 coalesce hits,
   telemetry-proven), distinct requests not blocking each other, a client
   disconnect mid-stream not poisoning the shared computation, streaming
-  event order, warm repeats answered from the network cache tier;
+  event order, progress ticks scheduled only for stream subscribers,
+  warm repeats answered from the network cache tier;
 * **identity** -- served rows are byte-identical (as JSON) to what the
   CLI path (:meth:`Session.run`) produces for the same spec.
 
@@ -36,6 +37,12 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.baselines.registry import baseline_names
+from repro.dse.evaluate import (
+    DESIGN_FINGERPRINT_VERSION,
+    design_fingerprint,
+    parse_design,
+)
 from repro.errors import (
     ERROR_ENVELOPE_VERSION,
     envelope_from_exception,
@@ -44,7 +51,7 @@ from repro.errors import (
 )
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.coalescer import RequestCoalescer
+from repro.serve.coalescer import Computation, RequestCoalescer
 from repro.serve.protocol import (
     RequestError,
     parse_search_request,
@@ -53,6 +60,7 @@ from repro.serve.protocol import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TINYCNN = str(REPO_ROOT / "examples" / "workloads" / "tinycnn.json")
+FIG8 = REPO_ROOT / "examples" / "experiments" / "fig8.json"
 
 #: Milliseconds-fast spec all integration tests share (TinyCNN, smoke
 #: sampling).  ``dict(SPEC_DICT)`` copies are mutated per test.
@@ -140,6 +148,47 @@ class TestCoalesceKey:
         # quick=True forces (1 pass, 16 steps): identical resolved settings.
         assert run_coalesce_key(spec, quick=True) == \
             run_coalesce_key(quick_spec, quick=None)
+
+
+#: Fingerprints of every fig8 design and Table V baseline, and the fig8
+#: coalesce keys, as computed when every request rebuilt and re-hashed its
+#: designs.  Building each design once and keeping its fingerprint must
+#: not move a digest (``DESIGN_FINGERPRINT_VERSION`` stays 1).
+PINNED_FINGERPRINTS = {
+    "Baseline": "bef6d7e7d00b5d93c48ee22d0d1aa6ec452448e652a3831f035ac7695852c5cd",
+    "Sparse.B*": "88c9cb09488cea17c8b0561cb9e5d0f8a43294bec521737a35c7941f03a5b894",
+    "Sparse.A*": "d7c0e29f5fa000798449c9cf4bf103c44ac37f0e876c4b7d1920708abd1228c6",
+    "Sparse.AB*": "3faa22fdceb18045e7900262059e8ee687b306d19695820971d112ba9c4f0052",
+    "Griffin": "39be5bf10219b0b57946dc4fbee4b0a6ee5ce3e0fb4f2f054eb2666bd550ff84",
+    "BitTactical": "52e68e311395f6f26445f1e560cb866010aef49167a34d645a0ac18e24408c7d",
+    "TensorDash": "070e4d788d645a51825fe88f88c683d340ebf499a3053c62245f38db9ebb79c1",
+    "SparTen": "3a833e0551421811140bc256561efbf79f7f2e5ca519b318af77c573b65e10c8",
+    "Cnvlutin": "6e811d285328f7e27d9c470e7221cc286bd11a14a7a30384cf79fa2fbd1a52f3",
+    "Cambricon-X": "03a2c2ff4706fc677d96ef35106182b7938674d72f05920bc6c360ef947bd268",
+}
+FIG8_KEY = "1dbb728c1ea6a06a15cc077bb0fa1585865e2ac673303c38038828dfe2b8de85"
+FIG8_QUICK_KEY = "0bbbddca74aed7eb1b8649fc73a3a05382c8dfd7543379283477a7a6a814b829"
+
+
+class TestPinnedKeys:
+    def test_design_fingerprints_are_pinned_and_kept_on_the_design(self):
+        assert DESIGN_FINGERPRINT_VERSION == 1
+        names = set(ExperimentSpec.load(FIG8).designs) | set(baseline_names())
+        assert names == set(PINNED_FINGERPRINTS)
+        for name, digest in PINNED_FINGERPRINTS.items():
+            assert design_fingerprint(name) == digest, name
+            design = parse_design(name)
+            assert parse_design(name) is design, "one design object per token"
+            assert vars(design)["fingerprint"] == digest, "kept on the object"
+            assert design_fingerprint(design) == digest
+
+    def test_fig8_coalesce_key_is_pinned(self):
+        spec = ExperimentSpec.load(FIG8)
+        assert run_coalesce_key(spec) == FIG8_KEY
+        assert run_coalesce_key(spec) == FIG8_KEY  # from the kept designs
+        assert run_coalesce_key(spec, quick=True) == FIG8_QUICK_KEY
+        first, second = spec.resolve_designs(), spec.resolve_designs()
+        assert all(a is b for a, b in zip(first, second, strict=True))
 
 
 #: Result-changing spec fields, one parametrized case per field: each
@@ -541,6 +590,50 @@ class TestServerBasics:
         assert kinds[-1] == "result"
         assert all(k == "progress" for k in kinds[1:-1])
         assert events[-1]["rows"] == unary["rows"]
+
+
+@pytest.fixture
+def scheduled(monkeypatch):
+    """Every progress event a computation schedules onto the event loop."""
+    events = []
+    real = Computation.publish_threadsafe
+
+    def counted(self, event):
+        events.append(event)
+        real(self, event)
+
+    monkeypatch.setattr(Computation, "publish_threadsafe", counted)
+    return events
+
+
+class TestProgressTicks:
+    """A computation wakes the event loop with progress only for streams."""
+
+    def test_unary_run_schedules_no_progress_callback(self, server, scheduled):
+        result = server.client.run(make_spec(designs=["Dense", "Griffin"]))
+        assert len(result["rows"]) == 2
+        assert scheduled == []
+
+    def test_stream_coalesced_onto_unary_run_gets_ticks(self, server, scheduled):
+        session = server.app.session
+        gate = session.gates["serve-test"] = threading.Event()
+        spec = make_spec(designs=["Dense", "Griffin"])
+        pool = ThreadPoolExecutor(max_workers=2)
+        unary = pool.submit(server.client.run, spec)
+        assert poll_until(lambda: "serve-test" in session.run_calls)
+        stream = pool.submit(lambda: list(server.client.run_stream(spec)))
+        assert poll_until(
+            lambda: server.client.stats()["coalesce"]["hits"] == 1
+        )
+        gate.set()
+        events = stream.result(timeout=60)
+        kinds = [e.get("event") for e in events]
+        assert kinds[0] == "accepted" and events[0]["coalesced"] is True
+        assert kinds[-1] == "result"
+        assert kinds[1:-1] and all(k == "progress" for k in kinds[1:-1])
+        assert [e["done"] for e in scheduled] == [1, 2]
+        assert events[-1]["rows"] == unary.result(timeout=60)["rows"]
+        assert session.run_calls == ["serve-test"]
 
 
 class TestCoalescingUnderConcurrency:
