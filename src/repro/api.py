@@ -403,8 +403,8 @@ class Session:
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
         use_cache: ``False`` evaluates without a persistent cache.
         settings: default :class:`EvalSettings` for calls that omit them.
-        chunk_size: design points per parallel task (defaults to
-            :func:`repro.runtime.runner.default_chunk_size`).
+        chunk_size: design points per parallel task on each network
+            (see :func:`repro.runtime.runner.network_tasks`).
         progress: optional ``(done, total)`` callback (every evaluating
             method also takes a per-call ``progress=`` override, so
             concurrent callers can each observe their own run).
@@ -524,19 +524,18 @@ class Session:
     ) -> SweepOutcome:
         """Evaluate every design on every category, order-preserving.
 
-        With ``workers > 1`` the designs fan out over a process pool
+        With ``workers > 1`` the cold designs fan out over a process pool
         through :class:`SweepRunner` (one warm pool reused across calls
-        under ``keep_pool=True``); results are bitwise-identical to the
-        serial loop either way, and all paths share the session's
-        persistent cache directory.
+        under ``keep_pool=True``), one task per network; results are
+        bitwise-identical to the serial loop either way, and all paths
+        share the session's persistent cache directory.
 
         ``networks`` replaces the evaluation suite for this call: any mix
-        of workload tokens (preset names, ``name:override`` derivations,
-        WorkloadSpec JSON paths) and
-        :class:`~repro.workloads.registry.Workload` objects.  Pass workload
-        *objects* (not bare registered names) for programmatically built
-        networks in parallel runs -- worker processes resolve string
-        tokens themselves and do not see this process's registry.
+        of workload tokens (preset or registered names, ``name:override``
+        derivations, WorkloadSpec JSON paths) and
+        :class:`~repro.workloads.registry.Workload` objects.  Each
+        category's suite is resolved once per call, in this process, and
+        the pool gets the built networks.
 
         ``progress`` overrides the session-wide callback for this call
         only (how ``repro serve`` streams per-request progress).
@@ -576,6 +575,7 @@ class Session:
         redo their lookups, so a probe's counts join the call's only if
         its design completed, and stats equal the serial loop's.
         """
+        suites = settings.suites(categories)  # once per call
         stats = CacheStats()
         results: list[DesignEvaluation | None] = [None] * len(designs)
         cold: list[int] = []
@@ -590,7 +590,7 @@ class Session:
                 ) as span:
                     try:
                         results[index] = evaluate_design(
-                            design, categories, settings, cache=context
+                            design, categories, settings, context, suites
                         )
                     except ProbeMiss:
                         span.set(probe="miss")
@@ -608,6 +608,7 @@ class Session:
                     progress=progress and (
                         lambda done, _: progress(warm + done, len(designs))
                     ),
+                    suites=suites,
                 )
                 stats.merge(outcome.cache_stats)
                 for index, evaluation in zip(cold, outcome.evaluations):

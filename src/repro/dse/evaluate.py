@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Mapping, Protocol, Sequence, Union, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, Union, runtime_checkable
 
 from repro.baselines.registry import BaselineArch, all_baselines, baseline_names
 from repro.config import (
@@ -101,6 +101,14 @@ class EvalSettings:
             quick_infos = [b for b in infos if b.name in keep]
             return quick_infos or infos
         return infos
+
+    def suites(self, categories: Sequence[ModelCategory]) -> Suites:
+        """Each category's :meth:`suite`, resolved once."""
+        return {category: self.suite(category) for category in categories}
+
+
+#: Each model category's benchmark suite, in suite order.
+Suites = Mapping[ModelCategory, Sequence[Workload]]
 
 
 def category_speedup(
@@ -438,26 +446,45 @@ def _fingerprint(design: Design) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def score_design(
+    design: Design,
+    categories: Sequence[ModelCategory],
+    suites: Suites,
+    speedup: Callable[[ModelCategory, Workload], float],
+) -> DesignEvaluation:
+    """A design's score card: per category, the geometric mean of
+    ``speedup(category, workload)`` over its suite, in suite order, as the
+    design's efficiency point.  The serial loop and the process pool
+    (:class:`repro.runtime.runner.SweepRunner`) both score here."""
+    return DesignEvaluation(design.label, tuple(
+        design.efficiency_point(
+            category, geometric_mean([speedup(category, info) for info in suites[category]])
+        )
+        for category in categories
+    ))
+
+
 def evaluate_design(
     design: DesignLike,
     categories: Sequence[ModelCategory],
     settings: EvalSettings | None = None,
     cache: EvalContext | ResultCache | None = None,
+    suites: Suites | None = None,
 ) -> DesignEvaluation:
     """Evaluate one design across model categories (the single code path).
 
     This is the serial unit of work, in the context ``cache`` (as for
-    :func:`category_speedup`); the batched, parallel, cache-backed entry
-    point is :meth:`repro.api.Session.evaluate`.
+    :func:`category_speedup`), over ``suites`` (default: the settings');
+    the batched, parallel, cache-backed entry point is
+    :meth:`repro.api.Session.evaluate`.
     """
     design = as_design(design)
     settings = settings or EvalSettings()
     context = EvalContext.of(cache)
-    points = tuple(
-        design.efficiency_point(
-            category,
-            category_speedup(design.config_for(category), category, settings, context),
-        )
-        for category in categories
+    return score_design(
+        design, categories, suites or settings.suites(categories),
+        lambda category, info: simulate_network(
+            info.network, design.config_for(category), category,
+            settings.options, cache=context,
+        ).speedup,
     )
-    return DesignEvaluation(label=design.label, points=points)

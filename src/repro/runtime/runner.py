@@ -3,21 +3,24 @@
 :class:`SweepRunner` fans the evaluation of a list of design points --
 anything :func:`repro.dse.evaluate.as_design` accepts: borrowing
 configurations, Griffin, calibrated baseline rows, or design names -- out
-over a :class:`concurrent.futures.ProcessPoolExecutor`.  Chunking is
-deterministic in (number of points, chunk size) and results are reassembled
-in input order, so the outcome is identical to the serial loop for any
-worker count -- every evaluation is an independent, seed-deterministic
-function of its design point.
+over a :class:`concurrent.futures.ProcessPoolExecutor`, one task per
+network (:func:`network_tasks`): a task simulates one network, resolved in
+the parent, for a slice of the designs on every category whose suite
+holds it.  So every design on a network shares one worker's memos, as in
+the serial loop: each sampled-pass set is drawn once, and label twins
+read each other's layers from the memo.  The parent scores each design
+with the serial loop's :func:`repro.dse.evaluate.score_design`, so the
+outcome is identical to the serial loop for any worker count.
 
-Each chunk opens a :class:`repro.runtime.cache.PersistentLayerCache`
+Each task opens a :class:`repro.runtime.cache.PersistentLayerCache`
 handle on the cache directory named in its payload and passes it to the
 engine, so simulations computed by one worker (or a previous run) are
 read from disk instead of recomputed -- whole networks from the network
 tier in a single read when the exact evaluation ran before, individual
 layers from the layer tier otherwise.  The worker process's own
-:class:`~repro.sim.engine.EvalContext` memos, shared by every chunk it
-runs, sit in front of the store.  Each chunk's handle counts only that
-chunk's cache activity; the counts are shipped back with the results
+:class:`~repro.sim.engine.EvalContext` memos, shared by every task it
+runs, sit in front of the store.  Each task's handle counts only that
+task's cache activity; the counts are shipped back with the results
 and summed into :attr:`SweepOutcome.cache_stats`.
 
 The runner is the process-pool path only: the in-process design loop is
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,12 +41,14 @@ from repro.dse.evaluate import (
     DesignEvaluation,
     DesignLike,
     EvalSettings,
+    Suites,
     as_design,
-    evaluate_design,
+    score_design,
 )
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
-from repro.sim.engine import EvalContext
+from repro.sim.engine import EvalContext, SimulationOptions, simulate_network
+from repro.workloads.models import Network
 
 #: Progress callback: (completed design points, total design points).
 ProgressFn = Callable[[int, int], None]
@@ -73,32 +78,36 @@ class SweepOutcome:
 
 
 def _evaluate_chunk(
-    payload: tuple[tuple[int, ...], tuple[Design, ...],
-                   tuple[ModelCategory, ...], EvalSettings, str | None, bool],
-) -> tuple[tuple[int, ...], list[DesignEvaluation], dict[str, int], list[dict]]:
-    """Evaluate one chunk of design points (runs inside a worker process).
-
-    The chunk evaluates against the store at the payload's ``cache_dir``
+    payload: tuple[Network, tuple[int, ...], tuple[Design, ...],
+                   tuple[ModelCategory, ...], SimulationOptions, str | None, bool],
+) -> tuple[list[dict[tuple[ModelCategory, str], float]], dict[str, int], list[dict]]:
+    """Each design's speedups on one network, keyed by ``(category,
+    network fingerprint)`` (runs inside a worker process).  The task
+    evaluates against the store at the payload's ``cache_dir``
     (``None``: no persistent tier) and returns its own cache counts.
     When ``traced``, the worker records spans into its own local tracer
     and ships them back as plain dicts; the parent re-parents them with
-    :meth:`repro.obs.Tracer.absorb` in chunk order.  The flag never
-    reaches the evaluation itself, so results are bitwise-identical
-    either way.
+    :meth:`repro.obs.Tracer.absorb` in task order.  The flag never
+    reaches the evaluation, so results are bitwise-identical either way.
     """
-    indices, designs, categories, settings, cache_dir, traced = payload
+    network, indices, designs, categories, options, cache_dir, traced = payload
     cache = PersistentLayerCache(cache_dir) if cache_dir is not None else None
     stats = cache.stats if cache is not None else CacheStats()
     context = (_worker_context or EvalContext()).on(cache)
     with obs.tracing(obs.Tracer() if traced else None) as tracer:
-        with tracer.span("runner.chunk", first=indices[0], points=len(indices), pid=os.getpid()):
-            evaluations = []
+        with tracer.span("runner.chunk", network=network.name, first=indices[0],
+                         points=len(indices), pid=os.getpid()):
+            speedups = []
             for index, design in zip(indices, designs):
                 with tracer.span("evaluate.design", index=index, design=design.label):
-                    evaluations.append(
-                        evaluate_design(design, categories, settings, cache=context)
-                    )
-    return indices, evaluations, stats.as_dict(), tracer.export()
+                    speedups.append({
+                        (category, network.fingerprint): simulate_network(
+                            network, design.config_for(category), category,
+                            options, cache=context,
+                        ).speedup
+                        for category in categories
+                    })
+    return speedups, stats.as_dict(), tracer.export()
 
 
 def chunk_indices(n_items: int, chunk_size: int) -> list[tuple[int, ...]]:
@@ -111,12 +120,20 @@ def chunk_indices(n_items: int, chunk_size: int) -> list[tuple[int, ...]]:
     ]
 
 
-def default_chunk_size(n_items: int, workers: int) -> int:
-    """About four chunks per worker: coarse enough to amortize process
-    startup, fine enough that stragglers do not idle the pool."""
-    if n_items <= 0:
-        return 1
-    return max(1, -(-n_items // max(1, workers * 4)))
+def network_tasks(
+    n_designs: int, n_networks: int, workers: int, chunk_size: int | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The pool tasks, ``(network index, design indices)``: ``chunk_size``
+    designs per task on each network.  By default one task per network,
+    or ``ceil(workers / networks)`` slices of it when networks are fewer
+    than workers, so no worker idles."""
+    if n_designs <= 0 or n_networks <= 0:
+        return []
+    if chunk_size is None:
+        slices = -(-max(1, workers) // n_networks)
+        chunk_size = -(-n_designs // slices)
+    chunks = chunk_indices(n_designs, chunk_size)
+    return [(network, chunk) for network in range(n_networks) for chunk in chunks]
 
 
 class SweepRunner:
@@ -127,8 +144,8 @@ class SweepRunner:
         cache_dir: root of the two-tier persistent cache; ``None`` picks
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
         use_cache: disable the persistent cache entirely with ``False``.
-        chunk_size: design points per task; defaults to
-            :func:`default_chunk_size`.
+        chunk_size: design points per task on each network; by default
+            one task per network (see :func:`network_tasks`).
         progress: optional callback invoked with (done, total) as chunks
             complete (``run`` also takes a per-call override).
         keep_pool: keep the worker process pool warm across ``run`` calls
@@ -195,11 +212,14 @@ class SweepRunner:
         categories: Sequence[ModelCategory],
         settings: EvalSettings | None = None,
         progress: ProgressFn | None = None,
+        suites: Suites | None = None,
     ) -> SweepOutcome:
-        """Evaluate every design on every category; order-preserving.
+        """Evaluate every design on every category, over ``suites``
+        (default: the settings'); order-preserving.
 
         ``progress`` overrides the runner-wide callback for this call
-        (per-request progress in a shared-runner service).
+        (per-request progress in a shared-runner service); a design ticks
+        when its last network is back.
         """
         settings = settings or EvalSettings()
         progress = progress if progress is not None else self.progress
@@ -207,58 +227,70 @@ class SweepRunner:
         categories = tuple(categories)
         if not designs:
             return SweepOutcome((), CacheStats(), self.workers, 0)
-        size = self.chunk_size or default_chunk_size(len(designs), self.workers)
-        chunks = chunk_indices(len(designs), size)
-        results: list[DesignEvaluation | None] = [None] * len(designs)
+        suites = suites or settings.suites(categories)
+        # Each distinct network, first-seen first: [network, *its categories].
+        networks: dict[str, list] = {}
+        for category in categories:
+            for info in suites[category]:
+                networks.setdefault(info.fingerprint, [info.network]).append(category)
+        order = list(networks.values())
+        tasks = network_tasks(len(designs), len(order), self.workers, self.chunk_size)
+        speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
+        remaining = [len(order)] * len(designs)
         stats = CacheStats()
         done_points = 0
         if self.keep_pool:
             pool = self._ensure_pool()
         else:
-            workers = max(1, min(self.workers, len(chunks)))
+            workers = max(1, min(self.workers, len(tasks)))
             pool = ProcessPoolExecutor(workers, initializer=_start_worker)
         tracer = obs.ACTIVE
-        chunk_spans: dict[int, list[dict]] = {}
+        task_spans: list[list[dict]] = [[] for _ in tasks]
         try:
             with tracer.span(
                 "runner.parallel",
                 points=len(designs),
-                chunks=len(chunks),
+                networks=len(order),
+                chunks=len(tasks),
                 workers=self.workers,
             ) as dispatch:
-                pending = {
+                futures = {
                     pool.submit(
                         _evaluate_chunk,
                         (
+                            order[network][0],
                             chunk,
                             tuple(designs[i] for i in chunk),
-                            categories,
-                            settings,
+                            tuple(order[network][1:]),
+                            settings.options,
                             self.cache_dir,
                             tracer.enabled,
                         ),
-                    )
-                    for chunk in chunks
+                    ): task
+                    for task, (network, chunk) in enumerate(tasks)
                 }
-                while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        indices, evaluations, chunk_stats, spans = future.result()
-                        for index, evaluation in zip(indices, evaluations):
-                            results[index] = evaluation
-                        stats.merge(CacheStats.from_dict(chunk_stats))
-                        chunk_spans[indices[0]] = spans
-                        done_points += len(indices)
-                        if progress is not None:
-                            progress(done_points, len(designs))
+                for future in as_completed(futures):
+                    task = futures[future]
+                    rows, task_stats, task_spans[task] = future.result()
+                    for index, row in zip(tasks[task][1], rows):
+                        speedups[index].update(row)
+                        remaining[index] -= 1
+                        done_points += remaining[index] == 0
+                    stats.merge(CacheStats.from_dict(task_stats))
+                    if progress is not None:
+                        progress(done_points, len(designs))
                 if tracer.enabled:
-                    # Absorb worker spans in chunk order -- not completion
+                    # Absorb worker spans in task order -- not completion
                     # order -- so two traced runs yield structurally
                     # identical span trees.
-                    for chunk in chunks:
-                        tracer.absorb(chunk_spans.get(chunk[0], []), parent=dispatch)
+                    for spans in task_spans:
+                        tracer.absorb(spans, parent=dispatch)
         finally:
             if not self.keep_pool:
                 pool.shutdown(wait=True)
-        assert all(r is not None for r in results)
-        return SweepOutcome(tuple(results), stats, self.workers, len(chunks))
+        evaluations = tuple(
+            score_design(design, categories, suites,
+                         lambda category, info: found[category, info.fingerprint])
+            for design, found in zip(designs, speedups)
+        )
+        return SweepOutcome(evaluations, stats, self.workers, len(tasks))

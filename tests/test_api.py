@@ -8,7 +8,9 @@ The load-bearing guarantees:
   bleed-through in either direction), even in one process: each owns its
   in-process memos, and writes and counts its own store;
 * designs that differ only by label share the session's layer memo, and
-  a pool worker keeps its memos across the chunks it runs;
+  a pool worker keeps its memos across the tasks it runs; a pool task is
+  one network, so a cold pool run draws and counts what the serial loop
+  does;
 * each call's `cache_stats` is exactly its own activity -- under forced
   overlap on one shared session, and across worker processes -- and
   `session.stats` is their sum;
@@ -30,6 +32,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,6 +122,27 @@ class TestAsDesign:
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             as_design(42)
+
+
+def draw_count(spans):
+    """Sampled-pass sets drawn (``engine.sample_passes`` memo misses)."""
+    return sum(
+        1 for span in spans
+        if span["name"] == "engine.sample_passes" and span["attrs"]["memo"] == "miss"
+    )
+
+
+@pytest.fixture(scope="module")
+def cold_fig8(tmp_path_factory):
+    """A traced cold serial ``fig8 --quick`` run: its result, its store
+    (warm afterwards) and the number of sampled-pass sets it drew."""
+    root = tmp_path_factory.mktemp("cold-fig8")
+    tracer = obs_trace.Tracer()
+    with obs_trace.tracing(tracer):
+        result = Session(workers=1, cache_dir=root).run(
+            EXAMPLES / "experiments" / "fig8.json", quick=True
+        )
+    return SimpleNamespace(result=result, cache_dir=root, draws=draw_count(tracer.export()))
 
 
 class TestSessionEvaluate:
@@ -226,10 +250,12 @@ class TestSessionEvaluate:
         # The network tier is keyed on the label: the twin has its own entry.
         assert stats.network_puts == 2 * alone.cache_stats.network_puts
 
-    def test_pool_worker_draws_each_pass_set_once(self, tmp_path):
-        """One chunk per design on two workers: each worker process keeps
-        its memos across the chunks it runs, so no sampled-pass set is
-        drawn twice in one process (counted from ``memo="miss"`` spans)."""
+    def test_pool_worker_draws_each_pass_set_once(self, tmp_path, cold_fig8):
+        """One task per design on two workers: each worker process keeps
+        its memos across the tasks it runs, so no sampled-pass set is
+        drawn twice in one process (counted from ``memo="miss"`` spans).
+        At default chunking -- one task per network -- the pool draws
+        exactly as many sets as the serial loop."""
         spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
         settings = replace(SETTINGS, options=spec.options)
         tracer = obs_trace.Tracer()
@@ -237,7 +263,7 @@ class TestSessionEvaluate:
             outcome = Session(workers=2, cache_dir=tmp_path, chunk_size=1).evaluate(
                 spec.resolve_designs(), CATS, settings
             )
-        assert outcome.chunks == len(spec.designs)
+        assert outcome.chunks == len(spec.designs)  # one network: BERT
         spans = tracer.export()
         by_id = {span["id"]: span for span in spans}
 
@@ -256,6 +282,47 @@ class TestSessionEvaluate:
         assert any(
             span["attrs"]["memo"] == "hit"
             for span in spans if span["name"] == "engine.sample_passes"
+        )
+
+        tracer = obs_trace.Tracer()
+        with obs_trace.tracing(tracer):
+            pooled = Session(workers=2, cache_dir=tmp_path / "default").run(
+                spec, quick=True
+            )
+        assert draw_count(tracer.export()) == cold_fig8.draws > 0
+        assert pooled.evaluations == cold_fig8.result.evaluations
+        assert pooled.outcome.chunks == 3  # AlexNet, ResNet50, BERT
+
+    def test_cold_pool_fig8_stats_equal_serial(self, tmp_path, cold_fig8):
+        """Label twins share one network's task, hence one worker's memo:
+        three cold pool runs each count exactly the serial run's cache
+        activity (no layer read back from disk)."""
+        spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
+        for run in range(3):
+            result = Session(workers=2, cache_dir=tmp_path / str(run)).run(
+                spec, quick=True
+            )
+            assert result.evaluations == cold_fig8.result.evaluations
+            assert result.cache_stats == cold_fig8.result.cache_stats
+        assert result.cache_stats.hits == 0 and result.cache_stats.memo_hits > 0
+
+    def test_warm_pool_run_resolves_each_suite_once(self, monkeypatch, cold_fig8):
+        """A warm fig8 on a pool session resolves each category's suite
+        once for the whole call, not once per design."""
+        calls = []
+        suite = EvalSettings.suite
+
+        def counted(self, category):
+            calls.append(category)
+            return suite(self, category)
+
+        monkeypatch.setattr(EvalSettings, "suite", counted)
+        spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
+        result = Session(workers=2, cache_dir=cold_fig8.cache_dir).run(spec, quick=True)
+        assert result.outcome.chunks == 0
+        assert result.evaluations == cold_fig8.result.evaluations
+        assert sorted(calls, key=lambda c: c.value) == sorted(
+            result.categories, key=lambda c: c.value
         )
 
     def test_overlapping_calls_count_exactly_their_own_activity(

@@ -25,7 +25,7 @@ from repro.config import ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings
 from repro.dse.explorer import design_space, sparse_b_space
 from repro.runtime.cache import PersistentLayerCache
-from repro.runtime.runner import SweepRunner, chunk_indices, default_chunk_size
+from repro.runtime.runner import SweepRunner, chunk_indices, network_tasks
 from repro.sim.engine import SimulationOptions
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=5)
@@ -55,10 +55,24 @@ class TestChunking:
         with pytest.raises(ValueError):
             chunk_indices(5, 0)
 
-    def test_default_size_gives_several_chunks_per_worker(self):
-        assert default_chunk_size(42, 4) == 3
-        assert default_chunk_size(1, 8) == 1
-        assert default_chunk_size(0, 4) == 1
+    def test_default_tasks_one_per_network_sliced_to_fill_workers(self):
+        # As many networks as workers, or more: one task per network.
+        assert network_tasks(8, 3, 2) == [(n, tuple(range(8))) for n in range(3)]
+        # Fewer: each network's designs cut into ceil(workers / networks).
+        assert network_tasks(42, 1, 4) == [
+            (0, tuple(range(s, min(s + 11, 42)))) for s in (0, 11, 22, 33)
+        ]
+        assert network_tasks(5, 2, 5) == [
+            (n, chunk) for n in range(2) for chunk in ((0, 1), (2, 3), (4,))
+        ]
+        assert network_tasks(1, 1, 8) == [(0, (0,))]
+        assert network_tasks(0, 3, 4) == network_tasks(4, 0, 4) == []
+        assert network_tasks(42, 3, 4) == network_tasks(42, 3, 4)
+
+    def test_explicit_chunk_size_is_designs_per_task_per_network(self):
+        assert network_tasks(5, 2, 8, chunk_size=2) == [
+            (n, chunk) for n in range(2) for chunk in chunk_indices(5, 2)
+        ]
 
 
 class TestRunnerBasics:
