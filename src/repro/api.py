@@ -58,6 +58,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -219,6 +220,10 @@ class ExperimentSpec:
         return designs
 
     def resolve_categories(self) -> tuple[ModelCategory, ...]:
+        return self._categories  # resolved once per spec object
+
+    @cached_property
+    def _categories(self) -> tuple[ModelCategory, ...]:
         if self.categories:
             return tuple(ModelCategory.from_text(c) for c in self.categories)
         if self.space is not None:

@@ -217,7 +217,9 @@ def griffin_cost(
     additions Table III/VII quantify: the BMUX fan-in growth of conf.A
     (3 -> 5 inputs per multiplier), the widened conf.B metadata, and the
     morph-control in each PE (Table VII: +1.8 mW / +3.2 kum2 MUX and
-    +1.3 kum2 CTRL over Sparse.AB*).
+    +1.3 kum2 CTRL over Sparse.AB*).  The extra BMUX legs cost power
+    only, not their 3.26 kum2 of area: Griffin's total is 285.24 kum2,
+    not 288.50 (paper: 286; see ``docs/figures.md``, known deviations).
     """
     base = cost_of(griffin.conf_ab, library=library, label=griffin.label)
     ab_ovh = overhead_of(griffin.conf_ab)
@@ -227,7 +229,6 @@ def griffin_cost(
         library.mux_power_uw_per_leg * griffin.geometry.macs_per_cycle / 1e3
     )
     # Morph-mode control (configuration registers, metadata width switch).
-    # The extra BMUX legs add power only: Griffin's MUX area is Sparse.AB*'s.
     return replace(base, mux_power=mux_power, ctrl_area=base.ctrl_area * 1.16)
 
 

@@ -110,30 +110,57 @@ def _evaluate_chunk(
     return speedups, stats.as_dict(), tracer.export()
 
 
-def chunk_indices(n_items: int, chunk_size: int) -> list[tuple[int, ...]]:
-    """Deterministic contiguous chunking of ``range(n_items)``."""
+def chunk_indices(
+    n_items: int, chunk_size: int, groups: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Deterministic chunking of ``range(n_items)``: contiguous, or whole
+    ``groups`` (item ``i``'s is ``groups[i]``) per chunk, in first-seen
+    order, so a chunk may run over ``chunk_size``."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        tuple(range(start, min(start + chunk_size, n_items)))
-        for start in range(0, n_items, chunk_size)
-    ]
+    members: dict[int, list[int]] = {}
+    for index, group in enumerate(range(n_items) if groups is None else groups):
+        members.setdefault(group, []).append(index)
+    chunks: list[list[int]] = []
+    for member in members.values():
+        if not chunks or len(chunks[-1]) >= chunk_size:
+            chunks.append([])
+        chunks[-1] += member
+    return [tuple(sorted(chunk)) for chunk in chunks]
 
 
 def network_tasks(
-    n_designs: int, n_networks: int, workers: int, chunk_size: int | None = None
+    n_designs: int, n_networks: int, workers: int, chunk_size: int | None = None,
+    groups: Sequence[int] | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The pool tasks, ``(network index, design indices)``: ``chunk_size``
     designs per task on each network.  By default one task per network,
-    or ``ceil(workers / networks)`` slices of it when networks are fewer
-    than workers, so no worker idles."""
+    or ``ceil(workers / networks)`` slices of it, each of whole ``groups``,
+    when networks are fewer than workers, so no worker idles."""
     if n_designs <= 0 or n_networks <= 0:
         return []
-    if chunk_size is None:
-        slices = -(-max(1, workers) // n_networks)
-        chunk_size = -(-n_designs // slices)
-    chunks = chunk_indices(n_designs, chunk_size)
+    if chunk_size is None:  # ceil(designs / ceil(workers / networks))
+        chunk_size = -(-n_designs // -(-max(1, workers) // n_networks))
+    else:
+        groups = None  # an explicit chunk_size is exact
+    chunks = chunk_indices(n_designs, chunk_size, groups)
     return [(network, chunk) for network in range(n_networks) for chunk in chunks]
+
+
+def content_groups(
+    designs: Sequence[Design], categories: Sequence[ModelCategory]
+) -> list[int]:
+    """Each design's group: the lowest index of the designs it shares a
+    config (so layer-memo entries) with on some category, transitively."""
+    group = list(range(len(designs)))
+    owner: dict[tuple, int] = {}
+    for i, design in enumerate(designs):
+        for category in categories:
+            config = design.config_for(category)
+            content = (category, config.a, config.b, config.shuffle, config.geometry)
+            low, high = sorted((group[i], group[owner.setdefault(content, i)]))
+            group = [low if g == high else g for g in group] if low < high else group
+    return group
 
 
 class SweepRunner:
@@ -234,7 +261,8 @@ class SweepRunner:
             for info in suites[category]:
                 networks.setdefault(info.fingerprint, [info.network]).append(category)
         order = list(networks.values())
-        tasks = network_tasks(len(designs), len(order), self.workers, self.chunk_size)
+        tasks = network_tasks(len(designs), len(order), self.workers, self.chunk_size,
+                              content_groups(designs, categories))
         speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
         remaining = [len(order)] * len(designs)
         stats = CacheStats()

@@ -38,20 +38,21 @@ PE borrowing (``d3``) along ``C1``, and ``C2`` indexes independent slot
 groups with no borrowing between them (used by the dual-sparse second phase,
 where ``C1`` is the output-row axis and ``C2`` the output-column axis).
 
-Three scheduler paths share these semantics exactly.  With no donor
-offsets (``d2 == d3 == 0``) the streams are independent and a closed-form
-per-stream recurrence replaces the cycle loop.  With donors, one
-vectorized cycle loop schedules a whole batch of same-geometry tiles as a
-single block-diagonal problem, with exact idle-cycle skip-ahead and
-donor-side claim resolution through the cached inverse offset maps (each
-offset is an injective coordinate shift, so a donor can have at most one
-claimant per round and no arbitration is ever needed);
-:func:`compact_schedule` is its batch of one, and it can record each
-tile's schedule.  The ``unit``/``tile`` front-granularity ablation modes
-take a loop of their own.  A pure-Python element-by-element oracle,
-``tests/compaction_oracle.py``, pins every path cycle for cycle and
-schedule for schedule (``tests/test_compaction_properties.py``), next to
-the golden fixtures in ``tests/test_engine_golden.py``.
+Three scheduler paths share these semantics exactly.  The two
+per-stream paths schedule a batch of same-geometry tiles of any depths
+side by side as one problem (:func:`compact_schedule` is a batch of
+one), and can record each tile's schedule.  With no donor offsets
+(``d2 == d3 == 0``) the streams are independent, and one call of a
+closed-form per-stream recurrence replaces the cycle loop.  With donors,
+one vectorized cycle loop runs the batch as a block-diagonal problem,
+with exact idle-cycle skip-ahead and donor-side claim resolution through
+cached, batch-wide inverse offset maps (each offset is an injective
+coordinate shift, so a donor has at most one claimant per round and
+needs no arbitration).  The ``unit``/``tile`` front-granularity ablation
+modes take a loop of their own.  A pure-Python element-by-element
+oracle, ``tests/compaction_oracle.py``, pins every path cycle for cycle
+and schedule for schedule (``tests/test_compaction_properties.py``),
+next to the golden fixtures in ``tests/test_engine_golden.py``.
 """
 
 from __future__ import annotations
@@ -105,9 +106,11 @@ def _offset_priority(d2: int, d3: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=512)
 def _donor_maps(
-    lanes: int, c1: int, c2: int, d2: int, d3: int, lane_wrap: bool
+    lanes: int, c1: int, c2: int, d2: int, d3: int, lane_wrap: bool,
+    n_tiles: int = 1,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per-offset donor wiring: ``(donor, valid, inv, inv_valid)`` per slot.
+    """Per-offset donor wiring: ``(donor, valid, inv, inv_valid)`` per slot
+    of ``n_tiles`` tiles side by side (tiles never borrow from each other).
 
     ``donor[r]`` is the stream slot ``r`` borrows from this round (0 where
     out of range -- gate with ``valid``); ``inv[d]`` is the *receiver* that
@@ -135,6 +138,9 @@ def _donor_maps(
         inv_valid = np.zeros(n_slots, dtype=bool)
         inv[donor[valid]] = slot_ids[valid]
         inv_valid[donor[valid]] = True
+        offs = np.repeat(np.arange(n_tiles, dtype=np.int64) * n_slots, n_slots)
+        donor, valid = np.tile(donor, n_tiles) + offs, np.tile(valid, n_tiles)
+        inv, inv_valid = np.tile(inv, n_tiles) + offs, np.tile(inv_valid, n_tiles)
         maps.append((donor, valid, inv, inv_valid))
     return tuple(maps)
 
@@ -148,44 +154,41 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
-def _stream_positions(
-    flat: np.ndarray, n_slots: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-stream sorted effectual positions, padded with ``_INF``.
-
-    Returns ``(positions, counts, total_ops)`` where ``positions[s, r]`` is
-    the r-th smallest time step carrying an effectual op in stream ``s``.
-    ``np.nonzero`` on the transpose yields entries already in (stream-major,
-    time-ascending) order, and each entry's rank within its stream is pure
-    arithmetic -- no per-stream Python loop, no lexsort.
-    """
+def _stack(
+    masks: list[np.ndarray], n_slots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(depths, positions, counts, total_ops)`` of a batch's tiles side
+    by side: stream ``b * n_slots + s`` is slot ``s`` of tile ``b``, and
+    ``positions[s, r]`` its r-th effectual time step (``_INF`` past its
+    last).  ``np.nonzero`` on the transpose yields (stream-major,
+    time-ascending) order, and each rank is pure arithmetic (no lexsort)."""
+    t_arr = np.array([m.shape[0] for m in masks], dtype=np.int64)
+    total_slots = len(masks) * n_slots
+    flat = np.zeros((int(t_arr.max()), len(masks), n_slots), dtype=bool)
+    for b, m in enumerate(masks):
+        flat[: m.shape[0], b] = m.reshape(m.shape[0], n_slots)
+    flat = flat.reshape(len(flat), total_slots)
     counts = flat.sum(axis=0)
     total_ops = int(counts.sum())
-    max_nnz = int(counts.max()) if n_slots else 0
-    positions = np.full((n_slots, max_nnz + 1), _INF, dtype=np.int64)
+    positions = np.full((total_slots, int(counts.max()) + 1), _INF, dtype=np.int64)
     if total_ops:
         s_sorted, t_sorted = np.nonzero(flat.T)
         starts = np.cumsum(counts) - counts
         rank = np.arange(total_ops) - np.repeat(starts, counts)
         positions[s_sorted, rank] = t_sorted
-    return positions, counts, total_ops
+    return t_arr, positions, counts, total_ops
 
 
-def _schedule_no_borrowing(
-    positions: np.ndarray,
-    counts: np.ndarray,
-    total_ops: int,
-    t_steps: int,
-    n_slots: int,
-    d1: int,
-    record: bool,
-) -> CompactionResult:
+def _schedule_no_borrowing_batch(
+    masks: list[np.ndarray], n_slots: int, d1: int, record: bool
+) -> list[CompactionResult]:
     """Closed-form scheduling for ``d2 == d3 == 0`` with per-stream fronts.
 
     With no donor offsets the streams are fully independent, so the cycle
     loop collapses to a recurrence over each stream's op ranks, evaluated
-    vectorized across streams.  With window ``w = 1 + d1``, the op of rank
-    ``r`` at position ``p_r`` executes at
+    vectorized across the streams of every tile of the batch at once.
+    With window ``w = 1 + d1``, the op of rank ``r`` at position ``p_r``
+    executes at
 
         ``c_r = c_{r-1} + 1 + k_r``,  ``k_r = max(0, ceil((p_r - d1 - g_{r-1}) / w))``
 
@@ -199,44 +202,79 @@ def _schedule_no_borrowing(
     prefix -- the front is *held* at the gap's start, it does not free-run.
     After a stream's last op its front does free-run at ``w`` per cycle, so
     the drain tail folds into ``c_s + ceil((T - g_s) / w)`` per stream,
-    bounded below by the globally last execution cycle.
+    against its own tile's ``T``.
+
+    Streams are ordered by op count, most first, so the streams still
+    active at rank ``r`` are a prefix and each step works on views; busy
+    cycles and schedules are scattered from every op's cycle at the end.
     """
+    n_tiles = len(masks)
     window = 1 + d1
-    cycles_of = np.zeros(n_slots, dtype=np.int64)
-    fronts = np.zeros(n_slots, dtype=np.int64)
+    t_arr, positions, counts, _ = _stack(masks, n_slots)
+    total_slots = n_tiles * n_slots
     max_nnz = positions.shape[1] - 1
+    order = np.argsort(-counts, kind="stable")
+    ranked = positions[order].T.copy()  # [rank, stream by op count]
+    active = total_slots - np.cumsum(np.bincount(counts, minlength=max_nnz + 1))
+    cycles_of, fronts = np.zeros((2, total_slots), dtype=np.int64)
+    executed_at = np.zeros((max_nnz, total_slots), dtype=np.int64)
+    for r in range(max_nnz):
+        k = active[r]
+        pos, front, cyc = ranked[r, :k], fronts[:k], cycles_of[:k]
+        # neg = -k_r: min(0, floor((g + d1 - p) / w)).
+        neg = front + d1
+        neg -= pos
+        neg //= window
+        np.minimum(neg, 0, out=neg)
+        cyc += 1
+        cyc -= neg
+        executed_at[r, :k] = cyc
+        neg *= window
+        front -= neg
+        np.minimum(front, pos, out=front)
+        front += window
+        np.minimum(front, ranked[r + 1, :k], out=front)
+
+    # Back to stream order, one row of streams per tile.
+    back = np.empty((2, total_slots), dtype=np.int64)
+    back[:, order] = cycles_of, fronts
+    stream_cycles, stream_fronts = back.reshape(2, n_tiles, n_slots)
+    tail = np.maximum(-((stream_fronts - t_arr[:, np.newaxis]) // window), 0)
+    cycles = (stream_cycles + tail).max(axis=1)
+    last = stream_cycles.max(axis=1)
+    per_tile = counts.reshape(n_tiles, n_slots).sum(axis=1)
+    rank, col = np.nonzero(np.arange(max_nnz)[:, np.newaxis] < counts[order])
+    at = executed_at[rank, col]
+    stream = order[col]
     # Execution cycles never exceed T (borrowing is never slower than
     # dense -- an invariant the property suite asserts for every draw), so
-    # T-sized scatter targets cover every cycle index.
-    busy = np.zeros(t_steps + 1, dtype=bool)
-    schedule = np.full((t_steps, n_slots), -1, dtype=np.int64) if record else None
-    slot_ids = np.arange(n_slots)
-    for r in range(max_nnz):
-        active = counts > r
-        pos = positions[:, r]
-        wait = np.where(active, np.maximum(-((d1 + fronts - pos) // window), 0), 0)
-        cycles_of = np.where(active, cycles_of + 1 + wait, cycles_of)
-        held = np.minimum(pos, fronts + wait * window)
-        fronts = np.where(active, np.minimum(positions[:, r + 1], held + window), fronts)
-        act_slots = slot_ids[active]
-        act_cycles = cycles_of[act_slots]
-        busy[act_cycles] = True
-        if record:
-            schedule[act_cycles - 1, act_slots] = pos[act_slots] * n_slots + act_slots
-    last_cycle = int(cycles_of.max()) if total_ops else 0
-    drained = cycles_of + np.maximum(-((fronts - t_steps) // window), 0)
-    cycles = max(last_cycle, int(drained.max()))
+    # T-sized targets cover every cycle index.
+    t_max = int(t_arr.max())
+    busy = np.zeros((n_tiles, t_max + 1), dtype=bool)
+    busy[stream // n_slots, at] = True
+    schedules = None
     if record:
-        schedule = (
-            schedule[:last_cycle] if last_cycle else np.array([], dtype=np.int64)
+        schedules = np.full((t_max, total_slots), -1, dtype=np.int64)
+        schedules[at - 1, stream] = ranked[rank, col] * n_slots + stream % n_slots
+        schedules = schedules.reshape(t_max, n_tiles, n_slots)
+    borrowed = np.zeros_like(per_tile)
+    return _batch_results(cycles, busy.sum(axis=1), per_tile, borrowed, last, schedules)
+
+
+def _batch_results(
+    cycles, busy, ops, borrowed, last, schedules: np.ndarray | None
+) -> list[CompactionResult]:
+    """Per-tile results; a recorded ``schedules[cycle, tile, slot]`` stops at
+    the tile's ``last`` busy cycle (1-D empty if the tile never executes)."""
+    return [
+        CompactionResult(
+            int(cycles[b]), int(busy[b]), int(ops[b]), int(borrowed[b]),
+            schedule=None if schedules is None else (
+                schedules[: last[b], b].copy() if last[b] else np.array([], dtype=np.int64)
+            ),
         )
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=int(busy.sum()),
-        executed_ops=total_ops,
-        borrowed_ops=0,
-        schedule=schedule,
-    )
+        for b in range(len(cycles))
+    ]
 
 
 def _idle_result(record: bool) -> CompactionResult:
@@ -293,7 +331,7 @@ def compact_schedule(
     n_slots = lanes * n_groups
     if n_slots == 0:
         return _idle_result(return_schedule)
-    positions, _, total_ops = _stream_positions(mask.reshape(t_steps, n_slots), n_slots)
+    _, positions, _, total_ops = _stack([mask], n_slots)
     return _schedule_borrowing_grouped(
         positions, total_ops, t_steps, n_slots, n_groups, d1,
         _donor_maps(lanes, c1, c2, d2, d3, lane_wrap), front_mode, return_schedule,
@@ -313,10 +351,10 @@ def compact_schedule_batch(
     Each result is exactly what the tile scheduled alone gives.  Masks must
     agree on ``(L, C1, C2)``; time depths may differ (each tile keeps its
     own drain horizon, cycle count and, with ``return_schedule``, a
-    schedule that stops at its own last executing cycle).  Without donor
-    offsets every tile takes the closed form; with them the whole batch
-    runs through one cycle loop, so a GEMM's sampled passes share every
-    per-cycle numpy dispatch instead of paying it per tile.
+    schedule that stops at its own last executing cycle).  The whole
+    batch runs through one call of the closed form (no donor offsets) or
+    of the cycle loop (donors), so a GEMM's sampled passes share every
+    per-step numpy dispatch instead of paying it per tile.
     """
     if not masks:
         return []
@@ -335,15 +373,10 @@ def compact_schedule_batch(
         # The hot path for every schedule without lane/PE reach -- including
         # the Sparse.AB dense-weight downgrade and the dual-sparse B
         # preprocessing whenever db2 == db3 == 0.
-        return [
-            _schedule_no_borrowing(
-                *_stream_positions(m.reshape(m.shape[0], n_slots), n_slots),
-                m.shape[0], n_slots, d1, return_schedule,
-            )
-            for m in checked
-        ]
+        return _schedule_no_borrowing_batch(checked, n_slots, d1, return_schedule)
     return _schedule_borrowing_batch(
-        checked, n_slots, d1, _donor_maps(lanes, c1, c2, d2, d3, lane_wrap),
+        checked, n_slots, d1,
+        _donor_maps(lanes, c1, c2, d2, d3, lane_wrap, len(checked)),
         return_schedule,
     )
 
@@ -377,25 +410,8 @@ def _schedule_borrowing_batch(
     """
     n_tiles = len(masks)
     window = 1 + d1
-    t_arr = np.array([m.shape[0] for m in masks], dtype=np.int64)
+    t_arr, positions, counts, total_ops = _stack(masks, n_slots)
     total_slots = n_tiles * n_slots
-    flat = np.zeros((int(t_arr.max()), n_tiles, n_slots), dtype=bool)
-    for b, m in enumerate(masks):
-        flat[: m.shape[0], b] = m.reshape(m.shape[0], n_slots)
-    positions, counts, total_ops = _stream_positions(
-        flat.reshape(len(flat), total_slots), total_slots
-    )
-    if n_tiles > 1:
-        offs = np.repeat(np.arange(n_tiles, dtype=np.int64) * n_slots, n_slots)
-        donor_maps = [
-            (
-                np.tile(donor, n_tiles) + offs,
-                np.tile(valid, n_tiles),
-                np.tile(inv, n_tiles) + offs,
-                np.tile(inv_valid, n_tiles),
-            )
-            for donor, valid, inv, inv_valid in donor_maps
-        ]
     multi_round = len(donor_maps) > 1
 
     stride = positions.shape[1]
@@ -492,29 +508,12 @@ def _schedule_borrowing_batch(
     slowest = fronts.reshape(n_tiles, n_slots).min(axis=1) - (cycles - last) * window
     tail = np.maximum(-((slowest - t_arr) // window), 0)
     per_tile = counts.reshape(n_tiles, n_slots).sum(axis=1)
-    busy_t = busy.sum(axis=0)
     borrowed = per_tile - own_counts.sum(axis=0)
-    if record and rows:
+    schedules = None
+    if record:
+        rows.insert(0, np.empty((0, total_slots), dtype=np.int64))
         schedules = np.concatenate(rows).reshape(cycles, n_tiles, n_slots)
-    results = []
-    for b in range(n_tiles):
-        schedule = None
-        if record:
-            schedule = (
-                schedules[: last[b], b].copy()
-                if last[b]
-                else np.array([], dtype=np.int64)
-            )
-        results.append(
-            CompactionResult(
-                cycles=int(last[b] + tail[b]),
-                busy_cycles=int(busy_t[b]),
-                executed_ops=int(per_tile[b]),
-                borrowed_ops=int(borrowed[b]),
-                schedule=schedule,
-            )
-        )
-    return results
+    return _batch_results(last + tail, busy.sum(axis=0), per_tile, borrowed, last, schedules)
 
 
 def _schedule_borrowing_grouped(
@@ -624,24 +623,14 @@ def _schedule_borrowing_grouped(
     # Trailing drain: units behind T keep streaming zero slices at window
     # rate; the tile ends when the slowest one crosses T.
     behind = fronts < t_steps
-    if behind.any():
-        cycles += int((-((fronts[behind] - t_steps) // window)).max())
-
+    tail = int((-((fronts[behind] - t_steps) // window)).max()) if behind.any() else 0
+    schedules = None
     if record:
-        schedule = (
-            np.concatenate(schedule_chunks, axis=0)
-            if schedule_chunks
-            else np.array([], dtype=np.int64)
-        )
-    else:
-        schedule = None
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=busy_cycles,
-        executed_ops=executed,
-        borrowed_ops=borrowed,
-        schedule=schedule,
-    )
+        schedule_chunks.insert(0, np.empty((0, n_slots), dtype=np.int64))
+        schedules = np.concatenate(schedule_chunks)[:, np.newaxis]
+    return _batch_results(
+        [cycles + tail], [busy_cycles], [executed], [borrowed], [cycles], schedules
+    )[0]
 
 
 def unpack_schedule(

@@ -13,10 +13,10 @@ samples a configurable number of passes per GEMM (including edge passes)
 and extrapolates -- the same block-sampling the paper's own
 PyTorch-fed simulator performs.  Everything is deterministic in the option
 seed.  Reuse lives in the :class:`EvalContext` each call passes: layer
-results are memoized on the content :func:`simulation_key` hashes, and
-sampled passes on the layer's sparsity rather than on the design, so
-every design and category that reads a GEMM's weights shares one draw of
-its weight factor field.  The engine keeps no state between calls.
+results are memoized on the content :func:`simulation_key` hashes,
+sampled passes on the layer's sparsity (every design and category that
+reads a GEMM's weights shares one draw of its weight factor field), and
+tile cycle counts on the passes and distances.  No state outlives a call.
 
 Persistent caching is two-tiered: layer results store under
 :func:`simulation_key` (:data:`SIMULATION_KEY_VERSION`), and whole-network
@@ -238,6 +238,20 @@ def _tile_cycles_batch(
     ]
 
 
+def _schedule_passes(
+    context: "EvalContext", sched_config: ArchConfig, tile_key: tuple, pairs: tuple
+) -> tuple[TileResult, ...]:
+    """One GEMM's pass tiles scheduled, through the context's tile memo
+    (keyed by pass set, sides, distances and shuffle; no masks in it)."""
+    with obs.ACTIVE.span("engine.tile_batch", passes=len(pairs)) as span:
+        tiles = context.tiles.get(tile_key)
+        span.set(memo="miss" if tiles is None else "hit")
+        if tiles is None:
+            tiles = tuple(_tile_cycles_batch(sched_config, list(pairs)))
+            context.tiles.put(tile_key, tiles)
+    return tiles
+
+
 def _layer_seed(*parts: object) -> int:
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -415,7 +429,7 @@ def _simulate_gemm(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
-    passes: Memo,
+    context: "EvalContext",
 ) -> GemmSimResult:
     geometry = config.geometry
     grid = tile_grid(gemm, geometry)
@@ -435,11 +449,11 @@ def _simulate_gemm(
         "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}",
         seed=seed, weights=sides[0],
     ) as span:
-        sets = passes.get(key)
+        sets = context.passes.get(key)
         span.set(memo="miss" if sets is None else "hit")
         if sets is None:
             sets = _sampled_passes(*key)
-            passes.put(key, sets)
+            context.passes.put(key, sets)
         pairs = sets[sides]
     samples = len(pairs)
     n_passes = grid.m_tiles * grid.n_tiles
@@ -452,9 +466,9 @@ def _simulate_gemm(
     # paying it per tile.
     drain = min(options.pipeline_drain, max(0, seg_t // 4))
     total_cycles = 0.0
-    with obs.ACTIVE.span("engine.tile_batch", passes=samples):
-        for tile in _tile_cycles_batch(sched_config, list(pairs)):
-            total_cycles += (tile.cycles + drain) * scale_t
+    tile_key = (key, sides, sched_config.a, sched_config.b, sched_config.shuffle)
+    for tile in _schedule_passes(context, sched_config, tile_key, pairs):
+        total_cycles += (tile.cycles + drain) * scale_t
 
     mean_cycles = total_cycles / samples
     cycles = mean_cycles * n_passes * gemm.repeats
@@ -639,19 +653,21 @@ class Memo:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Where an evaluation looks results up: a store and two memos.
+    """Where an evaluation looks results up: a store and three memos.
 
     ``store`` is the persistent :class:`ResultCache` (``None``: none);
     ``layers`` memoizes layer results on the content :func:`simulation_key`
     hashes (never the display name), ``passes`` the sampled pass tiles of a
-    GEMM.  A :class:`repro.api.Session` owns one context and hands each
-    call ``context.on(handle)``, so calls share its memos but count into
-    their own handles.  A fresh context is a cold start.
+    GEMM, and ``tiles`` the per-tile cycle counts of a pass set under one
+    scheduling config.  A :class:`repro.api.Session` owns one context and
+    hands each call ``context.on(handle)``, so calls share its memos but
+    count into their own handles.  A fresh context is a cold start.
     """
 
     store: ResultCache | None = None
     layers: Memo = field(default_factory=lambda: Memo(32768))
     passes: Memo = field(default_factory=lambda: Memo(512))
+    tiles: Memo = field(default_factory=lambda: Memo(8192))
 
     def on(self, store: ResultCache | None) -> "EvalContext":
         """A context on ``store`` that shares these memos."""
@@ -673,14 +689,14 @@ def _compute_layer(
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
-    passes: Memo,
+    context: EvalContext,
 ) -> LayerSimResult:
     results = []
     cycles = 0.0
     dense = 0
     with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
         for gemm in gemms:
-            res = _simulate_gemm(gemm, layer, config, category, options, passes)
+            res = _simulate_gemm(gemm, layer, config, category, options, context)
             gemm_cycles = res.cycles
             if options.include_stalls and gemm_cycles < res.dense_cycles:
                 gemm_cycles = _apply_stalls(
@@ -726,7 +742,7 @@ def simulate_layer(
         key = simulation_key(*args) if store is not None else None
         result = store.get(key) if key is not None else None
         if result is None:
-            result = _compute_layer(layer, gemms, config, category, options, context.passes)
+            result = _compute_layer(layer, gemms, config, category, options, context)
             if key is not None:
                 store.put(key, result)
         context.layers.put(memo_key, result)

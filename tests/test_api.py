@@ -306,6 +306,19 @@ class TestSessionEvaluate:
             assert result.cache_stats == cold_fig8.result.cache_stats
         assert result.cache_stats.hits == 0 and result.cache_stats.memo_hits > 0
 
+    def test_one_network_pool_stats_equal_serial(self, tmp_path):
+        """Fig8's designs on one network: two workers cut them into two
+        slices, and a slice keeps designs that share a config together,
+        so two cold pool runs each count the serial run's activity."""
+        spec = ExperimentSpec.load(Path(__file__).parent / "data" / "fig8_one_network.json")
+        serial = Session(workers=1, cache_dir=tmp_path / "serial").run(spec, quick=True)
+        assert serial.cache_stats.hits == 0 and serial.cache_stats.memo_hits > 0
+        for run in range(2):
+            pooled = Session(workers=2, cache_dir=tmp_path / str(run)).run(spec, quick=True)
+            assert pooled.outcome.chunks == 2
+            assert pooled.evaluations == serial.evaluations
+            assert pooled.cache_stats == serial.cache_stats
+
     def test_warm_pool_run_resolves_each_suite_once(self, monkeypatch, cold_fig8):
         """A warm fig8 on a pool session resolves each category's suite
         once for the whole call, not once per design."""
@@ -629,6 +642,19 @@ class TestExperimentSpec:
         designs = spec.resolve_designs()
         assert len(designs) > 10
         assert spec.resolve_categories() == (ModelCategory.B, ModelCategory.DENSE)
+
+    def test_categories_resolve_once_per_spec(self, monkeypatch):
+        calls = []
+        from_text = ModelCategory.from_text
+
+        def counted(text):
+            calls.append(text)
+            return from_text(text)
+
+        monkeypatch.setattr(ModelCategory, "from_text", staticmethod(counted))
+        spec = ExperimentSpec.from_dict(self.MINI)
+        assert spec.resolve_categories() is spec.resolve_categories()
+        assert calls == list(self.MINI["categories"])
 
     def test_default_categories_without_space(self):
         spec = ExperimentSpec.from_dict({"designs": ["Dense"]})

@@ -150,6 +150,17 @@ def check_batch_matches_sequential(
         )
 
 
+def closed_form_batch(tiles, dims) -> list[np.ndarray]:
+    """The tiles of a ``d2 == d3 == 0`` batch, each ``(T, density, seed)``,
+    plus a depth-1 tile and an all-zero tile of the same geometry."""
+    lanes, c1, c2 = dims
+    masks = [make_mask(t, lanes, c1, c2, density, seed) for t, density, seed in tiles]
+    return masks + [
+        make_mask(1, lanes, c1, c2, 0.5, len(tiles)),
+        np.zeros((3 + len(tiles), lanes, c1, c2), dtype=bool),
+    ]
+
+
 if HAVE_HYPOTHESIS:
     mask_params = st.tuples(
         st.integers(2, 14),       # T
@@ -213,6 +224,22 @@ if HAVE_HYPOTHESIS:
             ]
             check_batch_matches_sequential(masks, d1, d2, d3, lane_wrap=wrap)
 
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(
+            st.lists(
+                st.tuples(st.integers(1, 16), st.floats(0.0, 1.0),
+                          st.integers(0, 2**31)),
+                min_size=1, max_size=6,
+            ),
+            st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 2)),
+            distance,
+        )
+        def test_closed_form_batch_matches_oracle(self, tiles, dims, d1):
+            """Without lane or PE reach the whole batch is one call of the
+            closed form; each tile equals the oracle's, with and without
+            recorded schedules."""
+            check_batch_matches_sequential(closed_form_batch(tiles, dims), d1, 0, 0)
+
 
 class TestSeededRandomProperties:
     """Seeded-random sweep of the same invariants (runs with or without
@@ -263,6 +290,18 @@ class TestSeededRandomProperties:
             density = 0.0 if i % 4 == 3 else float(rng.uniform(0.0, 1.0))
             masks.append(make_mask(t_steps, lanes, c1, c2, density, seed=i))
         check_batch_matches_sequential(masks, d1, d2, d3, lane_wrap=wrap)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_closed_form_batch_matches_oracle(self, trial):
+        rng = np.random.default_rng(5000 + trial)
+        dims = tuple(int(rng.integers(1, high)) for high in (6, 4, 3))
+        tiles = [
+            (int(rng.integers(1, 17)), float(rng.uniform(0.0, 1.0)), i)
+            for i in range(int(rng.integers(1, 7)))
+        ]
+        check_batch_matches_sequential(
+            closed_form_batch(tiles, dims), int(rng.integers(0, 4)), 0, 0
+        )
 
     def test_no_borrowing_fast_path_matches_reference(self):
         # d2 == d3 == 0 takes the closed-form path; pin it to the oracle

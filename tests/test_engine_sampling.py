@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import SPARSE_AB_STAR, SPARSE_B_STAR, ModelCategory
+from repro.config import SPARSE_AB_STAR, SPARSE_B_STAR, ModelCategory, sparse_b
 from repro.gemm.layers import GemmShape
 from repro.gemm.tiling import tile_grid
 from repro.sim import engine
@@ -108,17 +108,18 @@ def _oracle_passes(gemm: GemmShape, use_b: bool, use_a: bool) -> list:
 @pytest.fixture
 def scheduled(monkeypatch):
     """``(pairs seen, context)``: a fresh context with no persistent store,
-    and each GEMM's scheduled pairs as they are recorded."""
+    and each GEMM's pairs as they reach the scheduling step, which every
+    sparse GEMM passes through whether its tile memo hits or not."""
     seen: list[list] = []
-    real = engine._tile_cycles_batch
+    real = engine._schedule_passes
 
-    def spy(config, pairs):
-        seen.append(pairs)
-        tiles = real(config, pairs)
+    def spy(context, config, tile_key, pairs):
+        seen.append(list(pairs))
+        tiles = real(context, config, tile_key, pairs)
         assert len(tiles) == len(pairs)
         return tiles
 
-    monkeypatch.setattr(engine, "_tile_cycles_batch", spy)
+    monkeypatch.setattr(engine, "_schedule_passes", spy)
     return seen, EvalContext()
 
 
@@ -272,3 +273,37 @@ def test_memo_counts_every_lookup_under_thread_stress():
     assert not any(worker.is_alive() for worker in workers)
     assert memo.hits + memo.misses == threads * lookups
     assert memo.hits > 0 and len(memo) == 64
+
+
+def test_downgraded_design_reads_the_weight_only_tile_entry():
+    """A ``Sparse.AB`` design downgraded on DNN.B schedules its passes
+    with its ``db`` reach, so it reads the tile-memo entry of the
+    ``Sparse.B`` design with those distances and gets the same GEMM
+    results as a cold context; another shuffle flag or distance misses.
+    The memo holds cycle counts, never masks."""
+    ab = SPARSE_AB_STAR
+    twin = sparse_b(*ab.b.as_tuple(), shuffle=ab.shuffle, geometry=ab.geometry)
+    context = EvalContext()
+    tiles = context.tiles
+
+    def gemm_results(config, in_context=context) -> list:
+        return [
+            engine._simulate_gemm(gemm, LAYER, config, ModelCategory.B, OPTIONS, in_context)
+            for gemm in GEMMS
+        ]
+
+    weight_only = gemm_results(twin)
+    assert (tiles.misses, tiles.hits, len(tiles)) == (len(GEMMS), 0, len(GEMMS))
+    downgraded = gemm_results(ab)
+    assert (tiles.misses, tiles.hits) == (len(GEMMS), len(GEMMS))
+    assert downgraded == weight_only == gemm_results(ab, EvalContext())
+    for other in (
+        sparse_b(*ab.b.as_tuple(), shuffle=not ab.shuffle, geometry=ab.geometry),
+        sparse_b(ab.b.d1 + 1, ab.b.d2, ab.b.d3, shuffle=ab.shuffle, geometry=ab.geometry),
+    ):
+        misses = tiles.misses
+        gemm_results(other)
+        assert (tiles.misses - misses, tiles.hits) == (len(GEMMS), len(GEMMS))
+    for results in tiles._entries.values():
+        assert all(isinstance(tile, engine.TileResult) for tile in results)
+        assert all(isinstance(value, int) for tile in results for value in vars(tile).values())

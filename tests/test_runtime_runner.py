@@ -18,19 +18,28 @@ unique encoder layers) so the *full* 42-point configuration space stays
 affordable; the invariants do not depend on which network is simulated.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repro.api import Session
-from repro.config import ModelCategory, sparse_b
-from repro.dse.evaluate import EvalSettings
+from repro.api import ExperimentSpec, Session
+from repro.config import SPARSE_B_STAR, ModelCategory, sparse_b
+from repro.dse.evaluate import EvalSettings, as_design
 from repro.dse.explorer import design_space, sparse_b_space
 from repro.runtime.cache import PersistentLayerCache
-from repro.runtime.runner import SweepRunner, chunk_indices, network_tasks
+from repro.runtime.runner import (
+    SweepRunner,
+    chunk_indices,
+    content_groups,
+    network_tasks,
+)
 from repro.sim.engine import SimulationOptions
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=5)
 SETTINGS = EvalSettings(quick=True, options=CHEAP, networks=("BERT",))
 CATEGORIES = (ModelCategory.B, ModelCategory.DENSE)
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestLifecycle:
@@ -73,6 +82,34 @@ class TestChunking:
         assert network_tasks(5, 2, 8, chunk_size=2) == [
             (n, chunk) for n in range(2) for chunk in chunk_indices(5, 2)
         ]
+
+    def test_slices_take_whole_groups(self):
+        # Designs 0, 3 and 4 share a config on some category, as fig8's
+        # Baseline, Sparse.AB* and Griffin do: one slice holds all three.
+        groups = [0, 1, 2, 0, 0, 5, 6, 7]
+        assert network_tasks(8, 1, 2, groups=groups) == [
+            (0, (0, 1, 3, 4)), (0, (2, 5, 6, 7))
+        ]
+        assert network_tasks(5, 1, 2, groups=range(5)) == network_tasks(5, 1, 2)
+        assert chunk_indices(4, 1, [0, 1, 0, 1]) == [(0, 2), (1, 3)]
+        # An explicit chunk_size is exact: groups do not apply.
+        assert network_tasks(4, 2, 8, chunk_size=1, groups=[0, 1, 0, 1]) == [
+            (n, (i,)) for n in range(2) for i in range(4)
+        ]
+
+    def test_content_groups_join_designs_that_share_a_config(self):
+        spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
+        designs = spec.resolve_designs()
+        # Griffin runs Baseline's config on DNN.dense and Sparse.AB*'s on
+        # DNN.AB; the rest share none.
+        assert content_groups(designs, spec.resolve_categories()) == [
+            0, 1, 2, 0, 0, 5, 6, 7
+        ]
+        twin = replace(SPARSE_B_STAR, name="twin")
+        assert content_groups(
+            [as_design(c) for c in (sparse_b(2, 0, 0), SPARSE_B_STAR, twin)],
+            (ModelCategory.B,),
+        ) == [0, 1, 1]
 
 
 class TestRunnerBasics:
