@@ -83,7 +83,7 @@ from repro.runtime.cache import (
     ProbeMiss,
     default_cache_dir,
 )
-from repro.runtime.runner import ProgressFn, SweepOutcome, SweepRunner
+from repro.runtime.runner import ProgressFn, SweepOutcome, SweepRunner, evaluate_in_process
 from repro.runtime.search import SearchLoopOutcome, run_search_loop
 from repro.search.archive import ParetoArchive, SearchRecord
 from repro.search.objectives import ObjectiveSet
@@ -403,7 +403,8 @@ class Session:
 
     Args:
         workers: process count for :meth:`evaluate`; ``0`` or ``1``
-            evaluates serially in-process (still through the cache).
+            runs the network tasks in this process (still through the
+            cache, with one background thread drawing the sampled passes).
         cache_dir: root of the two-tier persistent cache; ``None`` picks
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
         use_cache: ``False`` evaluates without a persistent cache.
@@ -529,11 +530,12 @@ class Session:
     ) -> SweepOutcome:
         """Evaluate every design on every category, order-preserving.
 
-        With ``workers > 1`` the cold designs fan out over a process pool
-        through :class:`SweepRunner` (one warm pool reused across calls
-        under ``keep_pool=True``), one task per network; results are
-        bitwise-identical to the serial loop either way, and all paths
-        share the session's persistent cache directory.
+        Warm designs are answered from the network tier in this process.
+        The cold ones run as one task per network: in this process with
+        ``workers <= 1``, else fanned out over a process pool through
+        :class:`SweepRunner` (one warm pool reused across calls under
+        ``keep_pool=True``).  Results are bitwise-identical either way,
+        and all paths share the session's persistent cache directory.
 
         ``networks`` replaces the evaluation suite for this call: any mix
         of workload tokens (preset or registered names, ``name:override``
@@ -559,9 +561,7 @@ class Session:
             categories=len(categories),
             workers=self.workers,
         ):
-            return self._evaluate(
-                resolved, categories, settings, progress, pool=self.workers > 1
-            )
+            return self._evaluate(resolved, categories, settings, progress)
 
     def _evaluate(
         self,
@@ -569,27 +569,28 @@ class Session:
         categories: tuple[ModelCategory, ...],
         settings: EvalSettings,
         progress: ProgressFn | None,
-        pool: bool,
     ) -> SweepOutcome:
-        """The in-process design loop; with ``pool``, for warm designs only.
+        """Warm designs from the network tier, then the rest as network tasks.
 
-        With ``pool`` each design runs against a :class:`NetworkTierProbe`,
-        which answers network-tier hits and raises on the first miss: a
-        warm design costs a key hash and a read per network and no pool
-        round trip.  The rest go to :class:`SweepRunner`, whose workers
+        Each design first runs against a :class:`NetworkTierProbe`, which
+        answers network-tier hits and raises on the first miss: a warm
+        design costs a key hash and a read per network.  The cold rest run
+        as network tasks (:mod:`repro.runtime.runner`): in this process
+        with ``workers <= 1``, else on :class:`SweepRunner`'s pool.  Both
         redo their lookups, so a probe's counts join the call's only if
-        its design completed, and stats equal the serial loop's.
+        its design completed, and stats are equal for any worker count.
         """
         suites = settings.suites(categories)  # once per call
         stats = CacheStats()
         results: list[DesignEvaluation | None] = [None] * len(designs)
         cold: list[int] = []
+        chunks = 0
         try:
             for index, design in enumerate(designs):
-                if pool and self.cache_dir is None:
+                if self.cache_dir is None:
                     cold.append(index)
                     continue
-                context, counts = self._open_cache(pool)
+                context, counts = self._open_cache(probe=True)
                 with obs.ACTIVE.span(
                     "evaluate.design", index=index, design=design.label
                 ) as span:
@@ -601,26 +602,31 @@ class Session:
                         span.set(probe="miss")
                         cold.append(index)
                         continue
-                    finally:
-                        if not pool or results[index] is not None:
-                            stats.merge(counts)
+                    stats.merge(counts)
                 if progress is not None:
                     progress(index + 1 - len(cold), len(designs))
             if cold:
                 warm = len(designs) - len(cold)
-                outcome = self._ensure_runner().run(
-                    [designs[i] for i in cold], categories, settings,
-                    progress=progress and (
-                        lambda done, _: progress(warm + done, len(designs))
-                    ),
-                    suites=suites,
-                )
-                stats.merge(outcome.cache_stats)
-                for index, evaluation in zip(cold, outcome.evaluations):
+                tick = progress and (lambda done, _: progress(warm + done, len(designs)))
+                cold_designs = [designs[i] for i in cold]
+                if self.workers > 1:
+                    outcome = self._ensure_runner().run(
+                        cold_designs, categories, settings, progress=tick, suites=suites
+                    )
+                    stats.merge(outcome.cache_stats)
+                    evaluations, chunks = outcome.evaluations, outcome.chunks
+                else:
+                    context, counts = self._open_cache()
+                    try:
+                        evaluations = evaluate_in_process(
+                            cold_designs, categories, settings.options, suites, context, tick
+                        )
+                    finally:
+                        stats.merge(counts)
+                for index, evaluation in zip(cold, evaluations):
                     results[index] = evaluation
         finally:
             self._record(stats)
-        chunks = outcome.chunks if cold else 0
         return SweepOutcome(tuple(results), stats, self.workers, chunks)
 
     def evaluate_one(
@@ -629,11 +635,8 @@ class Session:
         categories: Sequence[ModelCategory],
         settings: EvalSettings | None = None,
     ) -> DesignEvaluation:
-        """Evaluate a single design (always serial, through the cache)."""
-        return self._evaluate(
-            (as_design(design),), tuple(categories), settings or self.settings,
-            self.progress, pool=False,
-        ).evaluations[0]
+        """Evaluate a single design, as :meth:`evaluate` does."""
+        return self.evaluate([design], categories, settings).evaluations[0]
 
     def simulate(
         self,

@@ -454,8 +454,8 @@ def score_design(
 ) -> DesignEvaluation:
     """A design's score card: per category, the geometric mean of
     ``speedup(category, workload)`` over its suite, in suite order, as the
-    design's efficiency point.  The serial loop and the process pool
-    (:class:`repro.runtime.runner.SweepRunner`) both score here."""
+    design's efficiency point.  :func:`evaluate_design` and both
+    executors of :mod:`repro.runtime.runner` score here."""
     return DesignEvaluation(design.label, tuple(
         design.efficiency_point(
             category, geometric_mean([speedup(category, info) for info in suites[category]])
@@ -473,10 +473,10 @@ def evaluate_design(
 ) -> DesignEvaluation:
     """Evaluate one design across model categories (the single code path).
 
-    This is the serial unit of work, in the context ``cache`` (as for
-    :func:`category_speedup`), over ``suites`` (default: the settings');
-    the batched, parallel, cache-backed entry point is
-    :meth:`repro.api.Session.evaluate`.
+    This is the design-at-a-time unit of work, in the context ``cache``
+    (as for :func:`category_speedup`), over ``suites`` (default: the
+    settings'); the batched, network-at-a-time, cache-backed entry point
+    is :meth:`repro.api.Session.evaluate`.
     """
     design = as_design(design)
     settings = settings or EvalSettings()

@@ -152,13 +152,18 @@ class Span:
 
 
 class Tracer:
-    """Collects span records; thread-safe, one per traced command."""
+    """Collects span records; thread-safe, one per traced command.
+
+    Times count from ``epoch`` (a ``perf_counter`` reading; default: now).
+    A tracer made with another's ``epoch`` shares its clock, so its spans
+    absorb into the other with ``shift=0.0``.
+    """
 
     enabled = True
 
-    def __init__(self, trace_id: Optional[str] = None) -> None:
+    def __init__(self, trace_id: Optional[str] = None, epoch: Optional[float] = None) -> None:
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
-        self._epoch = perf_counter()
+        self.epoch = perf_counter() if epoch is None else epoch
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._records: List[dict] = []
@@ -167,7 +172,7 @@ class Tracer:
     # -- internal ----------------------------------------------------
 
     def _now(self) -> float:
-        return perf_counter() - self._epoch
+        return perf_counter() - self.epoch
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)

@@ -1,30 +1,35 @@
-"""Parallel, cache-backed execution of design-space sweeps.
+"""Cache-backed execution of design-space sweeps, in process or in a pool.
 
-:class:`SweepRunner` fans the evaluation of a list of design points --
-anything :func:`repro.dse.evaluate.as_design` accepts: borrowing
-configurations, Griffin, calibrated baseline rows, or design names -- out
-over a :class:`concurrent.futures.ProcessPoolExecutor`, one task per
-network (:func:`network_tasks`): a task simulates one network, resolved in
-the parent, for a slice of the designs on every category whose suite
-holds it.  So every design on a network shares one worker's memos, as in
-the serial loop: each sampled-pass set is drawn once, and label twins
-read each other's layers from the memo.  The parent scores each design
-with the serial loop's :func:`repro.dse.evaluate.score_design`, so the
-outcome is identical to the serial loop for any worker count.
+A sweep evaluates a list of design points -- anything
+:func:`repro.dse.evaluate.as_design` accepts: borrowing configurations,
+Griffin, calibrated baseline rows, or design names -- as network tasks:
+a task simulates one network, resolved in the parent, for some of the
+designs on every category whose suite holds it (:func:`run_task`, the
+one task body).  So every design on a network shares one set of memos:
+each sampled-pass set is drawn once, and label twins read each other's
+layers from the memo.  Each design is then scored with
+:func:`repro.dse.evaluate.score_design`, so the outcome is identical for
+any worker count.  There are two executors:
 
-Each task opens a :class:`repro.runtime.cache.PersistentLayerCache`
-handle on the cache directory named in its payload and passes it to the
-engine, so simulations computed by one worker (or a previous run) are
-read from disk instead of recomputed -- whole networks from the network
-tier in a single read when the exact evaluation ran before, individual
-layers from the layer tier otherwise.  The worker process's own
-:class:`~repro.sim.engine.EvalContext` memos, shared by every task it
-runs, sit in front of the store.  Each task's handle counts only that
-task's cache activity; the counts are shipped back with the results
-and summed into :attr:`SweepOutcome.cache_stats`.
+* :func:`evaluate_in_process` runs one task per network in the calling
+  process, against the caller's :class:`~repro.sim.engine.EvalContext`,
+  in ascending order of the weight-field elements each task draws.  One
+  :class:`~repro.sim.engine.PassDrawer` thread per call draws the pass
+  sets ahead of the tasks, so the draws overlap the scheduling.
+* :class:`SweepRunner` fans the tasks out over a
+  :class:`concurrent.futures.ProcessPoolExecutor` (:func:`network_tasks`).
+  Each task opens a :class:`repro.runtime.cache.PersistentLayerCache`
+  handle on the cache directory named in its payload, so simulations
+  computed by one worker (or a previous run) are read from disk instead of
+  recomputed -- whole networks from the network tier in a single read
+  when the exact evaluation ran before, individual layers from the layer
+  tier otherwise.  The worker process's own
+  :class:`~repro.sim.engine.EvalContext` memos, shared by every task it
+  runs, sit in front of the store.  Each task's handle counts only that
+  task's cache activity; the counts are shipped back with the results
+  and summed into :attr:`SweepOutcome.cache_stats`.
 
-The runner is the process-pool path only: the in-process design loop is
-:meth:`repro.api.Session.evaluate` with ``workers <= 1``.
+:meth:`repro.api.Session.evaluate` picks the executor by its worker count.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from repro.config import ModelCategory
 from repro.dse.evaluate import (
@@ -47,7 +52,14 @@ from repro.dse.evaluate import (
 )
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
-from repro.sim.engine import EvalContext, SimulationOptions, simulate_network
+from repro.sim.engine import (
+    EvalContext,
+    PassDrawer,
+    SimulationOptions,
+    field_elements,
+    pending_pass_keys,
+    simulate_network,
+)
 from repro.workloads.models import Network
 
 #: Progress callback: (completed design points, total design points).
@@ -77,16 +89,36 @@ class SweepOutcome:
         return len(self.evaluations)
 
 
+def run_task(
+    network: Network,
+    indices: Sequence[int],
+    designs: Sequence[Design],
+    categories: Sequence[ModelCategory],
+    options: SimulationOptions,
+    context: EvalContext,
+) -> Iterator[dict[tuple[ModelCategory, str], float]]:
+    """One network task: yield each design's speedups on ``network``,
+    keyed by ``(category, network fingerprint)``, in design order."""
+    for index, design in zip(indices, designs):
+        with obs.ACTIVE.span("evaluate.design", index=index, design=design.label):
+            row = {
+                (category, network.fingerprint): simulate_network(
+                    network, design.config_for(category), category, options, cache=context,
+                ).speedup
+                for category in categories
+            }
+        yield row
+
+
 def _evaluate_chunk(
     payload: tuple[Network, tuple[int, ...], tuple[Design, ...],
                    tuple[ModelCategory, ...], SimulationOptions, str | None, bool],
 ) -> tuple[list[dict[tuple[ModelCategory, str], float]], dict[str, int], list[dict]]:
-    """Each design's speedups on one network, keyed by ``(category,
-    network fingerprint)`` (runs inside a worker process).  The task
-    evaluates against the store at the payload's ``cache_dir``
-    (``None``: no persistent tier) and returns its own cache counts.
-    When ``traced``, the worker records spans into its own local tracer
-    and ships them back as plain dicts; the parent re-parents them with
+    """:func:`run_task` inside a worker process.  The task evaluates
+    against the store at the payload's ``cache_dir`` (``None``: no
+    persistent tier) and returns its own cache counts.  When ``traced``,
+    the worker records spans into its own local tracer and ships them
+    back as plain dicts; the parent re-parents them with
     :meth:`repro.obs.Tracer.absorb` in task order.  The flag never
     reaches the evaluation, so results are bitwise-identical either way.
     """
@@ -97,17 +129,77 @@ def _evaluate_chunk(
     with obs.tracing(obs.Tracer() if traced else None) as tracer:
         with tracer.span("runner.chunk", network=network.name, first=indices[0],
                          points=len(indices), pid=os.getpid()):
-            speedups = []
-            for index, design in zip(indices, designs):
-                with tracer.span("evaluate.design", index=index, design=design.label):
-                    speedups.append({
-                        (category, network.fingerprint): simulate_network(
-                            network, design.config_for(category), category,
-                            options, cache=context,
-                        ).speedup
-                        for category in categories
-                    })
+            speedups = list(run_task(network, indices, designs, categories, options, context))
     return speedups, stats.as_dict(), tracer.export()
+
+
+def _network_order(
+    categories: Sequence[ModelCategory], suites: Suites
+) -> list[tuple[Network, tuple[ModelCategory, ...]]]:
+    """Each distinct network of the ``suites``, first-seen first, with the
+    categories whose suite holds it."""
+    networks: dict[str, tuple[Network, list[ModelCategory]]] = {}
+    for category in categories:
+        for info in suites[category]:
+            networks.setdefault(info.fingerprint, (info.network, []))[1].append(category)
+    return [(network, tuple(held)) for network, held in networks.values()]
+
+
+def _scored(
+    designs: Sequence[Design],
+    categories: Sequence[ModelCategory],
+    suites: Suites,
+    speedups: Sequence[dict[tuple[ModelCategory, str], float]],
+) -> tuple[DesignEvaluation, ...]:
+    return tuple(
+        score_design(design, categories, suites,
+                     lambda category, info: found[category, info.fingerprint])
+        for design, found in zip(designs, speedups)
+    )
+
+
+def evaluate_in_process(
+    designs: Sequence[Design],
+    categories: Sequence[ModelCategory],
+    options: SimulationOptions,
+    suites: Suites,
+    context: EvalContext,
+    progress: ProgressFn | None = None,
+) -> tuple[DesignEvaluation, ...]:
+    """Every design on every category, one :func:`run_task` per network in
+    this process, in ``context``; order-preserving.
+
+    Tasks run in ascending order of the weight-field elements their
+    pending pass sets draw, smallest first, and a
+    :class:`~repro.sim.engine.PassDrawer` draws those sets in the same
+    order while the tasks schedule.  A design ticks ``progress`` when its
+    last network is done.
+    """
+    order = _network_order(categories, suites)
+    every = tuple(range(len(designs)))
+    pending = [
+        pending_pass_keys(
+            network,
+            ((design.config_for(category), category) for design in designs
+             for category in held),
+            options, context,
+        )
+        for network, held in order
+    ]
+    ranked = sorted(range(len(order)),
+                    key=lambda task: sum(map(field_elements, pending[task])))
+    speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
+    keys = dict.fromkeys(key for task in ranked for key in pending[task])
+    with PassDrawer(list(keys)) as drawer:
+        context = replace(context, drawer=drawer)
+        for task in ranked:
+            network, held = order[task]
+            rows = run_task(network, every, designs, held, options, context)
+            for index, row in enumerate(rows):
+                speedups[index].update(row)
+                if progress is not None and task == ranked[-1]:
+                    progress(index + 1, len(designs))
+    return _scored(designs, categories, suites, speedups)
 
 
 def chunk_indices(
@@ -255,12 +347,7 @@ class SweepRunner:
         if not designs:
             return SweepOutcome((), CacheStats(), self.workers, 0)
         suites = suites or settings.suites(categories)
-        # Each distinct network, first-seen first: [network, *its categories].
-        networks: dict[str, list] = {}
-        for category in categories:
-            for info in suites[category]:
-                networks.setdefault(info.fingerprint, [info.network]).append(category)
-        order = list(networks.values())
+        order = _network_order(categories, suites)
         tasks = network_tasks(len(designs), len(order), self.workers, self.chunk_size,
                               content_groups(designs, categories))
         speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
@@ -289,7 +376,7 @@ class SweepRunner:
                             order[network][0],
                             chunk,
                             tuple(designs[i] for i in chunk),
-                            tuple(order[network][1:]),
+                            order[network][1],
                             settings.options,
                             self.cache_dir,
                             tracer.enabled,
@@ -316,9 +403,5 @@ class SweepRunner:
         finally:
             if not self.keep_pool:
                 pool.shutdown(wait=True)
-        evaluations = tuple(
-            score_design(design, categories, suites,
-                         lambda category, info: found[category, info.fingerprint])
-            for design, found in zip(designs, speedups)
-        )
-        return SweepOutcome(evaluations, stats, self.workers, len(tasks))
+        return SweepOutcome(_scored(designs, categories, suites, speedups), stats,
+                            self.workers, len(tasks))

@@ -17,6 +17,8 @@ results are memoized on the content :func:`simulation_key` hashes,
 sampled passes on the layer's sparsity (every design and category that
 reads a GEMM's weights shares one draw of its weight factor field), and
 tile cycle counts on the passes and distances.  No state outlives a call.
+An in-process call may also give its context a :class:`PassDrawer`, a
+thread that draws the pass sets the call will miss ahead of it.
 
 Persistent caching is two-tiered: layer results store under
 :func:`simulation_key` (:data:`SIMULATION_KEY_VERSION`), and whole-network
@@ -33,9 +35,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Hashable, Protocol
+from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -423,6 +426,31 @@ def _draw_passes(
     return tuple(pairs)
 
 
+def _pass_set(
+    gemm: GemmShape,
+    layer: NetworkLayer,
+    config: ArchConfig,
+    category: ModelCategory,
+    options: SimulationOptions,
+) -> tuple[_GemmSparsity, tuple | None]:
+    """The GEMM's sparse sides on this design, and the key its pass sets
+    are memoized under -- :func:`_sampled_passes`'s arguments -- or
+    ``None`` when neither side is sparse and nothing is sampled."""
+    sparsity = _effective_sparsity(gemm, layer, config, category)
+    if not sparsity.any:
+        return sparsity, None
+    seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
+    layer_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
+    return sparsity, (
+        seed, sparsity.weights, layer_acts, gemm, config.geometry,
+        options.passes_per_gemm, options.max_t_steps,
+    )
+
+
+def _gemm_label(gemm: GemmShape) -> str:
+    return f"{gemm.m}x{gemm.k}x{gemm.n}"
+
+
 def _simulate_gemm(
     gemm: GemmShape,
     layer: NetworkLayer,
@@ -431,28 +459,20 @@ def _simulate_gemm(
     options: SimulationOptions,
     context: "EvalContext",
 ) -> GemmSimResult:
-    geometry = config.geometry
-    grid = tile_grid(gemm, geometry)
-    sparsity = _effective_sparsity(gemm, layer, config, category)
-    if not sparsity.any:
+    grid = tile_grid(gemm, config.geometry)
+    sparsity, key = _pass_set(gemm, layer, config, category, options)
+    if key is None:
         return GemmSimResult(gemm, float(grid.dense_cycles), grid.dense_cycles, 0)
     sched_config = _scheduling_config(config, sparsity)
 
-    seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
-    layer_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
     sides = (sparsity.weights is not None, sparsity.activations is not None)
-    key = (
-        seed, sparsity.weights, layer_acts, gemm, geometry,
-        options.passes_per_gemm, options.max_t_steps,
-    )
     with obs.ACTIVE.span(
-        "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}",
-        seed=seed, weights=sides[0],
+        "engine.sample_passes", gemm=_gemm_label(gemm), seed=key[0], weights=sides[0],
     ) as span:
         sets = context.passes.get(key)
         span.set(memo="miss" if sets is None else "hit")
         if sets is None:
-            sets = _sampled_passes(*key)
+            sets = context.sampled_passes(key)
             context.passes.put(key, sets)
         pairs = sets[sides]
     samples = len(pairs)
@@ -631,6 +651,11 @@ class Memo:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` is held; counts nothing and reorders nothing."""
+        with self._lock:
+            return key in self._entries
+
     def get(self, key: Hashable) -> Any:
         """The value under ``key`` (now the most recent), or ``None``."""
         with self._lock:
@@ -662,12 +687,15 @@ class EvalContext:
     scheduling config.  A :class:`repro.api.Session` owns one context and
     hands each call ``context.on(handle)``, so calls share its memos but
     count into their own handles.  A fresh context is a cold start.
+    ``drawer`` is the call's own :class:`PassDrawer`, if it has one: a
+    passes-memo miss takes its key's draw from there.
     """
 
     store: ResultCache | None = None
     layers: Memo = field(default_factory=lambda: Memo(32768))
     passes: Memo = field(default_factory=lambda: Memo(512))
     tiles: Memo = field(default_factory=lambda: Memo(8192))
+    drawer: "PassDrawer | None" = None
 
     def on(self, store: ResultCache | None) -> "EvalContext":
         """A context on ``store`` that shares these memos."""
@@ -677,6 +705,135 @@ class EvalContext:
     def of(cache: "EvalContext | ResultCache | None") -> "EvalContext":
         """``cache`` if it is a context, else a throwaway one on it."""
         return cache if isinstance(cache, EvalContext) else EvalContext(cache)
+
+    def sampled_passes(self, key: tuple) -> dict[tuple[bool, bool], tuple]:
+        """The pass sets under ``key``: the drawer's draw, waited for, when
+        the drawer holds the key; else drawn on this thread."""
+        sets = self.drawer.take(key) if self.drawer is not None else None
+        return sets if sets is not None else _sampled_passes(*key)
+
+
+def _layer_memo_key(
+    gemms: tuple[GemmShape, ...],
+    layer: NetworkLayer,
+    config: ArchConfig,
+    category: ModelCategory,
+    options: SimulationOptions,
+) -> tuple:
+    """The layer memo's key: the content :func:`simulation_key` hashes."""
+    return (
+        gemms, layer.weight_density, layer.act_density,
+        config.a, config.b, config.shuffle, config.geometry, category, options,
+    )
+
+
+def pending_pass_keys(
+    network: Network,
+    runs: Iterable[tuple[ArchConfig, ModelCategory]],
+    options: SimulationOptions,
+    context: EvalContext,
+) -> list[tuple]:
+    """The pass-set keys that simulating ``network`` on each ``(config,
+    category)`` of ``runs``, in order, will miss in ``context``: each
+    once, in first-use order.  Layers the layer memo holds draw nothing,
+    and neither do keys the passes memo holds.  Counts no lookup."""
+    keys: dict[tuple, None] = {}
+    seen: set[tuple] = set()
+    for config, category in runs:
+        for layer in network.layers:
+            gemms = tuple(layer.spec.gemms())
+            memo_key = _layer_memo_key(gemms, layer, config, category, options)
+            if memo_key in seen or memo_key in context.layers:
+                continue
+            seen.add(memo_key)
+            for gemm in gemms:
+                key = _pass_set(gemm, layer, config, category, options)[1]
+                if key is not None and key not in context.passes:
+                    keys.setdefault(key)
+    return list(keys)
+
+
+def field_elements(key: tuple) -> int:
+    """Elements of the weight factor field the pass sets under ``key``
+    draw (``0`` for an activation-only set): the bulk of their cost."""
+    weights, gemm = key[1], key[3]
+    return max(1, min(gemm.k_channels, gemm.k)) * gemm.n if weights is not None else 0
+
+
+class PassDrawer:
+    """Draws pass sets on one background thread, ahead of the call that
+    reads them.
+
+    Made for one call, with the keys :func:`pending_pass_keys` expects it
+    to miss, in the order it will miss them.  From the call's first
+    passes-memo miss on, the thread draws them one at a time (so one
+    factor field is alive in it at a time) and fulfils one future per key;
+    each miss :meth:`take` s its key's draw instead of drawing.  (A call
+    whose layers all come from the persistent layer tier misses nothing,
+    so it draws nothing.)  Every draw is a pure function of its key, so
+    results are bitwise what the calling thread would draw, and numpy's
+    samplers release the GIL, so the draws overlap the scheduling.
+
+    Use as a context manager: leaving it stops the thread after the draw
+    in progress, cancels the futures not drawn yet, and joins the thread.
+    When tracing, the thread records an ``engine.drawer`` span and one
+    ``engine.draw_passes`` span per draw in its own tracer; on leaving
+    they are absorbed under the span that was open on entry, on the same
+    clock.
+    """
+
+    def __init__(self, keys: Sequence[tuple]) -> None:
+        self._futures = {key: Future() for key in keys}
+        self._queue = list(self._futures.items())  # the thread's own view
+        self._cancel = threading.Event()
+        self._demand = threading.Event()  # set by the first take(), or on leaving
+        self._into = obs.ACTIVE
+        self._tracer = (
+            obs.Tracer(epoch=self._into.epoch) if self._into.enabled else obs.NOOP
+        )
+        self._thread = threading.Thread(target=self._draw, name="pass-drawer", daemon=True)
+
+    def __enter__(self) -> "PassDrawer":
+        self._parent = self._into.current_span_id() if self._into.enabled else None
+        # Opened here, so it starts before anything the call does next.
+        self._root = self._tracer.span("engine.drawer", parent_id=None, keys=len(self._queue))
+        self._root.__enter__()
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._cancel.set()
+        self._demand.set()
+        self._thread.join()
+        self._into.absorb(self._tracer.export(), parent=self._parent, shift=0.0)
+
+    def _draw(self) -> None:
+        self._demand.wait()
+        try:
+            for key, future in self._queue:
+                if self._cancel.is_set():
+                    future.cancel()
+                    continue
+                try:
+                    with self._tracer.span(
+                        "engine.draw_passes", parent_id=self._root.span_id,
+                        gemm=_gemm_label(key[3]), seed=key[0], weights=key[1] is not None,
+                    ):
+                        sets = _sampled_passes(*key)
+                except BaseException as error:  # reaches the caller via take()
+                    future.set_exception(error)
+                else:
+                    future.set_result(sets)
+        finally:
+            self._root.__exit__(None, None, None)
+
+    def take(self, key: tuple) -> dict[tuple[bool, bool], tuple] | None:
+        """The draw under ``key`` once it is made (its exception raised if
+        it failed), or ``None`` when this drawer was not given ``key``
+        or it was taken already."""
+        self._demand.set()
+        future = self._futures.pop(key, None)
+        return future.result() if future is not None else None
 
 
 def clear_memo_cache() -> None:
@@ -730,10 +887,7 @@ def simulate_layer(
     store = context.store
     gemms = tuple(layer.spec.gemms())
     args = (gemms, layer.weight_density, layer.act_density, config, category, options)
-    memo_key = (
-        gemms, layer.weight_density, layer.act_density,
-        config.a, config.b, config.shuffle, config.geometry, category, options,
-    )
+    memo_key = _layer_memo_key(gemms, layer, config, category, options)
     result = context.layers.get(memo_key)
     if result is not None:
         if store is not None:

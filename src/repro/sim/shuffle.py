@@ -39,11 +39,4 @@ def rotation_shuffle(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     t_steps, lanes = mask.shape[0], mask.shape[1]
     t = np.arange(t_steps)[:, None]
-    l = np.arange(lanes)[None, :]
-    source = (l + t) % lanes
-    gathered = np.take_along_axis(
-        mask,
-        source.reshape((t_steps, lanes) + (1,) * (mask.ndim - 2)),
-        axis=1,
-    )
-    return gathered
+    return mask[t, (np.arange(lanes) + t) % lanes]

@@ -26,11 +26,13 @@ The load-bearing guarantees:
 were removed in v2.0 at the end of their deprecation cycle.)
 """
 
+import hashlib
 import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -142,7 +144,67 @@ def cold_fig8(tmp_path_factory):
         result = Session(workers=1, cache_dir=root).run(
             EXAMPLES / "experiments" / "fig8.json", quick=True
         )
-    return SimpleNamespace(result=result, cache_dir=root, draws=draw_count(tracer.export()))
+    spans = tracer.export()
+    return SimpleNamespace(result=result, cache_dir=root, draws=draw_count(spans), spans=spans)
+
+
+def rows_digest(result):
+    return hashlib.sha256(json.dumps(result.to_dict()["rows"]).encode()).hexdigest()
+
+
+class TestColdSerialFig8:
+    """The cold in-process fig8: pinned rows, and the background drawer
+    that makes its sampled-pass draws while the calling thread schedules."""
+
+    def test_rows_are_pinned(self, cold_fig8):
+        assert rows_digest(cold_fig8.result) == (
+            "d2e3a74e80c918fd757867c1312dd4f81ade6fc3c4eb8814164ba697a4592df4"
+        )
+
+    def test_shipped_spec_rows_are_pinned(self, tmp_path):
+        """``fig8.json`` at its own sampling options, as ``repro run`` and
+        the fig8-cold benchmark run it."""
+        result = Session(workers=1, cache_dir=tmp_path).run(
+            EXAMPLES / "experiments" / "fig8.json"
+        )
+        assert rows_digest(result) == (
+            "32f817a85dbd3f1adde3ca44e79fcc983da9f74b74e0975d0ea7a099bfd78ff2"
+        )
+
+    def test_tasks_run_in_ascending_field_size_order(self, cold_fig8):
+        """BERT (5.3M weight-field elements), ResNet50 (15.4M), AlexNet
+        (58.9M): each network's layers all run before the next one's."""
+        networks = [span["attrs"]["network"] for span in cold_fig8.spans
+                    if span["name"] == "engine.network_compute"]
+        assert [name for name, _ in groupby(networks)] == ["BERT", "ResNet50", "AlexNet"]
+
+    def test_calling_thread_misses_what_the_drawer_draws(self, cold_fig8):
+        """126 passes-memo misses on the calling thread, and one
+        ``engine.draw_passes`` span per miss, for the same pass sets,
+        under the call's ``session.evaluate`` span."""
+        spans = cold_fig8.spans
+        by_id = {span["id"]: span for span in spans}
+
+        def ancestors(span):
+            while span["parent"] in by_id:
+                span = by_id[span["parent"]]
+                yield span["name"]
+
+        def drawn(name):
+            return sorted(
+                (span["attrs"]["gemm"], span["attrs"]["seed"], span["attrs"]["weights"])
+                for span in spans
+                if span["name"] == name and span["attrs"].get("memo", "miss") == "miss"
+            )
+
+        draws = [span for span in spans if span["name"] == "engine.draw_passes"]
+        assert cold_fig8.draws == len(draws) == 126
+        assert all("session.evaluate" in ancestors(span) for span in draws)
+        assert drawn("engine.draw_passes") == drawn("engine.sample_passes")
+        (drawer,) = [span for span in spans if span["name"] == "engine.drawer"]
+        assert drawer["attrs"]["keys"] == 126
+        assert all(drawer["t0"] <= span["t0"] <= span["t1"] <= drawer["t1"]
+                   for span in draws)
 
 
 class TestSessionEvaluate:

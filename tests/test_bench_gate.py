@@ -308,6 +308,27 @@ class TestRun:
         assert main(["snapshot", "--label", "broken"]) == 1
         assert history_snapshots(tmp_path) == [path]
 
+    def test_out_folder_is_made_before_measuring(self, tmp_path, monkeypatch):
+        """``--out`` in a folder that does not exist yet: the folder is made
+        first and the ledger lands there; a folder that cannot be made is
+        refused before anything is measured."""
+        calls = []
+
+        def fake_measure(roots, rounds=1):
+            calls.append(roots)
+            return [{"schema": LEDGER_SCHEMA, "workloads": {}}], None
+
+        monkeypatch.setattr(bench_gate, "measure", fake_measure)
+        monkeypatch.setattr(bench_gate, "history_snapshots", lambda _: [])
+        out = tmp_path / "new" / "deeper" / "ledger.json"
+        assert main(["run", "--out", str(out)]) == 1  # no snapshot to judge against
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["schema"] == LEDGER_SCHEMA
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--out", str(blocker / "ledger.json")]) == 1
+        assert len(calls) == 1
+
     def test_base_without_perfbench_is_refused(self, tmp_path):
         assert main(["run", "--base", str(tmp_path), "--out", str(tmp_path / "l.json")]) == 1
 

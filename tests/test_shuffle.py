@@ -59,6 +59,23 @@ class TestRotationShuffle:
         rotation_shuffle(mask)
         np.testing.assert_array_equal(mask, copy)
 
+    @pytest.mark.parametrize("shape", [
+        (5, 16, 4), (16, 16, 3), (1, 16, 4), (64, 16, 32),
+        (3, 8, 2, 5), (1, 8, 2, 5), (12, 8, 2, 5),
+    ])
+    def test_equals_the_take_along_axis_form(self, shape):
+        """The gather equals the former ``take_along_axis`` form on 3-D
+        and 4-D masks, with ``T < L``, ``T == L``, ``T > L`` and ``T == 1``."""
+        mask = np.random.default_rng(sum(shape)).random(shape) < 0.4
+        t_steps, lanes = shape[:2]
+        source = (np.arange(lanes)[None, :] + np.arange(t_steps)[:, None]) % lanes
+        reference = np.take_along_axis(
+            mask, source.reshape((t_steps, lanes) + (1,) * (mask.ndim - 2)), axis=1
+        )
+        out = rotation_shuffle(mask)
+        assert out.dtype == mask.dtype
+        np.testing.assert_array_equal(out, reference)
+
 
 @settings(max_examples=30, deadline=None)
 @given(

@@ -358,13 +358,19 @@ def main(argv: list[str] | None = None) -> int:
     if base and not (Path(base) / "perfbench" / "run.py").is_file():
         print(f"{base} is not a checkout with perfbench/run.py", file=sys.stderr)
         return 1
+    # Make the ledger's folder before measuring, which takes minutes.
+    folder = HISTORY_DIR if args.command == "snapshot" else Path(args.out).parent
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        print(f"cannot write a ledger to {folder}: {error}", file=sys.stderr)
+        return 1
     ledgers, pairs = measure([REPO_ROOT] + ([Path(base).resolve()] if base else []),
                              SNAPSHOT_ROUNDS if args.command == "snapshot" else 1)
     if args.command == "snapshot":
         if not all(entry["correct"] for entry in ledgers[0]["workloads"].values()):
             print("refusing to bank a snapshot with incorrect runs", file=sys.stderr)
             return 1
-        HISTORY_DIR.mkdir(parents=True, exist_ok=True)
         _write(next_snapshot_path(HISTORY_DIR, args.label),
                {"label": args.label, "created": time.strftime("%Y-%m-%d"), **ledgers[0]})
         return 0
