@@ -38,21 +38,23 @@ PE borrowing (``d3``) along ``C1``, and ``C2`` indexes independent slot
 groups with no borrowing between them (used by the dual-sparse second phase,
 where ``C1`` is the output-row axis and ``C2`` the output-column axis).
 
-Three scheduler paths share these semantics exactly.  The two
-per-stream paths schedule a batch of same-geometry tiles of any depths
-side by side as one problem (:func:`compact_schedule` is a batch of
-one), and can record each tile's schedule.  With no donor offsets
-(``d2 == d3 == 0``) the streams are independent, and one call of a
-closed-form per-stream recurrence replaces the cycle loop.  With donors,
-one vectorized cycle loop runs the batch as a block-diagonal problem,
-with exact idle-cycle skip-ahead and donor-side claim resolution through
-cached, batch-wide inverse offset maps (each offset is an injective
-coordinate shift, so a donor has at most one claimant per round and
-needs no arbitration).  The ``unit``/``tile`` front-granularity ablation
-modes take a loop of their own.  A pure-Python element-by-element
-oracle, ``tests/compaction_oracle.py``, pins every path cycle for cycle
-and schedule for schedule (``tests/test_compaction_properties.py``),
-next to the golden fixtures in ``tests/test_engine_golden.py``.
+Two scheduler paths share these semantics exactly: one closed form and
+one cycle loop.  Both schedule a batch of same-geometry tiles of any
+depths side by side as one problem (:func:`compact_schedule` is a batch
+of one), and can record each tile's schedule.  With per-stream fronts and
+no donor offsets (``d2 == d3 == 0``) the streams are independent, and one
+call of a closed-form per-stream recurrence replaces the cycle loop.
+Everything else takes one vectorized cycle loop, which runs the batch as
+a block-diagonal problem, with exact idle-cycle skip-ahead and donor-side
+claim resolution through cached, batch-wide inverse offset maps (each
+offset is an injective coordinate shift, so a donor has at most one
+claimant per round and needs no arbitration).  The ``unit``/``tile``
+ablation modes run inside that loop as shared fronts: each stream takes
+its group's minimum front after every front update.  A pure-Python
+element-by-element oracle, ``tests/compaction_oracle.py``, pins both
+paths in every mode cycle for cycle and schedule for schedule
+(``tests/test_compaction_properties.py``), next to the golden fixtures in
+``tests/test_engine_golden.py``.
 """
 
 from __future__ import annotations
@@ -106,8 +108,7 @@ def _offset_priority(d2: int, d3: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=512)
 def _donor_maps(
-    lanes: int, c1: int, c2: int, d2: int, d3: int, lane_wrap: bool,
-    n_tiles: int = 1,
+    lanes: int, c1: int, c2: int, d2: int, d3: int, lane_wrap: bool, n_tiles: int
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per-offset donor wiring: ``(donor, valid, inv, inv_valid)`` per slot
     of ``n_tiles`` tiles side by side (tiles never borrow from each other).
@@ -277,17 +278,6 @@ def _batch_results(
     ]
 
 
-def _idle_result(record: bool) -> CompactionResult:
-    """A tile with no slots, so no cycles to run.
-
-    A recorded schedule with no executing cycle is the 1-D empty array,
-    as for every other tile that never executes.
-    """
-    return CompactionResult(
-        0, 0, 0, 0, schedule=np.array([], dtype=np.int64) if record else None
-    )
-
-
 def compact_schedule(
     mask: np.ndarray,
     d1: int = 0,
@@ -299,9 +289,9 @@ def compact_schedule(
 ) -> CompactionResult:
     """Schedule a tile mask under borrowing distances ``(d1, d2, d3)``.
 
-    See the module docstring for the execution semantics.  With the default
-    per-stream fronts this is :func:`compact_schedule_batch` over a batch of
-    one.
+    See the module docstring for the execution semantics.  This is a batch
+    of one: with the default per-stream fronts, exactly
+    :func:`compact_schedule_batch` over ``[mask]``.
 
     Args:
         mask: boolean effectual-op mask, shape ``[T, L, C1]`` or
@@ -319,23 +309,7 @@ def compact_schedule(
     Returns:
         A :class:`CompactionResult`.
     """
-    if front_mode == "stream":
-        return compact_schedule_batch(
-            [mask], d1, d2, d3, lane_wrap=lane_wrap, return_schedule=return_schedule
-        )[0]
-    if front_mode not in ("unit", "tile"):
-        raise ValueError(f"unknown front_mode {front_mode!r}")
-    mask = _check_mask(mask)
-    t_steps, lanes, c1, c2 = mask.shape
-    n_groups = c1 * c2
-    n_slots = lanes * n_groups
-    if n_slots == 0:
-        return _idle_result(return_schedule)
-    _, positions, _, total_ops = _stack([mask], n_slots)
-    return _schedule_borrowing_grouped(
-        positions, total_ops, t_steps, n_slots, n_groups, d1,
-        _donor_maps(lanes, c1, c2, d2, d3, lane_wrap), front_mode, return_schedule,
-    )
+    return _schedule([mask], d1, d2, d3, lane_wrap, return_schedule, front_mode)[0]
 
 
 def compact_schedule_batch(
@@ -354,8 +328,25 @@ def compact_schedule_batch(
     schedule that stops at its own last executing cycle).  The whole
     batch runs through one call of the closed form (no donor offsets) or
     of the cycle loop (donors), so a GEMM's sampled passes share every
-    per-step numpy dispatch instead of paying it per tile.
+    per-step numpy dispatch instead of paying it per tile.  Negative or
+    non-integer distances raise :class:`ValueError`.
     """
+    return _schedule(masks, d1, d2, d3, lane_wrap, return_schedule, "stream")
+
+
+def _schedule(
+    masks, d1, d2, d3, lane_wrap: bool, record: bool, front_mode: str
+) -> list[CompactionResult]:
+    """The one scheduler entry behind :func:`compact_schedule` and
+    :func:`compact_schedule_batch`: checks the arguments (numpy integer
+    distances are accepted), then runs the batch through the closed form
+    or the cycle loop."""
+    if front_mode not in ("stream", "unit", "tile"):
+        raise ValueError(f"unknown front_mode {front_mode!r}")
+    for name, value in (("d1", d1), ("d2", d2), ("d3", d3)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    d1, d2, d3 = int(d1), int(d2), int(d3)
     if not masks:
         return []
     checked = [_check_mask(m) for m in masks]
@@ -368,16 +359,23 @@ def compact_schedule_batch(
             )
     n_slots = lanes * c1 * c2
     if n_slots == 0:
-        return [_idle_result(return_schedule) for _ in checked]
-    if d2 == 0 and d3 == 0:
+        # No slots, so no cycles to run.  A recorded schedule with no
+        # executing cycle is the 1-D empty array, as for every other tile
+        # that never executes.
+        return [
+            CompactionResult(0, 0, 0, 0, np.array([], dtype=np.int64) if record else None)
+            for _ in checked
+        ]
+    if front_mode == "stream" and d2 == 0 and d3 == 0:
         # The hot path for every schedule without lane/PE reach -- including
         # the Sparse.AB dense-weight downgrade and the dual-sparse B
         # preprocessing whenever db2 == db3 == 0.
-        return _schedule_no_borrowing_batch(checked, n_slots, d1, return_schedule)
+        return _schedule_no_borrowing_batch(checked, n_slots, d1, record)
+    group = {"stream": None, "unit": lanes, "tile": n_slots}[front_mode]
     return _schedule_borrowing_batch(
         checked, n_slots, d1,
         _donor_maps(lanes, c1, c2, d2, d3, lane_wrap, len(checked)),
-        return_schedule,
+        record, group,
     )
 
 
@@ -387,8 +385,19 @@ def _schedule_borrowing_batch(
     d1: int,
     donor_maps: tuple,
     record: bool,
+    group: int | None,
 ) -> list[CompactionResult]:
-    """The cycle loop for per-stream fronts with donors present.
+    """The cycle loop: every schedule with donors, and every ``unit`` or
+    ``tile`` front-mode schedule (with or without donors).
+
+    Fronts are held one per stream.  With ``group`` set, the streams of
+    each unit (``group == L``) or of each whole tile (``group == L*C1*C2``)
+    share one front: slot ``lane * C1*C2 + unit`` puts a tile's fronts in a
+    ``[group, -1]`` view, and after each front update -- the per-cycle
+    advance and the idle-cycle jump -- every stream takes its group's
+    minimum.  That is exact: a shared front ``min(group earliest, f + w)``
+    is the group minimum of the per-stream ``min(next_pos, f + w)``, and
+    the idle jump's ``ceil`` is monotone.
 
     The tiles sit side by side as one ``n_tiles * n_slots``-stream problem
     with block-diagonal donor wiring (tiles never borrow across the batch).
@@ -425,6 +434,7 @@ def _schedule_borrowing_batch(
     next_pos = pos_flat[idx]
     local = np.tile(np.arange(n_slots, dtype=np.int64), n_tiles)
     fronts = np.zeros(total_slots, dtype=np.int64)
+    shared = None if group is None else fronts.reshape(n_tiles, group, -1)
     limit = np.empty(total_slots, dtype=np.int64)
     own = np.empty(total_slots, dtype=bool)
     recv_idle = np.empty(total_slots, dtype=bool)
@@ -449,6 +459,8 @@ def _schedule_borrowing_batch(
             cycles += jump
             fronts += jump * window
             np.minimum(next_pos, fronts, out=fronts)
+            if shared is not None:
+                shared[...] = shared.min(axis=1, keepdims=True)
             if record:
                 rows.append(np.full((jump, total_slots), -1, dtype=np.int64))
             continue
@@ -497,6 +509,8 @@ def _schedule_borrowing_batch(
         # exactly limit + 1).
         limit += 1
         np.minimum(next_pos, limit, out=fronts)
+        if shared is not None:
+            shared[...] = shared.min(axis=1, keepdims=True)
 
     own_counts = np.array(own_log).reshape(-1, n_tiles, n_slots).sum(axis=2)
     busy = own_counts > 0
@@ -514,123 +528,6 @@ def _schedule_borrowing_batch(
         rows.insert(0, np.empty((0, total_slots), dtype=np.int64))
         schedules = np.concatenate(rows).reshape(cycles, n_tiles, n_slots)
     return _batch_results(last + tail, busy.sum(axis=0), per_tile, borrowed, last, schedules)
-
-
-def _schedule_borrowing_grouped(
-    positions: np.ndarray,
-    total_ops: int,
-    t_steps: int,
-    n_slots: int,
-    n_groups: int,
-    d1: int,
-    donor_maps: tuple,
-    front_mode: str,
-    record: bool,
-) -> CompactionResult:
-    """Cycle loop for the ``unit``/``tile`` front ablation modes.
-
-    Front pointers are shared per dot-product unit or tile-wide, so window
-    limits gather through ``group_of`` and the front advance needs a
-    scatter-reduction.  Only ablation studies exercise these modes; the
-    default per-stream mode takes :func:`_schedule_borrowing_batch`.
-    """
-    window = 1 + d1
-    ptr = np.zeros(n_slots, dtype=np.int64)
-    slot_ids = np.arange(n_slots)
-    next_pos = positions[slot_ids, ptr]
-
-    if front_mode == "unit":
-        group_of = slot_ids % n_groups
-        n_fronts = n_groups
-    else:
-        group_of = np.zeros(n_slots, dtype=np.int64)
-        n_fronts = 1
-    fronts = np.zeros(n_fronts, dtype=np.int64)
-
-    schedule_chunks: list[np.ndarray] = []
-    cycles = 0
-    busy_cycles = 0
-    borrowed = 0
-    executed = 0
-    while executed < total_ops:
-        limit = fronts[group_of] + d1
-
-        own = next_pos <= limit
-        if not own.any():
-            # Fully idle cycle: donor availability is the donor's *own*
-            # phase-1 condition, so nothing can execute anywhere -- jump
-            # all such cycles at once.
-            earliest = np.full(n_fronts, _INF, dtype=np.int64)
-            np.minimum.at(earliest, group_of, next_pos)
-            waiting = earliest < _INF
-            gap = (earliest - d1 - fronts)[waiting]
-            jump = int((-((-gap) // window)).min())
-            cycles += jump
-            fronts = np.minimum(earliest, fronts + jump * window)
-            if record:
-                schedule_chunks.append(np.full((jump, n_slots), -1, dtype=np.int64))
-            continue
-
-        cycles += 1
-        busy_cycles += 1
-        row = np.full(n_slots, -1, dtype=np.int64) if record else None
-
-        # Phase 1: every slot claims the earliest remaining op of its own
-        # stream that lies inside its unit's window.
-        own_slots = slot_ids[own]
-        if record:
-            row[own_slots] = next_pos[own_slots] * n_slots + own_slots
-        executed += len(own_slots)
-        ptr[own_slots] += 1
-        next_pos[own_slots] = positions[own_slots, ptr[own_slots]]
-        idle = ~own
-
-        # Phase 2: idle slots borrow, one claim per donor per offset round.
-        # The offset shift is injective, so claims are contention-free and
-        # no arbitration is needed.  Donor availability is judged against
-        # the donor's own front (``limit`` gathers exactly
-        # ``fronts[group_of[...]] + d1``).
-        for donor, donor_valid, _inv, _inv_valid in donor_maps:
-            if not idle.any():
-                break
-            cand = idle & donor_valid
-            if not cand.any():
-                continue
-            cand_slots = slot_ids[cand]
-            cand_donors = donor[cand]
-            cand_ok = next_pos[cand_donors] <= limit[cand_donors]
-            win_slots = cand_slots[cand_ok]
-            win_donors = cand_donors[cand_ok]
-            if len(win_slots) == 0:
-                continue
-            if record:
-                row[win_slots] = next_pos[win_donors] * n_slots + win_donors
-            executed += len(win_slots)
-            borrowed += len(win_slots)
-            ptr[win_donors] += 1
-            next_pos[win_donors] = positions[win_donors, ptr[win_donors]]
-            idle[win_slots] = False
-
-        if record:
-            schedule_chunks.append(row[np.newaxis, :])
-
-        # Per-group front advance: up to the group's earliest unexecuted op,
-        # capped at one window of refill per cycle.
-        earliest = np.full(n_fronts, _INF, dtype=np.int64)
-        np.minimum.at(earliest, group_of, next_pos)
-        fronts = np.minimum(earliest, fronts + window)
-
-    # Trailing drain: units behind T keep streaming zero slices at window
-    # rate; the tile ends when the slowest one crosses T.
-    behind = fronts < t_steps
-    tail = int((-((fronts[behind] - t_steps) // window)).max()) if behind.any() else 0
-    schedules = None
-    if record:
-        schedule_chunks.insert(0, np.empty((0, n_slots), dtype=np.int64))
-        schedules = np.concatenate(schedule_chunks)[:, np.newaxis]
-    return _batch_results(
-        [cycles + tail], [busy_cycles], [executed], [borrowed], [cycles], schedules
-    )[0]
 
 
 def unpack_schedule(

@@ -187,6 +187,27 @@ class TestInputValidation:
         m4 = m3[:, :, :, np.newaxis]
         assert compact_schedule(m3, 1).cycles == compact_schedule(m4, 1).cycles
 
+    def test_rejects_bad_distances(self):
+        """Negative or non-integer distances raise before any scheduling, in
+        every front mode; numpy integers are accepted."""
+        # A window of 0 would never advance a front: the empty batch shows
+        # the check runs before the masks are looked at.
+        with pytest.raises(ValueError, match="d1"):
+            compact_schedule_batch([], -1, 1, 0)
+        mask = np.ones((8, 2, 2), dtype=bool)
+        bad = [
+            ("d1", (-1, 0, 0)), ("d2", (1, -1, 0)), ("d3", (1, 0, -2)),
+            ("d1", (1.0, 0, 0)), ("d2", (2, 0.5, 0)),
+        ]
+        for name, (d1, d2, d3) in bad:
+            for mode in ("stream", "unit", "tile"):
+                with pytest.raises(ValueError, match=name):
+                    compact_schedule(mask, d1, d2, d3, front_mode=mode)
+            with pytest.raises(ValueError, match=name):
+                compact_schedule_batch([mask], d1, d2, d3)
+        numpy_ints = compact_schedule(mask, np.int64(2), np.int32(1), np.uint8(1))
+        assert numpy_ints == compact_schedule(mask, 2, 1, 1)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
