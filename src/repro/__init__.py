@@ -54,7 +54,7 @@ from repro.dse.evaluate import (
     evaluate_design,
     parse_design,
 )
-from repro.runtime import CacheStats, PersistentLayerCache, SweepOutcome, SweepRunner
+from repro.runtime import CacheStats, PersistentLayerCache, SweepOutcome
 from repro.search import (
     EvolutionarySearch,
     ExhaustiveSearch,
@@ -101,7 +101,7 @@ from repro.workloads.spec import (
     register_sparsity_profile,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "ArchConfig",
@@ -163,7 +163,6 @@ __all__ = [
     "CacheStats",
     "PersistentLayerCache",
     "SweepOutcome",
-    "SweepRunner",
     "BENCHMARKS",
     "WORKLOADS",
     "Network",

@@ -2,12 +2,11 @@
 
 :class:`Session` is the facade over the whole toolkit.  It owns the
 two-tier persistent result cache (whole networks, then layers -- see
-``docs/caching.md``) and the parallel
-:class:`~repro.runtime.runner.SweepRunner`, and passes its store and memos
-to the engine explicitly on every call: the engine keeps no state, so two
-sessions in one process never share either, and each call's cache counts
-are exactly its own.  Any design -- a borrowing
-:class:`~repro.config.ArchConfig`, the hybrid
+``docs/caching.md``) and, when asked to keep one warm, the worker process
+pool, and passes its store and memos to the engine explicitly on every
+call: the engine keeps no state, so two sessions in one process never
+share either, and each call's cache counts are exactly its own.  Any
+design -- a borrowing :class:`~repro.config.ArchConfig`, the hybrid
 :class:`~repro.config.GriffinArch`, a calibrated
 :class:`~repro.baselines.registry.BaselineArch` row, or a name understood
 by :func:`~repro.dse.evaluate.parse_design` -- evaluates through the same
@@ -57,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -83,7 +83,13 @@ from repro.runtime.cache import (
     ProbeMiss,
     default_cache_dir,
 )
-from repro.runtime.runner import ProgressFn, SweepOutcome, SweepRunner, evaluate_in_process
+from repro.runtime.runner import (
+    ProgressFn,
+    SweepOutcome,
+    evaluate_in_pool,
+    evaluate_in_process,
+    worker_pool,
+)
 from repro.runtime.search import SearchLoopOutcome, run_search_loop
 from repro.search.archive import ParetoArchive, SearchRecord
 from repro.search.objectives import ObjectiveSet
@@ -409,16 +415,14 @@ class Session:
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
         use_cache: ``False`` evaluates without a persistent cache.
         settings: default :class:`EvalSettings` for calls that omit them.
-        chunk_size: design points per parallel task on each network
-            (see :func:`repro.runtime.runner.network_tasks`).
         progress: optional ``(done, total)`` callback (every evaluating
             method also takes a per-call ``progress=`` override, so
             concurrent callers can each observe their own run).
-        keep_pool: keep one warm :class:`SweepRunner` process pool alive
-            across calls instead of spinning one up per ``evaluate`` --
-            what a long-lived ``repro serve`` session uses.  Call
-            :meth:`close` (or use the session as a context manager) to
-            release the pool.
+        keep_pool: keep one warm worker process pool alive across calls
+            instead of spinning one up per ``evaluate`` -- what a
+            long-lived ``repro serve`` session uses.  Call :meth:`close`
+            (or use the session as a context manager) to release the
+            pool; a later call recreates it.
 
     The session's :class:`~repro.sim.engine.EvalContext` holds the layer
     and sampled-pass memos its in-process calls share; a fresh session is
@@ -441,7 +445,6 @@ class Session:
         cache_dir: str | os.PathLike | None = None,
         use_cache: bool = True,
         settings: EvalSettings | None = None,
-        chunk_size: int | None = None,
         progress: ProgressFn | None = None,
         keep_pool: bool = False,
     ) -> None:
@@ -451,7 +454,6 @@ class Session:
             raise ValueError(f"use_cache must be True or False, got {use_cache!r}")
         self.workers = workers
         self.settings = settings or EvalSettings()
-        self.chunk_size = chunk_size
         self.progress = progress
         self.keep_pool = keep_pool
         self._stats = CacheStats()
@@ -461,7 +463,7 @@ class Session:
             else None
         )
         self._state_lock = threading.Lock()
-        self._runner: SweepRunner | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._context = EvalContext()
 
     @property
@@ -481,14 +483,15 @@ class Session:
 
         Only meaningful with ``keep_pool=True``; a later ``evaluate``
         lazily recreates the pool, so a closed session stays usable.
-        ``wait=False`` releases without joining in-flight work -- the
-        ``repro serve`` shutdown path after a timed-out drain, where
-        joining would block on a still-running evaluation.
+        ``wait=False`` cancels queued tasks and returns without joining
+        running ones -- the ``repro serve`` shutdown path after a
+        timed-out drain, where joining would block on a still-running
+        evaluation.
         """
         with self._state_lock:
-            runner, self._runner = self._runner, None
-        if runner is not None:
-            runner.close(wait=wait)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
 
     def _open_cache(self, probe: bool = False) -> tuple[EvalContext, CacheStats]:
         """The session's context on a new handle on its store (``probe``:
@@ -503,18 +506,13 @@ class Session:
         with self._state_lock:
             self._stats.merge(stats)
 
-    def _ensure_runner(self) -> SweepRunner:
-        """The session's (lazily created, reusable) parallel runner."""
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The session's warm worker pool (``keep_pool``), started on
+        first use."""
         with self._state_lock:
-            if self._runner is None:
-                self._runner = SweepRunner(
-                    workers=self.workers,
-                    cache_dir=self.cache_dir,
-                    use_cache=self.cache_dir is not None,
-                    chunk_size=self.chunk_size,
-                    keep_pool=self.keep_pool,
-                )
-            return self._runner
+            if self._pool is None:
+                self._pool = worker_pool(self.workers)
+            return self._pool
 
     # ------------------------------------------------------------------
     # Evaluation.
@@ -532,10 +530,10 @@ class Session:
 
         Warm designs are answered from the network tier in this process.
         The cold ones run as one task per network: in this process with
-        ``workers <= 1``, else fanned out over a process pool through
-        :class:`SweepRunner` (one warm pool reused across calls under
-        ``keep_pool=True``).  Results are bitwise-identical either way,
-        and all paths share the session's persistent cache directory.
+        ``workers <= 1``, else fanned out over a process pool (the
+        session's warm one under ``keep_pool=True``, else one for this
+        call).  Results are bitwise-identical either way, and all paths
+        share the session's persistent cache directory.
 
         ``networks`` replaces the evaluation suite for this call: any mix
         of workload tokens (preset or registered names, ``name:override``
@@ -575,8 +573,9 @@ class Session:
         Each design first runs against a :class:`NetworkTierProbe`, which
         answers network-tier hits and raises on the first miss: a warm
         design costs a key hash and a read per network.  The cold rest run
-        as network tasks (:mod:`repro.runtime.runner`): in this process
-        with ``workers <= 1``, else on :class:`SweepRunner`'s pool.  Both
+        as network tasks: :func:`~repro.runtime.runner.evaluate_in_process`
+        with ``workers <= 1``, else
+        :func:`~repro.runtime.runner.evaluate_in_pool`.  Both
         redo their lookups, so a probe's counts join the call's only if
         its design completed, and stats are equal for any worker count.
         """
@@ -610,8 +609,10 @@ class Session:
                 tick = progress and (lambda done, _: progress(warm + done, len(designs)))
                 cold_designs = [designs[i] for i in cold]
                 if self.workers > 1:
-                    outcome = self._ensure_runner().run(
-                        cold_designs, categories, settings, progress=tick, suites=suites
+                    outcome = evaluate_in_pool(
+                        self._ensure_pool() if self.keep_pool else None,
+                        self.workers, self.cache_dir, cold_designs, categories,
+                        settings.options, suites, tick,
                     )
                     stats.merge(outcome.cache_stats)
                     evaluations, chunks = outcome.evaluations, outcome.chunks

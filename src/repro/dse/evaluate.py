@@ -158,8 +158,8 @@ class Design(Protocol):
     does the hardware cost, and -- given a simulated speedup -- what is the
     resulting efficiency point (power may be category-dependent through
     clock gating or calibrated per-category rows).  Implementations must be
-    picklable so :class:`repro.runtime.runner.SweepRunner` can ship them to
-    worker processes.
+    picklable so :func:`repro.runtime.runner.evaluate_in_pool` can ship them
+    to worker processes.
     """
 
     @property

@@ -9,21 +9,22 @@ loop into an incremental, parallel one:
   one read) and individual layers keyed by
   :func:`repro.sim.engine.simulation_key` (the fallback that makes partial
   reuse work across configs and categories);
-* :class:`~repro.runtime.runner.SweepRunner` fans design-point evaluations
-  out over worker processes with deterministic chunking, so any worker
-  count reproduces the serial results bit for bit;
+* :mod:`repro.runtime.runner` runs design-point evaluations as one task
+  per network, in process or fanned out over worker processes with
+  deterministic chunking, so any worker count reproduces the serial
+  results bit for bit;
 * :func:`~repro.runtime.search.run_search_loop` pumps guided-search
   strategies (:mod:`repro.search`) through batched, cache-backed
   evaluations -- the ask/tell loop behind ``repro search``.
 
 Example -- a warm sweep served from the network tier::
 
-    from repro.runtime import SweepRunner
+    from repro.api import Session
     from repro.config import ModelCategory
     from repro.dse.explorer import design_space
 
-    runner = SweepRunner(workers=4, cache_dir="/tmp/repro-cache")
-    outcome = runner.run(design_space("b"), (ModelCategory.B,))
+    session = Session(workers=4, cache_dir="/tmp/repro-cache")
+    outcome = session.evaluate(design_space("b"), (ModelCategory.B,))
     print(outcome.cache_stats.network_hits, outcome.cache_stats.layer_lookups)
 
 See ``docs/caching.md`` for the key derivation and invalidation rules.
@@ -39,7 +40,7 @@ from repro.runtime.cache import (
     result_from_dict,
     result_to_dict,
 )
-from repro.runtime.runner import SweepOutcome, SweepRunner
+from repro.runtime.runner import SweepOutcome
 from repro.runtime.search import SearchLoopOutcome, run_search_loop
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "CacheStats",
     "PersistentLayerCache",
     "SweepOutcome",
-    "SweepRunner",
     "default_cache_dir",
     "network_result_from_dict",
     "network_result_to_dict",

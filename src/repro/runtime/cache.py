@@ -36,6 +36,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -261,6 +262,9 @@ DB_NAME = "cache.sqlite"
 #: Connections one thread keeps open (one per store, oldest closed first).
 MAX_OPEN_STORES = 8
 
+#: Seconds a statement waits for another connection's write lock.
+BUSY_TIMEOUT_S = 30.0
+
 _TABLE = {"layer": "layers", "network": "networks"}
 
 
@@ -269,6 +273,21 @@ _TABLE = {"layer": "layers", "network": "networks"}
 _LOCAL = threading.local()
 #: A forked child's inherited connections, held so it never closes them.
 _INHERITED: list[tuple] = []
+
+
+def _use_wal(db: sqlite3.Connection) -> None:
+    """Switch ``db``'s store to WAL, retried for up to the busy timeout:
+    while another connection writes to a store still in rollback mode,
+    sqlite fails the switch at once with ``database is locked``."""
+    pause = 0.005
+    for attempt in reversed(range(int(BUSY_TIMEOUT_S / pause))):
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or not attempt:
+                raise
+            time.sleep(pause)
 
 
 def _connect(path: Path) -> sqlite3.Connection:
@@ -292,9 +311,9 @@ def _connect(path: Path) -> sqlite3.Connection:
     if cached is not None:
         cached[0].close()
     path.parent.mkdir(parents=True, exist_ok=True)
-    db = sqlite3.connect(name, timeout=30.0, isolation_level=None)
+    db = sqlite3.connect(name, timeout=BUSY_TIMEOUT_S, isolation_level=None)
     try:
-        db.execute("PRAGMA journal_mode=WAL")
+        _use_wal(db)
         db.execute("PRAGMA synchronous=NORMAL")
         for table in _TABLE.values():
             db.execute(f"CREATE TABLE IF NOT EXISTS {table}"

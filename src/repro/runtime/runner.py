@@ -1,42 +1,37 @@
 """Cache-backed execution of design-space sweeps, in process or in a pool.
 
-A sweep evaluates a list of design points -- anything
-:func:`repro.dse.evaluate.as_design` accepts: borrowing configurations,
-Griffin, calibrated baseline rows, or design names -- as network tasks:
-a task simulates one network, resolved in the parent, for some of the
-designs on every category whose suite holds it (:func:`run_task`, the
-one task body).  So every design on a network shares one set of memos:
-each sampled-pass set is drawn once, and label twins read each other's
-layers from the memo.  Each design is then scored with
-:func:`repro.dse.evaluate.score_design`, so the outcome is identical for
-any worker count.  There are two executors:
+A sweep evaluates a list of :class:`~repro.dse.evaluate.Design` points as
+network tasks: a task simulates one network, resolved in the parent, for
+some of the designs on every category whose suite holds it
+(:func:`run_task`, the one task body).  So every design on a network
+shares one set of memos: each sampled-pass set is drawn once, and label
+twins read each other's layers from the memo.  Each design is then scored
+with :func:`repro.dse.evaluate.score_design`, so the outcome is identical
+for any worker count.  Two functions run the tasks:
 
 * :func:`evaluate_in_process` runs one task per network in the calling
   process, against the caller's :class:`~repro.sim.engine.EvalContext`,
-  in ascending order of the weight-field elements each task draws.  One
-  :class:`~repro.sim.engine.PassDrawer` thread per call draws the pass
-  sets ahead of the tasks, so the draws overlap the scheduling.
-* :class:`SweepRunner` fans the tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (:func:`network_tasks`).
-  Each task opens a :class:`repro.runtime.cache.PersistentLayerCache`
-  handle on the cache directory named in its payload, so simulations
-  computed by one worker (or a previous run) are read from disk instead of
-  recomputed -- whole networks from the network tier in a single read
-  when the exact evaluation ran before, individual layers from the layer
-  tier otherwise.  The worker process's own
-  :class:`~repro.sim.engine.EvalContext` memos, shared by every task it
-  runs, sit in front of the store.  Each task's handle counts only that
-  task's cache activity; the counts are shipped back with the results
-  and summed into :attr:`SweepOutcome.cache_stats`.
+  smallest weight fields first, while one
+  :class:`~repro.sim.engine.PassDrawer` thread draws their pass sets ahead.
+* :func:`evaluate_in_pool` fans the tasks (:func:`network_tasks`) out over
+  a process pool: the caller's warm :func:`worker_pool`, or one of its own
+  for the call.  Each task opens a
+  :class:`repro.runtime.cache.PersistentLayerCache` handle on the cache
+  directory named in its payload, behind the worker process's own memos,
+  so what one worker (or a previous run) simulated is read from disk --
+  whole networks from the network tier, else layers from the layer tier.
+  Each handle counts only its task's cache activity; the counts are
+  summed into :attr:`SweepOutcome.cache_stats`.
 
-:meth:`repro.api.Session.evaluate` picks the executor by its worker count.
+:meth:`repro.api.Session.evaluate` picks the function by its worker
+count, and owns the warm pool.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -44,14 +39,11 @@ from repro.config import ModelCategory
 from repro.dse.evaluate import (
     Design,
     DesignEvaluation,
-    DesignLike,
-    EvalSettings,
     Suites,
-    as_design,
     score_design,
 )
 from repro.obs import trace as obs
-from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
+from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim.engine import (
     EvalContext,
     PassDrawer,
@@ -73,6 +65,11 @@ def _start_worker() -> None:
     """Pool initializer: the new worker process starts with empty memos."""
     global _worker_context
     _worker_context = EvalContext()
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes, each with its own memos."""
+    return ProcessPoolExecutor(workers, initializer=_start_worker)
 
 
 @dataclass(frozen=True)
@@ -203,39 +200,35 @@ def evaluate_in_process(
 
 
 def chunk_indices(
-    n_items: int, chunk_size: int, groups: Sequence[int] | None = None
+    n_items: int, size: int, groups: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Deterministic chunking of ``range(n_items)``: contiguous, or whole
     ``groups`` (item ``i``'s is ``groups[i]``) per chunk, in first-seen
-    order, so a chunk may run over ``chunk_size``."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    order, so a chunk may run over ``size``."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     members: dict[int, list[int]] = {}
     for index, group in enumerate(range(n_items) if groups is None else groups):
         members.setdefault(group, []).append(index)
     chunks: list[list[int]] = []
     for member in members.values():
-        if not chunks or len(chunks[-1]) >= chunk_size:
+        if not chunks or len(chunks[-1]) >= size:
             chunks.append([])
         chunks[-1] += member
     return [tuple(sorted(chunk)) for chunk in chunks]
 
 
 def network_tasks(
-    n_designs: int, n_networks: int, workers: int, chunk_size: int | None = None,
-    groups: Sequence[int] | None = None,
+    n_designs: int, n_networks: int, workers: int, groups: Sequence[int] | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The pool tasks, ``(network index, design indices)``: ``chunk_size``
-    designs per task on each network.  By default one task per network,
-    or ``ceil(workers / networks)`` slices of it, each of whole ``groups``,
-    when networks are fewer than workers, so no worker idles."""
+    """The pool tasks, ``(network index, design indices)``: one task per
+    network, or ``ceil(workers / networks)`` slices of it, each of whole
+    ``groups``, when networks are fewer than workers, so no worker idles."""
     if n_designs <= 0 or n_networks <= 0:
         return []
-    if chunk_size is None:  # ceil(designs / ceil(workers / networks))
-        chunk_size = -(-n_designs // -(-max(1, workers) // n_networks))
-    else:
-        groups = None  # an explicit chunk_size is exact
-    chunks = chunk_indices(n_designs, chunk_size, groups)
+    # ceil(designs / ceil(workers / networks)) designs per slice
+    size = -(-n_designs // -(-max(1, workers) // n_networks))
+    chunks = chunk_indices(n_designs, size, groups)
     return [(network, chunk) for network in range(n_networks) for chunk in chunks]
 
 
@@ -255,153 +248,61 @@ def content_groups(
     return group
 
 
-class SweepRunner:
-    """Run design-point evaluations in parallel with a persistent cache.
+def evaluate_in_pool(
+    pool: ProcessPoolExecutor | None,
+    workers: int,
+    cache_dir: str | None,
+    designs: Sequence[Design],
+    categories: Sequence[ModelCategory],
+    options: SimulationOptions,
+    suites: Suites,
+    progress: ProgressFn | None = None,
+) -> SweepOutcome:
+    """Every design on every category, as :func:`network_tasks` fanned
+    out over ``pool``; order-preserving.
 
-    Args:
-        workers: worker process count (``0`` runs one worker process).
-        cache_dir: root of the two-tier persistent cache; ``None`` picks
-            ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
-        use_cache: disable the persistent cache entirely with ``False``.
-        chunk_size: design points per task on each network; by default
-            one task per network (see :func:`network_tasks`).
-        progress: optional callback invoked with (done, total) as chunks
-            complete (``run`` also takes a per-call override).
-        keep_pool: keep the worker process pool warm across ``run`` calls
-            instead of creating and tearing one down per call -- what a
-            long-lived service (``repro serve``) wants, since pool startup
-            dwarfs a cache-warm evaluation.  Call :meth:`close` (or use
-            the runner as a context manager) to release it; a later run
-            transparently recreates it.
+    ``pool`` is a warm :func:`worker_pool` the caller keeps; ``None`` runs
+    the call on a pool of its own, ``min(workers, tasks)`` processes shut
+    down before it returns.  Each task evaluates against the store at
+    ``cache_dir`` (``None``: no persistent tier).  A design ticks
+    ``progress`` when its last network is back.
     """
-
-    def __init__(
-        self,
-        workers: int = 0,
-        cache_dir: str | os.PathLike | None = None,
-        use_cache: bool = True,
-        chunk_size: int | None = None,
-        progress: ProgressFn | None = None,
-        keep_pool: bool = False,
-    ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.workers = workers
-        self.cache_dir = (
-            str(cache_dir if cache_dir is not None else default_cache_dir())
-            if use_cache
-            else None
-        )
-        self.chunk_size = chunk_size
-        self.progress = progress
-        self.keep_pool = keep_pool
-        self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle: the warm pool.
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max(1, self.workers), initializer=_start_worker)
-            return self._pool
-
-    def close(self, wait: bool = True) -> None:
-        """Shut down the warm pool (idempotent).
-
-        ``wait=False`` cancels queued work and returns without joining
-        chunks already running -- for a bounded-time service shutdown.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def run(
-        self,
-        designs: Sequence[DesignLike],
-        categories: Sequence[ModelCategory],
-        settings: EvalSettings | None = None,
-        progress: ProgressFn | None = None,
-        suites: Suites | None = None,
-    ) -> SweepOutcome:
-        """Evaluate every design on every category, over ``suites``
-        (default: the settings'); order-preserving.
-
-        ``progress`` overrides the runner-wide callback for this call
-        (per-request progress in a shared-runner service); a design ticks
-        when its last network is back.
-        """
-        settings = settings or EvalSettings()
-        progress = progress if progress is not None else self.progress
-        designs = tuple(as_design(design) for design in designs)
-        categories = tuple(categories)
-        if not designs:
-            return SweepOutcome((), CacheStats(), self.workers, 0)
-        suites = suites or settings.suites(categories)
-        order = _network_order(categories, suites)
-        tasks = network_tasks(len(designs), len(order), self.workers, self.chunk_size,
-                              content_groups(designs, categories))
-        speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
-        remaining = [len(order)] * len(designs)
-        stats = CacheStats()
-        done_points = 0
-        if self.keep_pool:
-            pool = self._ensure_pool()
-        else:
-            workers = max(1, min(self.workers, len(tasks)))
-            pool = ProcessPoolExecutor(workers, initializer=_start_worker)
-        tracer = obs.ACTIVE
-        task_spans: list[list[dict]] = [[] for _ in tasks]
-        try:
-            with tracer.span(
-                "runner.parallel",
-                points=len(designs),
-                networks=len(order),
-                chunks=len(tasks),
-                workers=self.workers,
-            ) as dispatch:
-                futures = {
-                    pool.submit(
-                        _evaluate_chunk,
-                        (
-                            order[network][0],
-                            chunk,
-                            tuple(designs[i] for i in chunk),
-                            order[network][1],
-                            settings.options,
-                            self.cache_dir,
-                            tracer.enabled,
-                        ),
-                    ): task
-                    for task, (network, chunk) in enumerate(tasks)
-                }
-                for future in as_completed(futures):
-                    task = futures[future]
-                    rows, task_stats, task_spans[task] = future.result()
-                    for index, row in zip(tasks[task][1], rows):
-                        speedups[index].update(row)
-                        remaining[index] -= 1
-                        done_points += remaining[index] == 0
-                    stats.merge(CacheStats.from_dict(task_stats))
-                    if progress is not None:
-                        progress(done_points, len(designs))
-                if tracer.enabled:
-                    # Absorb worker spans in task order -- not completion
-                    # order -- so two traced runs yield structurally
-                    # identical span trees.
-                    for spans in task_spans:
-                        tracer.absorb(spans, parent=dispatch)
-        finally:
-            if not self.keep_pool:
-                pool.shutdown(wait=True)
-        return SweepOutcome(_scored(designs, categories, suites, speedups), stats,
-                            self.workers, len(tasks))
+    order = _network_order(categories, suites)
+    tasks = network_tasks(len(designs), len(order), workers,
+                          content_groups(designs, categories))
+    speedups: list[dict[tuple[ModelCategory, str], float]] = [{} for _ in designs]
+    remaining = [len(order)] * len(designs)
+    stats = CacheStats()
+    done_points = 0
+    tracer = obs.ACTIVE
+    task_spans: list[list[dict]] = [[] for _ in tasks]
+    scope = nullcontext(pool) if pool is not None else worker_pool(
+        max(1, min(workers, len(tasks))))
+    with scope as pool, tracer.span(
+        "runner.parallel", points=len(designs), networks=len(order),
+        chunks=len(tasks), workers=workers,
+    ) as dispatch:
+        futures = {
+            pool.submit(_evaluate_chunk, (
+                order[network][0], chunk, tuple(designs[i] for i in chunk),
+                order[network][1], options, cache_dir, tracer.enabled,
+            )): task
+            for task, (network, chunk) in enumerate(tasks)
+        }
+        for future in as_completed(futures):
+            task = futures[future]
+            rows, task_stats, task_spans[task] = future.result()
+            for index, row in zip(tasks[task][1], rows):
+                speedups[index].update(row)
+                remaining[index] -= 1
+                done_points += remaining[index] == 0
+            stats.merge(CacheStats.from_dict(task_stats))
+            if progress is not None:
+                progress(done_points, len(designs))
+        if tracer.enabled:
+            # Absorb worker spans in task order -- not completion order --
+            # so two traced runs yield structurally identical span trees.
+            for spans in task_spans:
+                tracer.absorb(spans, parent=dispatch)
+    return SweepOutcome(_scored(designs, categories, suites, speedups), stats,
+                        workers, len(tasks))

@@ -61,6 +61,7 @@ from repro.dse import evaluate as evaluate_module
 from repro.hw import cost as cost_module
 from repro.obs import trace as obs_trace
 from repro.runtime import cache as cache_module
+from repro.runtime import runner
 from repro.runtime.cache import CacheStats, PersistentLayerCache
 from repro.sim import engine
 from repro.sim.engine import SimulationOptions
@@ -313,38 +314,38 @@ class TestSessionEvaluate:
         assert stats.network_puts == 2 * alone.cache_stats.network_puts
 
     def test_pool_worker_draws_each_pass_set_once(self, tmp_path, cold_fig8):
-        """One task per design on two workers: each worker process keeps
-        its memos across the tasks it runs, so no sampled-pass set is
-        drawn twice in one process (counted from ``memo="miss"`` spans).
-        At default chunking -- one task per network -- the pool draws
-        exactly as many sets as the serial loop."""
+        """A worker process keeps its memos across the tasks it runs: of
+        two slices of one network's designs, run as pool tasks in turn
+        on one worker's context, the second draws no sampled-pass set the
+        first drew (counted from ``memo="miss"`` spans).  At default
+        chunking -- one task per network -- the pool draws exactly as
+        many sets as the serial loop."""
         spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
         settings = replace(SETTINGS, options=spec.options)
-        tracer = obs_trace.Tracer()
-        with obs_trace.tracing(tracer):
-            outcome = Session(workers=2, cache_dir=tmp_path, chunk_size=1).evaluate(
-                spec.resolve_designs(), CATS, settings
-            )
-        assert outcome.chunks == len(spec.designs)  # one network: BERT
-        spans = tracer.export()
-        by_id = {span["id"]: span for span in spans}
-
-        def worker_pid(span):
-            while span["name"] != "runner.chunk":
-                span = by_id[span["parent"]]
-            return span["attrs"]["pid"]
-
-        draws = [
-            (worker_pid(span), span["attrs"]["gemm"], span["attrs"]["seed"],
-             span["attrs"]["weights"])
-            for span in spans
-            if span["name"] == "engine.sample_passes" and span["attrs"]["memo"] == "miss"
-        ]
-        assert draws and len(draws) == len(set(draws))
-        assert any(
-            span["attrs"]["memo"] == "hit"
-            for span in spans if span["name"] == "engine.sample_passes"
-        )
+        designs = spec.resolve_designs()
+        [(network, held)] = runner._network_order(CATS, settings.suites(CATS))
+        half = len(designs) // 2
+        saved = runner._worker_context
+        slices = []
+        try:
+            runner._start_worker()
+            for indices in (range(half), range(half, len(designs))):
+                _, _, spans = runner._evaluate_chunk((
+                    network, tuple(indices), tuple(designs[i] for i in indices),
+                    held, settings.options, None, True,
+                ))
+                samples = [span["attrs"] for span in spans
+                           if span["name"] == "engine.sample_passes"]
+                slices.append({
+                    memo: {(a["gemm"], a["seed"], a["weights"])
+                           for a in samples if a["memo"] == memo}
+                    for memo in ("miss", "hit")
+                })
+        finally:
+            runner._worker_context = saved
+        first, second = slices
+        assert first["miss"] and not first["miss"] & second["miss"]
+        assert first["miss"] & second["hit"]
 
         tracer = obs_trace.Tracer()
         with obs_trace.tracing(tracer):
@@ -509,7 +510,7 @@ class TestSessionEvaluate:
             monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
         session = Session(workers=2, cache_dir=tmp_path)
         warm = session.evaluate(designs, categories, settings)
-        assert warm.chunks == 0 and session._runner is None
+        assert warm.chunks == 0 and session._pool is None
         assert warm.cache_stats.misses == 0
         networks = sum(len(settings.suite(category)) for category in categories)
         assert warm.cache_stats.network_hits == len(designs) * networks
@@ -632,9 +633,9 @@ class TestSessionEvaluate:
 
     def test_context_manager_closes_the_pool(self, tmp_path):
         with Session(workers=2, cache_dir=tmp_path, keep_pool=True) as session:
-            session._ensure_runner()._ensure_pool()
-            assert session._runner is not None
-        assert session._runner is None
+            session._ensure_pool()
+            assert session._pool is not None
+        assert session._pool is None
 
     def test_rejects_negative_workers_and_bad_mode(self):
         with pytest.raises(ValueError):

@@ -35,3 +35,22 @@ def test_docs_code_blocks_execute_and_links_resolve():
         f"\n--- stderr ---\n{proc.stderr}"
     )
     assert "all documentation checks passed" in proc.stdout
+
+
+def test_a_stale_cross_reference_fails(tmp_path):
+    """The cross-reference pass rejects a name that does not import, and
+    takes a dataclass field as an attribute."""
+    sys.path.insert(0, str(CHECKER.parent))
+    try:
+        import check_docs
+    finally:
+        sys.path.remove(str(CHECKER.parent))
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""See :class:`~repro.api.Session`, its :meth:`repro.api.Session.evaluate`,\n'
+        ":attr:`repro.runtime.runner.SweepOutcome.cache_stats` and\n"
+        ':func:`repro.runtime.runner.no_such_function`."""\n'
+    )
+    errors = check_docs.check_xrefs(source)
+    assert len(errors) == 1
+    assert f"{source}:3:" in errors[0] and "no_such_function" in errors[0]

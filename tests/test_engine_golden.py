@@ -182,9 +182,9 @@ def test_engine_matches_golden(case):
 def test_parallel_session_matches_golden(tmp_path):
     """The parallel (process-pool) path returns the same golden cycles.
 
-    Two workers fan the six B-category simulations out over the
-    :class:`SweepRunner`; per-network cycles must equal both the serial
-    session and the committed fixture exactly.
+    Two workers fan the six B-category simulations out over a process
+    pool; per-network cycles must equal both the serial session and the
+    committed fixture exactly.
     """
     golden = _load_golden()
     networks = [info.name for info in WORKLOADS]

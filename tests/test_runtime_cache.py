@@ -5,6 +5,8 @@ import multiprocessing
 import shutil
 import sqlite3
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -279,6 +281,26 @@ class TestSqliteStore:
         assert len(PersistentLayerCache(tmp_path)) == 8 * 25
         for handle in handles:
             assert handle.stats == CacheStats(hits=25, puts=25)
+
+    def test_put_waits_while_a_new_store_switches_to_wal(self, tmp_path):
+        """A store still in rollback mode, another connection mid-write: the
+        handle's first connection waits for the switch to WAL (which
+        sqlite fails at once rather than on the busy timeout), so the put
+        lands and the get after it hits."""
+        result = simulate_layer(small_layer(), CONFIG, ModelCategory.B, OPTIONS)
+        handle = PersistentLayerCache(tmp_path)
+        holder = sqlite3.connect(handle.db_path, isolation_level=None,
+                                 check_same_thread=False)
+        with closing(holder):
+            holder.execute("BEGIN IMMEDIATE")
+            writer = threading.Thread(target=handle.put, args=("key", result))
+            writer.start()
+            time.sleep(0.2)
+            holder.execute("COMMIT")
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert handle.stats == CacheStats(puts=1)
+        assert handle.get("key") == result
 
     def test_uncreatable_root_still_evaluates_with_puts_as_errors(self, tmp_path):
         blocker = tmp_path / "file"

@@ -1,17 +1,18 @@
-"""Invariant tests for the parallel sweep runner.
+"""Invariant tests for the sweep runtime's process-pool path.
 
 The load-bearing guarantees:
 
-* a full ``sparse_b_space`` sweep through :class:`SweepRunner` is
-  bitwise-identical to the serial loop for any worker count and chunking
-  (same seeds -- every evaluation is an independent deterministic function
-  of its design point);
+* a full ``sparse_b_space`` sweep through ``Session(workers=N).evaluate``
+  is bitwise-identical to the serial loop for any worker count (same
+  seeds -- every evaluation is an independent deterministic function of
+  its design point);
 * a second invocation against the same cache directory is served almost
   entirely from the persistent cache (>= 90% hit rate).
 
 The serial side of each comparison is the in-process loop of
-:meth:`repro.api.Session.evaluate` (``workers <= 1``); the runner itself
-is the process-pool path.
+:meth:`repro.api.Session.evaluate` (``workers <= 1``); the parallel side
+is the same call with ``workers > 1``, which fans the network tasks out
+over a process pool (:func:`repro.runtime.runner.evaluate_in_pool`).
 
 The suite is restricted to BERT (the cheapest Table IV benchmark: two
 unique encoder layers) so the *full* 42-point configuration space stays
@@ -28,12 +29,7 @@ from repro.config import SPARSE_B_STAR, ModelCategory, sparse_b
 from repro.dse.evaluate import EvalSettings, as_design
 from repro.dse.explorer import design_space, sparse_b_space
 from repro.runtime.cache import PersistentLayerCache
-from repro.runtime.runner import (
-    SweepRunner,
-    chunk_indices,
-    content_groups,
-    network_tasks,
-)
+from repro.runtime.runner import chunk_indices, content_groups, network_tasks
 from repro.sim.engine import SimulationOptions
 
 CHEAP = SimulationOptions(passes_per_gemm=1, max_t_steps=16, seed=5)
@@ -44,11 +40,11 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 class TestLifecycle:
     def test_close_without_waiting_is_nonblocking_and_idempotent(self):
-        runner = SweepRunner(workers=2, use_cache=False, keep_pool=True)
-        runner._ensure_pool()
-        runner.close(wait=False)  # the bounded-shutdown straggler path
-        runner.close()  # idempotent across modes
-        assert runner._pool is None
+        session = Session(workers=2, use_cache=False, keep_pool=True)
+        session._ensure_pool()
+        session.close(wait=False)  # the bounded-shutdown straggler path
+        session.close()  # idempotent across modes
+        assert session._pool is None
 
 
 class TestChunking:
@@ -78,11 +74,6 @@ class TestChunking:
         assert network_tasks(0, 3, 4) == network_tasks(4, 0, 4) == []
         assert network_tasks(42, 3, 4) == network_tasks(42, 3, 4)
 
-    def test_explicit_chunk_size_is_designs_per_task_per_network(self):
-        assert network_tasks(5, 2, 8, chunk_size=2) == [
-            (n, chunk) for n in range(2) for chunk in chunk_indices(5, 2)
-        ]
-
     def test_slices_take_whole_groups(self):
         # Designs 0, 3 and 4 share a config on some category, as fig8's
         # Baseline, Sparse.AB* and Griffin do: one slice holds all three.
@@ -92,10 +83,6 @@ class TestChunking:
         ]
         assert network_tasks(5, 1, 2, groups=range(5)) == network_tasks(5, 1, 2)
         assert chunk_indices(4, 1, [0, 1, 0, 1]) == [(0, 2), (1, 3)]
-        # An explicit chunk_size is exact: groups do not apply.
-        assert network_tasks(4, 2, 8, chunk_size=1, groups=[0, 1, 0, 1]) == [
-            (n, (i,)) for n in range(2) for i in range(4)
-        ]
 
     def test_content_groups_join_designs_that_share_a_config(self):
         spec = ExperimentSpec.load(EXAMPLES / "experiments" / "fig8.json")
@@ -113,13 +100,12 @@ class TestChunking:
 
 
 class TestRunnerBasics:
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ValueError):
-            SweepRunner(workers=-1)
-
     def test_empty_sweep(self):
-        outcome = SweepRunner(workers=0, use_cache=False).run([], CATEGORIES)
+        """No designs on a pool session: nothing is sent to a pool."""
+        session = Session(workers=2, use_cache=False, keep_pool=True)
+        outcome = session.evaluate([], CATEGORIES)
         assert outcome.evaluations == () and len(outcome) == 0
+        assert outcome.chunks == 0 and session._pool is None
 
     def test_progress_reported_serially(self, tmp_path):
         seen = []
@@ -151,28 +137,26 @@ class TestParallelEqualsSerial:
     ):
         configs = design_space("b")
         progress = []
-        first = SweepRunner(
+        first = Session(
             workers=4, cache_dir=tmp_path, progress=lambda d, t: progress.append((d, t))
-        ).run(configs, CATEGORIES, SETTINGS)
+        ).evaluate(configs, CATEGORIES, SETTINGS)
         assert first.evaluations == serial_outcome.evaluations
         assert first.workers == 4 and first.chunks > 1
         assert progress[-1] == (len(configs), len(configs))
         assert first.cache_stats.puts > 0
 
-        # Second invocation, fresh processes, same cache dir: the PR's
-        # acceptance bar is >= 90% persistent-cache hits.
-        second = SweepRunner(workers=4, cache_dir=tmp_path).run(
+        # Second invocation, a fresh session on the same cache dir: >= 90%
+        # persistent-cache hits.
+        second = Session(workers=4, cache_dir=tmp_path).evaluate(
             configs, CATEGORIES, SETTINGS
         )
         assert second.evaluations == serial_outcome.evaluations
         assert second.cache_stats.lookups > 0
         assert second.cache_stats.hit_rate >= 0.9
 
-    def test_odd_worker_count_and_chunk_size_identical(
-        self, serial_outcome, tmp_path
-    ):
+    def test_odd_worker_count_identical(self, serial_outcome, tmp_path):
         configs = design_space("b")
-        outcome = SweepRunner(workers=3, cache_dir=tmp_path, chunk_size=5).run(
+        outcome = Session(workers=3, cache_dir=tmp_path).evaluate(
             configs, CATEGORIES, SETTINGS
         )
         assert outcome.evaluations == serial_outcome.evaluations
@@ -203,7 +187,7 @@ class TestNoCache:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        outcome = SweepRunner(workers=2, use_cache=False).run(
+        outcome = Session(workers=2, use_cache=False).evaluate(
             sparse_b_space()[:4], (ModelCategory.B,), SETTINGS
         )
         assert outcome.cache_stats.lookups == 0
@@ -218,9 +202,22 @@ class TestCrossProcessReuse:
         )
         assert serial.cache_stats.puts > 0
 
-        parallel = SweepRunner(workers=2, cache_dir=tmp_path).run(
+        parallel = Session(workers=2, cache_dir=tmp_path).evaluate(
             configs, (ModelCategory.B,), SETTINGS
         )
         assert parallel.evaluations == serial.evaluations
         assert parallel.cache_stats.misses == 0
         assert parallel.cache_stats.hit_rate == 1.0
+
+        # Renamed twins miss the network tier, which is keyed on the
+        # label, so they run in the pool: its worker processes read every
+        # layer the serial run wrote and simulate none.
+        twins = [replace(config, name=f"twin-{i}") for i, config in enumerate(configs)]
+        pooled = Session(workers=2, cache_dir=tmp_path).evaluate(
+            twins, (ModelCategory.B,), SETTINGS
+        )
+        assert pooled.chunks > 0
+        assert pooled.cache_stats.layer_misses == 0 < pooled.cache_stats.layer_hits
+        assert [e.speedup(ModelCategory.B) for e in pooled.evaluations] == [
+            e.speedup(ModelCategory.B) for e in serial.evaluations
+        ]

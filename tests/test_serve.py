@@ -49,6 +49,7 @@ from repro.errors import (
     error_envelope,
     format_error,
 )
+from repro.runtime.runner import network_tasks
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.coalescer import Computation, RequestCoalescer
@@ -788,8 +789,7 @@ class TestRunnerChunks:
             "networks": [TINYCNN],
             "options": {"passes_per_gemm": 1, "max_t_steps": 8},
         }
-        session = Session(workers=2, chunk_size=1,
-                          cache_dir=str(tmp_path / "cache"), keep_pool=True)
+        session = Session(workers=2, cache_dir=str(tmp_path / "cache"), keep_pool=True)
         fixture = ServerFixture(ServeApp(session, compute_threads=2))
         try:
             cold = fixture.client.search(spec)
@@ -798,7 +798,10 @@ class TestRunnerChunks:
             stats = fixture.client.stats()
         finally:
             fixture.stop()
-        assert chunks == cold["fresh_evaluations"] == 4
+        # One batch of four designs on one network: two workers cut it in
+        # two slices.
+        assert cold["fresh_evaluations"] == 4
+        assert chunks == len(network_tasks(4, 1, 2)) == 2
         assert stats["runner"]["chunks"] == chunks
         assert warm["front"] == cold["front"]
 

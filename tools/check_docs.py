@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: code blocks must run, links must resolve.
+"""Documentation checker: code blocks must run, links and references resolve.
 
-Two passes over the repo's markdown:
+Two passes over the repo's markdown, and one over its source:
 
 1. **Code blocks.**  Every fenced ````` ```python ````` block in
    ``docs/*.md`` is *executed*, in file order, in one namespace per file
@@ -15,6 +15,12 @@ Two passes over the repo's markdown:
 2. **Links.**  Every relative markdown link target (``[x](docs/foo.md)``,
    images included) must exist on disk.  External links (``http(s)://``,
    ``mailto:``) and pure in-page anchors (``#section``) are not checked.
+3. **Cross-references.**  Every fully qualified docstring reference to
+   the package in ``src/**/*.py`` -- ``:class:`~repro.api.Session```,
+   and likewise ``:func:``, ``:meth:``, ``:attr:``, ``:mod:``,
+   ``:data:`` and ``:exc:`` -- must import: its longest importable
+   module prefix, then one attribute per remaining name.  A dataclass
+   field counts as an attribute.
 
 Exit status 0 when everything passes; 1 with a per-failure report
 otherwise.  Run from the repo root::
@@ -27,6 +33,8 @@ setup is needed.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import re
 import sys
 import traceback
@@ -41,12 +49,16 @@ EXEC_GLOBS = ("docs/*.md",)
 #: Files whose python blocks are only compiled (and links checked).
 COMPILE_GLOBS = ("README.md",)
 
+#: Source files whose cross-references must resolve.
+XREF_GLOB = "src/**/*.py"
+
 SKIP_MARKER = "docs-check: skip"
 
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 # [text](target) -- but not images' alt brackets differently; images share
 # the same (target) shape with a leading !, which this matches too.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_XREF_RE = re.compile(r":(?:class|func|meth|attr|mod|data|exc):`~?(repro(?:\.\w+)+)`")
 
 
 @dataclass
@@ -142,6 +154,38 @@ def check_links(path: Path) -> list[str]:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Whether the dotted ``name`` imports (a dataclass field counts as an
+    attribute)."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            fields = (
+                {field.name for field in dataclasses.fields(target)}
+                if dataclasses.is_dataclass(target) else set()
+            )
+            if not hasattr(target, attr) and attr not in fields:
+                return False
+            target = getattr(target, attr, None)
+        return True
+    return False
+
+
+def check_xrefs(path: Path) -> list[str]:
+    """Every fully qualified cross-reference must resolve; return errors."""
+    errors: list[str] = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        for match in _XREF_RE.finditer(line):
+            if not resolves(match.group(1)):
+                where = path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+                errors.append(f"{where}:{number}: unresolved reference {match.group(0)}")
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures: list[str] = []
@@ -153,6 +197,10 @@ def main() -> int:
                 print(f"checking {path.relative_to(REPO_ROOT)}")
                 failures += check_code(path, execute=execute)
                 failures += check_links(path)
+    sources = sorted(REPO_ROOT.glob(XREF_GLOB))
+    print(f"checking cross-references in {len(sources)} source files")
+    for path in sources:
+        failures += check_xrefs(path)
     if seen == 0:
         print("error: no documentation files found", file=sys.stderr)
         return 1
