@@ -493,13 +493,16 @@ class Session:
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=not wait)
 
-    def _open_cache(self, probe: bool = False) -> tuple[EvalContext, CacheStats]:
+    def _open_cache(
+        self, probe: bool = False, keys: dict[tuple, tuple] | None = None
+    ) -> tuple[EvalContext, CacheStats]:
         """The session's context on a new handle on its store (``probe``:
-        a :class:`NetworkTierProbe`), and the handle's counters."""
+        a :class:`NetworkTierProbe`) with the call's network-key map
+        ``keys``, and the handle's counters."""
         if self.cache_dir is None:
             return self._context, CacheStats()
         cache = (NetworkTierProbe if probe else PersistentLayerCache)(self.cache_dir)
-        return self._context.on(cache), cache.stats
+        return replace(self._context, store=cache, keys=keys), cache.stats
 
     def _record(self, stats: CacheStats) -> None:
         """Fold one call's cache counts into the session totals."""
@@ -578,8 +581,11 @@ class Session:
         :func:`~repro.runtime.runner.evaluate_in_pool`.  Both
         redo their lookups, so a probe's counts join the call's only if
         its design completed, and stats are equal for any worker count.
+        The probe and an in-process run share one network-key map, so a
+        cold design's missed key is hashed once.
         """
         suites = settings.suites(categories)  # once per call
+        keys: dict[tuple, tuple] = {}
         stats = CacheStats()
         results: list[DesignEvaluation | None] = [None] * len(designs)
         cold: list[int] = []
@@ -589,7 +595,7 @@ class Session:
                 if self.cache_dir is None:
                     cold.append(index)
                     continue
-                context, counts = self._open_cache(probe=True)
+                context, counts = self._open_cache(probe=True, keys=keys)
                 with obs.ACTIVE.span(
                     "evaluate.design", index=index, design=design.label
                 ) as span:
@@ -617,7 +623,7 @@ class Session:
                     stats.merge(outcome.cache_stats)
                     evaluations, chunks = outcome.evaluations, outcome.chunks
                 else:
-                    context, counts = self._open_cache()
+                    context, counts = self._open_cache(keys=keys)
                     try:
                         evaluations = evaluate_in_process(
                             cold_designs, categories, settings.options, suites, context, tick

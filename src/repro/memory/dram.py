@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class DramModel:
@@ -24,25 +26,27 @@ class DramModel:
 
 
 def dram_stall_factor(
-    traffic_bytes: float,
-    cycles: float,
+    traffic_bytes,
+    cycles,
     frequency_mhz: float,
     dram: DramModel | None = None,
-) -> float:
-    """Multiplier (>= 1) stretching cycles to fit the DRAM budget."""
+):
+    """Multiplier (>= 1) stretching cycles to fit the DRAM budget, elementwise
+    over scalar or array ``traffic_bytes`` and ``cycles`` (1 where ``cycles <= 0``)."""
     dram = dram or DramModel()
-    if cycles <= 0:
-        return 1.0
-    required = traffic_bytes / cycles
+    cycles = np.asarray(cycles, dtype=float)
     available = dram.bytes_per_cycle(frequency_mhz)
-    return max(1.0, required / available)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.maximum(1.0, traffic_bytes / cycles / available)
+    return np.where(cycles > 0, factor, 1.0)[()]
 
 
 def layer_traffic_bytes(
     m: int, k: int, n: int, weight_density: float, word_bytes: int = 1,
     metadata_bits: int = 0, output_bytes: int = 1,
 ) -> float:
-    """Off-chip traffic for one GEMM: A once, compressed B once, C once.
+    """Off-chip traffic for one GEMM: A once, compressed B once, C once
+    (elementwise over array shapes and densities).
 
     Weight compression ships only the nonzero values plus per-element
     metadata; activations and outputs move uncompressed (the paper's

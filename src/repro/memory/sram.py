@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SramConfig:
@@ -38,8 +40,8 @@ BASELINE_ASRAM = SramConfig(capacity_kib=512, bandwidth_gbps=51.2)
 BASELINE_BSRAM = SramConfig(capacity_kib=32, bandwidth_gbps=204.8)
 
 
-def bank_conflict_stall_fraction(requests_per_cycle: float, banks: int = 16) -> float:
-    """Expected extra-cycle fraction from bank conflicts.
+def bank_conflict_stall_fraction(requests_per_cycle, banks: int = 16):
+    """Expected extra-cycle fraction from bank conflicts, elementwise.
 
     ``r`` random requests over ``b`` banks serialize at the hottest bank:
     the cycle takes ``E[max load]`` bank accesses instead of ``ceil(r/b)``.
@@ -49,14 +51,26 @@ def bank_conflict_stall_fraction(requests_per_cycle: float, banks: int = 16) -> 
     stall fractions of a few percent -- matching the paper's note that its
     pipeline "considers stalls due to ... SRAM bank conflicts" without them
     dominating.
+
+    ``requests_per_cycle`` is a scalar or an array.  Each element goes
+    through :func:`_conflict_fraction` in ``math`` floats: numpy's ``exp``
+    may round the collision branch differently from ``math.exp``, and on
+    the 1-60 GEMM rows the engine and the surrogate pass, a comprehension
+    is as fast as a masked numpy form or faster (2 against 25 us at two
+    rows and equal at sixty, on a 2-vCPU Xeon host).
     """
-    if requests_per_cycle <= 1.0 or banks <= 1:
+    r = np.asarray(requests_per_cycle, dtype=float)
+    fractions = [_conflict_fraction(x, banks) for x in r.ravel().tolist()]
+    return np.array(fractions).reshape(r.shape)[()]
+
+
+def _conflict_fraction(r: float, banks: int) -> float:
+    if r <= 1.0 or banks <= 1:
         return 0.0
-    load = requests_per_cycle / banks
+    load = r / banks
     if load < 1.0:
         # Probability some bank receives >= 2 of the r requests (birthday
         # collision), costing one extra cycle when it happens.
-        r = requests_per_cycle
         p_no_collision = math.exp(-r * (r - 1) / (2.0 * banks))
         return (1.0 - p_no_collision) * (1.0 / banks)
     expected_max = load + math.sqrt(2.0 * load * math.log(banks))
@@ -76,14 +90,15 @@ class SramModel:
     bw_scale_a: float = 1.0
     bw_scale_b: float = 1.0
 
-    def stall_fraction(self, a_fetch_rate: float, b_fetch_rate: float) -> float:
+    def stall_fraction(self, a_fetch_rate, b_fetch_rate):
         """Combined stall fraction for the given per-cycle fetch multiples.
 
         Fetch rates are in units of the dense baseline's words/cycle; the
         provisioned scaling absorbs the average, conflicts absorb the rest.
+        Scalars or arrays, elementwise.
         """
-        a_excess = max(0.0, a_fetch_rate / max(self.bw_scale_a, 1e-9) - 1.0)
-        b_excess = max(0.0, b_fetch_rate / max(self.bw_scale_b, 1e-9) - 1.0)
+        a_excess = np.maximum(0.0, a_fetch_rate / max(self.bw_scale_a, 1e-9) - 1.0)
+        b_excess = np.maximum(0.0, b_fetch_rate / max(self.bw_scale_b, 1e-9) - 1.0)
         conflict = bank_conflict_stall_fraction(
             a_fetch_rate * self.asram.banks / max(self.bw_scale_a, 1e-9), self.asram.banks
         )

@@ -46,7 +46,7 @@ from repro.config import ArchConfig, ModelCategory, sparse_a, sparse_b
 from repro.core.overhead import overhead_of
 from repro.obs import trace as obs
 from repro.gemm.layers import GemmShape
-from repro.gemm.tiling import TileGrid, tile_grid
+from repro.gemm.tiling import tile_grid
 from repro.memory.dram import dram_stall_factor, layer_traffic_bytes
 from repro.memory.sram import SramModel
 from repro.sim.compaction import compact_schedule_batch
@@ -272,7 +272,7 @@ class _GemmSparsity:
         return self.weights is not None or self.activations is not None
 
 
-def _effective_sparsity(
+def effective_sparsity(
     gemm: GemmShape,
     layer: NetworkLayer,
     config: ArchConfig,
@@ -290,7 +290,7 @@ def _effective_sparsity(
     return _GemmSparsity(weights, activations)
 
 
-def _scheduling_config(config: ArchConfig, sparsity: _GemmSparsity) -> ArchConfig:
+def scheduling_config(config: ArchConfig, sparsity: _GemmSparsity) -> ArchConfig:
     """The borrowing distances actually exercised on this GEMM.
 
     A ``Sparse.AB`` datapath running single-sparse data *downgrades*
@@ -436,7 +436,7 @@ def _pass_set(
     """The GEMM's sparse sides on this design, and the key its pass sets
     are memoized under -- :func:`_sampled_passes`'s arguments -- or
     ``None`` when neither side is sparse and nothing is sampled."""
-    sparsity = _effective_sparsity(gemm, layer, config, category)
+    sparsity = effective_sparsity(gemm, layer, config, category)
     if not sparsity.any:
         return sparsity, None
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
@@ -458,12 +458,14 @@ def _simulate_gemm(
     category: ModelCategory,
     options: SimulationOptions,
     context: "EvalContext",
-) -> GemmSimResult:
+) -> tuple[GemmSimResult, ArchConfig]:
+    """The GEMM's extrapolated schedule cycles, before :func:`gemm_envelope`,
+    and the scheduling config they ran under."""
     grid = tile_grid(gemm, config.geometry)
     sparsity, key = _pass_set(gemm, layer, config, category, options)
+    sched_config = scheduling_config(config, sparsity)
     if key is None:
-        return GemmSimResult(gemm, float(grid.dense_cycles), grid.dense_cycles, 0)
-    sched_config = _scheduling_config(config, sparsity)
+        return GemmSimResult(gemm, float(grid.dense_cycles), grid.dense_cycles, 0), sched_config
 
     sides = (sparsity.weights is not None, sparsity.activations is not None)
     with obs.ACTIVE.span(
@@ -492,42 +494,66 @@ def _simulate_gemm(
 
     mean_cycles = total_cycles / samples
     cycles = mean_cycles * n_passes * gemm.repeats
-    cycles = min(max(cycles, _min_cycles(grid, sched_config)), float(grid.dense_cycles))
-    return GemmSimResult(gemm, cycles, grid.dense_cycles, samples)
+    return GemmSimResult(gemm, cycles, grid.dense_cycles, samples), sched_config
 
 
-def _min_cycles(grid: TileGrid, config: ArchConfig) -> float:
-    """Hard floor: the combined window caps speedup at the ABUF depth."""
-    cap = (1 + config.a.d1) * (1 + config.b.d1)
-    return grid.dense_cycles / cap
-
-
-def _apply_stalls(
-    cycles: float,
-    gemm: GemmShape,
-    layer: NetworkLayer,
+def gemm_envelope(
+    cycles: np.ndarray,
+    dense_cycles: np.ndarray,
+    sched: ArchConfig | Sequence[ArchConfig],
     config: ArchConfig,
-    category: ModelCategory,
-    dense_cycles: int,
     options: SimulationOptions,
-) -> float:
-    """SRAM bank-conflict and DRAM-bandwidth stalls for one GEMM."""
-    geometry = config.geometry
-    speedup = dense_cycles / cycles if cycles else 1.0
-    # Both operand streams advance at the compacted schedule rate, so both
-    # SRAMs are provisioned to the design's ideal speedup (Sec. V).
-    provisioned = float((1 + config.a.d1) * (1 + config.b.d1))
-    sram = SramModel(bw_scale_a=provisioned, bw_scale_b=provisioned)
-    frac = sram.stall_fraction(a_fetch_rate=speedup, b_fetch_rate=speedup)
-    cycles *= 1.0 + frac
-    if options.include_dram:
-        w_density = layer.weight_density if category.weights_sparse else 1.0
-        meta_bits = overhead_of(config).metadata_bits
-        traffic = layer_traffic_bytes(
-            gemm.m, gemm.k, gemm.n, w_density, metadata_bits=meta_bits
-        ) * gemm.repeats
-        cycles *= dram_stall_factor(traffic, cycles, geometry.frequency_mhz)
-    return cycles
+    traffic: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-GEMM envelope over rows of extrapolated cycles: the cycles
+    the engine charges, and each row's floor.
+
+    Each row is clamped to ``[floor, dense_cycles]``.  The floor is
+    ``dense / ((1 + da1)(1 + db1))`` under the row's scheduling config
+    (``sched``: one shared by every row, or one per row), since the
+    combined window caps speedup at the ABUF depth.  With
+    ``options.include_stalls``, rows below dense are then charged the
+    :mod:`repro.memory` stalls at the design ``config``'s provisioning --
+    SRAM bank conflicts (both operand streams advance at the compacted
+    schedule rate, so both SRAMs are provisioned to the design's ideal
+    speedup, Sec. V) and, with ``options.include_dram``, the DRAM stretch
+    of each row's ``traffic`` bytes (:func:`dram_traffic`) -- and capped
+    at dense again.  Elementwise in the scalar formulas' operation order,
+    so a row is bitwise what it would be alone.  The engine calls this
+    once per layer and the surrogate once per GEMM table, so the two
+    cannot drift apart.
+    """
+    scheds = (sched,) if isinstance(sched, ArchConfig) else sched
+    floor = dense_cycles / np.array([(1 + s.a.d1) * (1 + s.b.d1) for s in scheds])
+    cycles = np.minimum(np.maximum(cycles, floor), dense_cycles)
+    if options.include_stalls:
+        # Every row is charged and the rows at dense keep their cycles:
+        # cheaper than indexing the stalled rows out of a few-row table.
+        speedup = dense_cycles / cycles  # the floor keeps cycles > 0
+        provisioned = float((1 + config.a.d1) * (1 + config.b.d1))
+        sram = SramModel(bw_scale_a=provisioned, bw_scale_b=provisioned)
+        run = cycles * (1.0 + sram.stall_fraction(speedup, speedup))
+        if options.include_dram:
+            run = run * dram_stall_factor(traffic, run, config.geometry.frequency_mhz)
+        cycles = np.where(cycles < dense_cycles, np.minimum(run, dense_cycles), cycles)
+    return cycles, floor
+
+
+def dram_traffic(
+    gemms: Sequence[GemmShape],
+    layers: Sequence[NetworkLayer],
+    category: ModelCategory,
+    metadata_bits: int,
+) -> np.ndarray:
+    """Off-chip bytes of each GEMM over all its repeats (its layer's in
+    ``layers``), as :func:`gemm_envelope`'s DRAM stall charges them:
+    weights compressed to the layer's density when the category's weights
+    are sparse, with ``metadata_bits`` per weight."""
+    m, k, n, repeats = np.array([(g.m, g.k, g.n, g.repeats) for g in gemms]).T
+    density = np.array([
+        layer.weight_density if category.weights_sparse else 1.0 for layer in layers
+    ])
+    return layer_traffic_bytes(m, k, n, density, metadata_bits=metadata_bits) * repeats
 
 
 class ResultCache(Protocol):
@@ -688,7 +714,9 @@ class EvalContext:
     hands each call ``context.on(handle)``, so calls share its memos but
     count into their own handles.  A fresh context is a cold start.
     ``drawer`` is the call's own :class:`PassDrawer`, if it has one: a
-    passes-memo miss takes its key's draw from there.
+    passes-memo miss takes its key's draw from there.  ``keys`` is the
+    call's own map of the network keys it hashed, if it has one, so a
+    design the call's warm probe missed is not hashed again when it runs.
     """
 
     store: ResultCache | None = None
@@ -696,6 +724,7 @@ class EvalContext:
     passes: Memo = field(default_factory=lambda: Memo(512))
     tiles: Memo = field(default_factory=lambda: Memo(8192))
     drawer: "PassDrawer | None" = None
+    keys: dict[tuple, tuple] | None = None
 
     def on(self, store: ResultCache | None) -> "EvalContext":
         """A context on ``store`` that shares these memos."""
@@ -711,6 +740,29 @@ class EvalContext:
         the drawer holds the key; else drawn on this thread."""
         sets = self.drawer.take(key) if self.drawer is not None else None
         return sets if sets is not None else _sampled_passes(*key)
+
+    def network_key(
+        self,
+        network: Network,
+        config: ArchConfig,
+        category: ModelCategory,
+        options: SimulationOptions,
+    ) -> str:
+        """:func:`network_key`, hashed once per call when ``keys`` is set.
+
+        The call's map is keyed by the arguments' identities, which costs
+        a warm hit next to nothing (hashing the frozen dataclasses cost
+        it about 12%).  Each entry holds its arguments, so no id in the
+        map can pass to another object while the call runs.
+        """
+        if self.keys is None:
+            return network_key(network, config, category, options)
+        ids = (id(network), id(config), id(category), id(options))
+        entry = self.keys.get(ids)
+        if entry is None:
+            key = network_key(network, config, category, options)
+            entry = self.keys[ids] = (key, network, config, category, options)
+        return entry[0]
 
 
 def _layer_memo_key(
@@ -848,23 +900,32 @@ def _compute_layer(
     options: SimulationOptions,
     context: EvalContext,
 ) -> LayerSimResult:
-    results = []
-    cycles = 0.0
-    dense = 0
     with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
-        for gemm in gemms:
-            res = _simulate_gemm(gemm, layer, config, category, options, context)
-            gemm_cycles = res.cycles
-            if options.include_stalls and gemm_cycles < res.dense_cycles:
-                gemm_cycles = _apply_stalls(
-                    gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
-                )
-                gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
-                res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
-            results.append(res)
-            cycles += res.cycles
-            dense += res.dense_cycles
-    return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=tuple(results))
+        runs, scheds = zip(*(
+            _simulate_gemm(gemm, layer, config, category, options, context)
+            for gemm in gemms
+        ))
+        results = runs
+        # A GEMM that sampled nothing ran dense, which the envelope keeps.
+        if any(run.sampled_passes for run in runs):
+            traffic = None
+            if options.include_dram:
+                meta_bits = overhead_of(config).metadata_bits
+                traffic = dram_traffic(gemms, (layer,) * len(gemms), category, meta_bits)
+            charged, _ = gemm_envelope(
+                np.array([run.cycles for run in runs]),
+                np.array([run.dense_cycles for run in runs]),
+                scheds, config, options, traffic,
+            )
+            results = tuple(
+                GemmSimResult(run.shape, value, run.dense_cycles, run.sampled_passes)
+                for run, value in zip(runs, charged.tolist())
+            )
+    cycles = 0.0
+    for res in results:
+        cycles += res.cycles
+    dense = sum(res.dense_cycles for res in results)
+    return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=results)
 
 
 def simulate_layer(
@@ -926,7 +987,7 @@ def simulate_network(
     store = context.store
     key = None
     if store is not None:
-        key = network_key(network, config, category, options)
+        key = context.network_key(network, config, category, options)
         hit = store.get_network(key)
         if hit is not None:
             return hit

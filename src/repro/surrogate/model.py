@@ -11,13 +11,15 @@ same ``[min_cycles, dense_cycles]`` envelope the engine enforces:
 
 * the **base** term mirrors every deterministic piece of the engine's
   :func:`~repro.sim.engine._simulate_gemm` arithmetic exactly (effective
-  sparsity, Sparse.AB downgrades, tile-segment scaling, pipeline drain,
-  the floor/cap clamps, the stall models) and replaces only the *sampled*
-  mean tile cycles with a closed form: a rectified-Gaussian smooth-max of
-  the work bound over the window floor with a Gumbel-style slot-max tail
-  (:func:`tile_cycle_estimate`, the paper's "analytical model, verified by
-  a simulator": ``benchmarks/test_analytical_verification.py`` checks it
-  against the cycle scheduler);
+  sparsity, Sparse.AB downgrades, tile-segment scaling, pipeline drain),
+  goes through the engine's own :func:`~repro.sim.engine.gemm_envelope`
+  (the floor/cap clamps, the stall models), and replaces only the
+  *sampled* mean tile cycles with a closed form: a rectified-Gaussian
+  smooth-max of the work bound over the window floor with a Gumbel-style
+  slot-max tail (:func:`tile_cycle_estimate`, the paper's "analytical
+  model, verified by a simulator":
+  ``benchmarks/test_analytical_verification.py`` checks it against the
+  cycle scheduler);
 * the **correction** ``exp(theta . phi)`` absorbs what the closed form
   abstracts away (factor-field imbalance, shuffle, borrowing
   interactions): a log-linear basis over borrowing distances x tensor
@@ -35,12 +37,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.config import ArchConfig, BorrowConfig, ModelCategory
+from repro.config import ArchConfig, BorrowConfig, CoreGeometry, ModelCategory
 from repro.core.metrics import geometric_mean
+from repro.core.overhead import overhead_of
 from repro.dse.evaluate import (
     DesignEvaluation,
     DesignLike,
@@ -51,10 +54,10 @@ from repro.gemm.layers import GemmShape
 from repro.gemm.tiling import tile_grid
 from repro.sim.engine import (
     SimulationOptions,
-    _apply_stalls,
-    _effective_sparsity,
-    _min_cycles,
-    _scheduling_config,
+    dram_traffic,
+    effective_sparsity,
+    gemm_envelope,
+    scheduling_config,
 )
 from repro.surrogate.store import (
     FamilyConstants,
@@ -156,8 +159,14 @@ def _features(rows: GemmRows, sched: ArchConfig) -> np.ndarray:
     """The correction basis Phi of every row, one column per feature name."""
     dens = rows.density_basis
     cross = dens[:, None, :] * _distance_terms(rows.family, sched)[:, None]
-    phi = np.hstack([dens, cross.reshape(len(dens), -1), rows.lseg[:, None]])
-    return np.hstack([phi, phi * (1.0 if sched.shuffle else 0.0)])
+    n, d = dens.shape
+    width = d + cross[0].size + 1
+    phi = np.empty((n, 2 * width))
+    phi[:, :d] = dens
+    phi[:, d:width - 1] = cross.reshape(n, -1)
+    phi[:, width - 1] = rows.lseg
+    np.multiply(phi[:, :width], 1.0 if sched.shuffle else 0.0, out=phi[:, width:])
+    return phi
 
 
 class GemmRows:
@@ -166,11 +175,16 @@ class GemmRows:
     Fixed by the workload, category, options, geometry and datapath
     sparsity support -- not by the borrowing distances -- so one table
     serves a whole design space.  The rows share ``sparsity``'s sides, so
-    it picks their scheduling config (the Sparse.AB downgrades).
+    it picks their scheduling config (the Sparse.AB downgrades).  A table
+    memoizes what a config reads of it through part of the config only:
+    each tile estimate on the distances of the side it packs (the dual
+    estimate on both sides'), and the DRAM traffic on the category and
+    the metadata width.
     """
 
     def __init__(
-        self, family: str, entries: list[tuple], options: SimulationOptions
+        self, family: str, entries: list[tuple], options: SimulationOptions,
+        geometry: CoreGeometry,
     ) -> None:
         sparsities, grids, self.layers = zip(*entries)
         self.family, self.sparsity = family, sparsities[0]
@@ -192,6 +206,38 @@ class GemmRows:
         )
         self.density_basis = np.stack([np.ones_like(weight)] + logs, axis=1)
         self.lseg = np.log(seg_t / 64.0)
+        self.a_slots = geometry.k0 * geometry.m0
+        self.b_slots = geometry.k0 * geometry.n0
+        self._memo: dict[tuple, np.ndarray] = {}
+
+    def _memoized(self, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+    def tile_cycles(self, sched: ArchConfig) -> np.ndarray:
+        """Closed-form mean tile cycles of every row under ``sched``."""
+        if self.family == "a":
+            return self._memoized(("a", sched.a), lambda: tile_cycle_estimate(
+                self.seg_t, self.act_density, sched.a, self.a_slots
+            ))
+        tile = self._memoized(("b", sched.b), lambda: tile_cycle_estimate(
+            self.seg_t, self.weight_density, sched.b, self.b_slots
+        ))
+        if self.family == "ab":
+            # Dual-sparse runs the two compaction stages back to back: the
+            # B-side schedule sets the surviving depth the A side packs.
+            tile = self._memoized(("ab", sched.a, sched.b), lambda: tile_cycle_estimate(
+                tile, self.act_density, sched.a, self.a_slots
+            ))
+        return tile
+
+    def traffic(self, category: ModelCategory, metadata_bits: int) -> np.ndarray:
+        """Each row's DRAM traffic (:func:`repro.sim.engine.dram_traffic`)."""
+        return self._memoized(("dram", category, metadata_bits), lambda: dram_traffic(
+            self.gemms, self.layers, category, metadata_bits
+        ))
 
 
 def gemm_table(
@@ -205,7 +251,7 @@ def gemm_table(
     for layer, gemm in pairs:
         grid = tile_grid(gemm, config.geometry)
         total += grid.dense_cycles
-        sparsity = _effective_sparsity(gemm, layer, config, category)
+        sparsity = effective_sparsity(gemm, layer, config, category)
         if not sparsity.any:
             exact += grid.dense_cycles
         else:
@@ -214,7 +260,7 @@ def gemm_table(
             family = "ab" if use_b and use_a else ("b" if use_b else "a")
             families.setdefault(family, []).append((sparsity, grid, layer))
     groups = tuple(
-        GemmRows(family, entries, options)
+        GemmRows(family, entries, options, config.geometry)
         for family, entries in sorted(families.items())
     )
     return groups, exact, total
@@ -225,26 +271,14 @@ def base_cycles(
     options: SimulationOptions,
 ) -> tuple[ArchConfig, np.ndarray, np.ndarray]:
     """Scheduling config, closed-form base cycles and floor of every row."""
-    sched = _scheduling_config(config, rows.sparsity)
-    k0, n0, m0 = config.geometry.k0, config.geometry.n0, config.geometry.m0
-    if rows.family == "a":
-        tile = tile_cycle_estimate(rows.seg_t, rows.act_density, sched.a, k0 * m0)
-    else:
-        tile = tile_cycle_estimate(rows.seg_t, rows.weight_density, sched.b, k0 * n0)
-        if rows.family == "ab":
-            # Dual-sparse runs the two compaction stages back to back: the
-            # B-side schedule sets the surviving depth the A side packs.
-            tile = tile_cycle_estimate(tile, rows.act_density, sched.a, k0 * m0)
-    cycles = (tile + rows.drain) * rows.scale_t * rows.work
-    floor = _min_cycles(rows, sched)  # the engine's floor, per row
-    cycles = np.minimum(np.maximum(cycles, floor), rows.dense_cycles)
-    if options.include_stalls:
-        for i in np.flatnonzero(cycles < rows.dense_cycles):
-            dense = int(rows.dense_cycles[i])
-            cycles[i] = min(_apply_stalls(
-                float(cycles[i]), rows.gemms[i], rows.layers[i], config,
-                category, dense, options,
-            ), float(dense))
+    sched = scheduling_config(config, rows.sparsity)
+    cycles = (rows.tile_cycles(sched) + rows.drain) * rows.scale_t * rows.work
+    traffic = None
+    if options.include_dram:
+        traffic = rows.traffic(category, overhead_of(config).metadata_bits)
+    cycles, floor = gemm_envelope(
+        cycles, rows.dense_cycles, sched, config, options, traffic
+    )
     return sched, cycles, floor
 
 

@@ -313,6 +313,19 @@ class TestSessionEvaluate:
         # The network tier is keyed on the label: the twin has its own entry.
         assert stats.network_puts == 2 * alone.cache_stats.network_puts
 
+    def test_cold_serial_call_hashes_each_network_key_once(self, tmp_path, monkeypatch):
+        """A cold in-process call hashes the network key of each (design,
+        category, network) once: a design's run reuses the key its warm
+        probe hashed and missed."""
+        keys = []
+        real = engine.network_key
+        monkeypatch.setattr(engine, "network_key", lambda *args: keys.append(args) or real(*args))
+        designs = ["Sparse.B*", "Griffin", sparse_b(2, 0, 1)]
+        outcome = Session(workers=1, cache_dir=tmp_path).evaluate(designs, CATS, SETTINGS)
+        runs = len(designs) * sum(len(SETTINGS.suite(category)) for category in CATS)
+        assert outcome.cache_stats.network_puts == runs
+        assert len(keys) == runs
+
     def test_pool_worker_draws_each_pass_set_once(self, tmp_path, cold_fig8):
         """A worker process keeps its memos across the tasks it runs: of
         two slices of one network's designs, run as pool tasks in turn

@@ -10,26 +10,24 @@ predictions are held to 1e-12 relative -- far below any score difference
 the screen ranks on -- and the screened shortlists must match exactly.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from repro.api import Session
 from repro.config import ModelCategory
 from repro.core.metrics import geometric_mean
 from repro.dse.evaluate import DesignEvaluation, as_design
 from repro.gemm.tiling import tile_grid
 from repro.search import SearchSpec, SurrogateScreenedSearch
 from repro.search.space import paper_space
-from repro.sim.engine import (
-    _apply_stalls,
-    _effective_sparsity,
-    _min_cycles,
-    _scheduling_config,
-)
+from repro.sim.engine import effective_sparsity, scheduling_config
 from repro.surrogate import REGIME_OPTIONS, SurrogateModel, load_constants
 from repro.workloads.registry import BENCHMARKS, parse_workload
+from stall_oracle import envelope, min_cycles
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_WORKLOAD = REPO / "examples" / "workloads" / "tinycnn.json"
@@ -111,10 +109,10 @@ def _oracle_gemm(gemm, layer, config, category, options, constants, regime,
     """Corrected cycles and dense cycles of one GEMM."""
     geometry = config.geometry
     grid = tile_grid(gemm, geometry)
-    sparsity = _effective_sparsity(gemm, layer, config, category)
+    sparsity = effective_sparsity(gemm, layer, config, category)
     if not sparsity.any:
         return float(grid.dense_cycles), grid.dense_cycles
-    sched = _scheduling_config(config, sparsity)
+    sched = scheduling_config(config, sparsity)
     use_b = sparsity.weights is not None
     use_a = sparsity.activations is not None
     weight_density = sparsity.weights.density if use_b else 1.0
@@ -143,13 +141,10 @@ def _oracle_gemm(gemm, layer, config, category, options, constants, regime,
         )
     n_passes = grid.m_tiles * grid.n_tiles
     cycles = (tile + drain) * scale_t * n_passes * gemm.repeats
-    floor = _min_cycles(grid, sched)
-    cycles = min(max(cycles, floor), float(grid.dense_cycles))
-    if options.include_stalls and cycles < grid.dense_cycles:
-        cycles = _apply_stalls(
-            cycles, gemm, layer, config, category, grid.dense_cycles, options
-        )
-        cycles = min(cycles, float(grid.dense_cycles))
+    floor = min_cycles(grid.dense_cycles, sched)
+    cycles = envelope(
+        cycles, gemm, layer, config, sched, category, grid.dense_cycles, options
+    )
     names, values = _family_features(
         family, sched, weight_density, act_density, seg_t
     )
@@ -289,25 +284,70 @@ def test_search_b_shortlist_matches_the_oracle(model, golden):
     assert len(screened) == spec.strategy.budget
 
 
+#: The perfbench ``search-ab-wide`` search: 672 feasible AB configs.
+AB_WIDE = {
+    "name": "search-ab-wide",
+    "space": {
+        "name": "ab-wide",
+        "da1": [1, 2, 3],
+        "da2": [0, 1, 2],
+        "db1": [1, 2, 3, 4, 6],
+        "db2": [0, 1, 2, 3],
+        "db3": [0, 1, 2, 3],
+        "max_amux_fanin": 32,
+    },
+    "fidelity": "multi",
+    "strategy": {"kind": "surrogate", "budget": 8},
+    "quick": True,
+    "options": {"passes_per_gemm": 1, "max_t_steps": 16, "seed": 7},
+}
+
+#: sha256 of the ab-wide screen's 672 score vectors (``float.hex`` per
+#: score, as JSON), recorded before the GEMM envelope became one array
+#: call and the tables memoized their tile estimates.
+AB_WIDE_SCORES_SHA256 = "fce29acdae64dc833a8809dea4206d632c22adf44f0fc49d5b4d83ae7ccd5892"
+
+
 def test_ab_wide_shortlist_matches_the_oracle(model, golden):
-    spec = SearchSpec.coerce(
-        {
-            "name": "search-ab-wide",
-            "space": {
-                "name": "ab-wide",
-                "da1": [1, 2, 3],
-                "da2": [0, 1, 2],
-                "db1": [1, 2, 3, 4, 6],
-                "db2": [0, 1, 2, 3],
-                "db3": [0, 1, 2, 3],
-                "max_amux_fanin": 32,
-            },
-            "fidelity": "multi",
-            "strategy": {"kind": "surrogate", "budget": 8},
-            "quick": True,
-            "options": {"passes_per_gemm": 1, "max_t_steps": 16, "seed": 7},
-        }
-    )
+    spec = SearchSpec.coerce(AB_WIDE)
     assert len(spec.space) == 672
     screened, oracle = _shortlists(spec, model, golden)
     assert screened == oracle
+
+
+def test_ab_wide_scores_are_pinned(golden):
+    """Every score the ab-wide screen ranks on is bitwise the recorded one,
+    from a cold model (empty table memos) and again from the warm one."""
+    spec = SearchSpec.coerce(AB_WIDE)
+    settings = spec.eval_settings()
+    objectives = spec.resolve_objectives()
+    model = SurrogateModel(golden)
+    for _ in range(2):
+        scored = [
+            [float(score).hex() for score in objectives.scores(
+                model.evaluate_design(config, objectives.categories, settings)
+            )]
+            for config in spec.space.configs()
+        ]
+        assert len(scored) == 672
+        digest = hashlib.sha256(json.dumps(scored).encode()).hexdigest()
+        assert digest == AB_WIDE_SCORES_SHA256
+
+
+def test_multi_fidelity_search_scores_each_config_once(tmp_path, monkeypatch):
+    """The screen makes exactly one ``evaluate_design`` call per feasible
+    config: no config is batched past it or scored twice."""
+    payload = json.loads(SEARCH_B.read_text())
+    payload["strategy"] = {"kind": "surrogate", "budget": 2}
+    spec = SearchSpec.coerce(payload)
+    scored = []
+    real = SurrogateModel.evaluate_design
+
+    def counted(self, design, categories, settings):
+        scored.append(design)
+        return real(self, design, categories, settings)
+
+    monkeypatch.setattr(SurrogateModel, "evaluate_design", counted)
+    result = Session(workers=1, cache_dir=tmp_path).search(spec)
+    assert result.screened == len(spec.space) > 0
+    assert sorted(scored, key=str) == sorted(spec.space.configs(), key=str)
